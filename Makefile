@@ -46,9 +46,11 @@ profile:
 		-cpuprofile profiles/e5.cpu.prof -memprofile profiles/e5.mem.prof .
 
 # One-iteration smoke run so `make check` catches bitrot in the
-# benchmarks without paying for a full measurement.
+# benchmarks without paying for a full measurement, plus one iteration
+# of the cluster scale-out benchmark (rps per topology and their ratio).
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench='^BenchmarkClusterScaleOut$$' -benchtime=1x -run=^$$ ./internal/service
 
 # Native-fuzzing smoke of every fuzz target: seed corpus plus FUZZTIME
 # of random exploration per target (go's fuzz engine takes one target
@@ -66,9 +68,11 @@ fuzz:
 
 # Soak smokes, under the race detector: session churn (many sessions,
 # randomized edits, eviction/TTL, differential verification) and the
-# cluster scale-out check (2-replica coordinator must beat one
-# constrained replica by >=1.5x on a cache-miss workload; skipped on
-# single-core hosts).
+# cluster soak (a cache-miss workload against one constrained replica
+# and against a 2-replica coordinator: every request served, none shed
+# or failed). The throughput ratio between the two topologies depends on
+# the host's idle cores, so it is not asserted here; BenchmarkClusterScaleOut
+# reports it (see benchsmoke).
 soak:
 	$(GO) test -race -run='^TestSessionSoak$$' -count=1 ./internal/session
 	$(GO) test -race -run='^TestClusterSoakThroughput$$' -count=1 -v ./internal/service

@@ -52,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"argo/internal/ir/vm"
 	"argo/internal/pass"
 	"argo/internal/service"
 	"argo/internal/sim"
@@ -85,8 +84,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		maxQueue     = fs.Int("max-queue", 0, "max queued requests before load shedding (0: 4x workers, -1: unbounded)")
 		maxSessions  = fs.Int("max-sessions", argo.DefaultMaxSessions, "max live interactive sessions (LRU-evicted beyond)")
 		sessionTTL   = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
-		passCacheMax = fs.Int("pass-cache-max", 0, "max snapshots in the global pass cache (0: default bound)")
-		vmCacheMax   = fs.Int("vm-cache-max", 0, "max compiled programs in the shared VM code cache (0: default bound)")
+		passCacheMax = fs.Int("pass-cache-max", 0, "max snapshots in the global pass cache (0: default bound, 4096)")
+		vmCacheMax   = fs.Int("vm-cache-max", 0, "max compiled programs in the shared VM code cache (0: default bound, 256)")
 		interp       = fs.String("interp", "vm", "simulator execution engine: vm (bytecode) or tree (oracle)")
 		wcetEngine   = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
 		peers        = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
@@ -190,7 +189,7 @@ func main() {
 	pass.Global.SetMax(cfg.passCacheMax)
 	// Bound the shared VM code cache likewise; observable as
 	// argo_vm_shared_{entries,evictions} in /debug/vars.
-	vm.SetSharedMax(cfg.vmCacheMax)
+	sim.SetVMCacheMax(cfg.vmCacheMax)
 
 	srv := service.NewServer(cfg.service)
 	// Publish the service metrics into the process-global expvar

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"expvar"
 	"fmt"
@@ -11,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"argo/internal/memo"
 )
 
 // Process-wide cluster counters, visible on /debug/vars. Per-cluster
@@ -139,8 +140,7 @@ type Cluster struct {
 
 	mu   sync.Mutex
 	reps map[string]*replica
-	hot  map[string]*list.Element
-	lru  *list.List // of *hotEntry; front = most recently used
+	hot  *memo.Cache[string, hotEntry]
 
 	rebalancing atomic.Int64 // number of in-flight warm replications
 
@@ -157,8 +157,7 @@ func New(opt Options) *Cluster {
 		opt:    opt,
 		client: opt.Client,
 		reps:   make(map[string]*replica),
-		hot:    make(map[string]*list.Element),
-		lru:    list.New(),
+		hot:    memo.New[string, hotEntry](opt.HotSet),
 	}
 	c.ring.Store(NewRing(opt.Peers))
 	return c
@@ -344,26 +343,11 @@ func (c *Cluster) record(key, path string, body []byte) {
 	if c.opt.HotSet == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.hot[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.hot[key] = c.lru.PushFront(&hotEntry{key: key, path: path, body: body})
-	if c.lru.Len() > c.opt.HotSet {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.hot, oldest.Value.(*hotEntry).key)
-	}
+	c.hot.Put(key, hotEntry{key: key, path: path, body: body})
 }
 
 // HotKeys returns the number of keys currently in the hot set.
-func (c *Cluster) HotKeys() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *Cluster) HotKeys() int { return c.hot.Len() }
 
 // SetMembers swaps the member set and kicks off warm replication in the
 // background: every hot key whose owner changed is replayed against its
@@ -375,15 +359,13 @@ func (c *Cluster) SetMembers(members []string) {
 	next := NewRing(members)
 	c.ring.Store(next)
 
-	c.mu.Lock()
-	var moves []*hotEntry
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*hotEntry)
-		if old.Owner(e.key) != next.Owner(e.key) {
+	var moves []hotEntry
+	c.hot.Range(func(key string, e hotEntry) bool {
+		if old.Owner(key) != next.Owner(key) {
 			moves = append(moves, e)
 		}
-	}
-	c.mu.Unlock()
+		return true
+	})
 	if len(moves) == 0 {
 		return
 	}
@@ -394,7 +376,7 @@ func (c *Cluster) SetMembers(members []string) {
 // warm replays moved hot entries against their new owners on a bounded
 // worker set. Failures are tolerated (the shard simply stays cold and
 // the next live request recomputes it); successes count as rebalances.
-func (c *Cluster) warm(moves []*hotEntry) {
+func (c *Cluster) warm(moves []hotEntry) {
 	defer c.rebalancing.Add(-1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -109,6 +109,51 @@ func TestWarmCompileAcrossPlatformsKeysDistinctly(t *testing.T) {
 	}
 }
 
+// TestPassCacheEvictionDeterministic pins the pass cache's eviction
+// policy as deterministic: one compile sequence that overflows a fresh
+// bounded cache (three use cases on 2/4/8/16 Xentium cores, three
+// rounds, through 128 entries) hits and misses exactly alike when it is
+// run twice.
+func TestPassCacheEvictionDeterministic(t *testing.T) {
+	sweep := func() (hits, misses int) {
+		cache := pass.NewCache(128)
+		for round := 0; round < 3; round++ {
+			for _, name := range []string{"egpws", "polka", "weaa"} {
+				uc := usecases.ByName(name)
+				src, err := uc.Program()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cores := range []int{2, 4, 8, 16} {
+					opt := core.DefaultOptions(uc.Entry, uc.Args, adl.XentiumPlatform(cores))
+					opt.Passes.Cache = cache
+					art, err := core.Compile(src, opt)
+					if err != nil {
+						t.Fatalf("%s on %d cores: %v", name, cores, err)
+					}
+					for _, tm := range art.PassTrace.Passes {
+						switch tm.Cache {
+						case pass.CacheHit:
+							hits++
+						case pass.CacheMiss:
+							misses++
+						}
+					}
+				}
+			}
+		}
+		if ev := cache.Stats().Evictions; ev == 0 {
+			t.Fatal("the sweep never filled the cache; it checks nothing about eviction")
+		}
+		return hits, misses
+	}
+	h1, m1 := sweep()
+	h2, m2 := sweep()
+	if h1 != h2 || m1 != m2 {
+		t.Fatalf("one compile sequence, two outcomes: %d hits / %d misses, then %d / %d", h1, m1, h2, m2)
+	}
+}
+
 // FuzzSnapshotRemap hunts codec bugs: for arbitrary (use case, source
 // tweak, platform width, policy) configurations, freezing the compiled
 // task graph and parallel program and thawing them back against the

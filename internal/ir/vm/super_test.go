@@ -157,33 +157,3 @@ func TestTuneFromProfile(t *testing.T) {
 		t.Fatalf("aggregate tune = %#x, want %#x", got, mask)
 	}
 }
-
-// TestSharedCacheBound pins the shared code cache's bound and the
-// eviction counter: stores beyond the cap evict rather than grow.
-func TestSharedCacheBound(t *testing.T) {
-	vm.SharedReset()
-	vm.SetSharedMax(16)
-	t.Cleanup(func() {
-		vm.SetSharedMax(0)
-		vm.SharedReset()
-	})
-
-	cp, err := vm.Compile(superProg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		var k vm.CacheKey
-		k[0] = byte(i * 4) // spread across shards
-		k[1] = byte(i)
-		vm.SharedStore(k, cp)
-	}
-	if n := vm.SharedLen(); n > 16 {
-		t.Errorf("shared cache holds %d entries, bound is 16", n)
-	}
-	var k vm.CacheKey
-	k[0], k[1] = 252, 63
-	if _, ok := vm.SharedLookup(k); !ok {
-		t.Error("most recent store missing from shared cache")
-	}
-}

@@ -3,8 +3,9 @@ package pass
 import (
 	"crypto/sha256"
 	"expvar"
-	"sync"
 	"sync/atomic"
+
+	"argo/internal/memo"
 )
 
 // The pass cache is content-addressed: a key is the SHA-256 of the pass
@@ -12,10 +13,9 @@ import (
 // equal keys are guaranteed (by the fingerprint contract) to produce
 // identical outputs, and a hit restores a deep copy of the frozen
 // snapshot. Like the code-level bound cache in internal/wcet, the cache
-// is an accelerator, not a correctness mechanism: it is sharded to keep
-// contention low under parallel candidate evaluation and bounded so a
-// long-running argod cannot grow it without limit (at capacity, one
-// arbitrary entry is evicted per insert).
+// is an accelerator, not a correctness mechanism: it is bounded so a
+// long-running argod cannot grow it without limit, and at capacity it
+// evicts the least recently used snapshot.
 
 type cacheAddr [sha256.Size]byte
 
@@ -30,29 +30,16 @@ func cacheAddress(passName string, fp []byte) cacheAddr {
 	return a
 }
 
-const (
-	cacheShardBits = 5
-	cacheShards    = 1 << cacheShardBits
-	// cacheShardMax is the default bound on entries per shard. Snapshots
-	// can be whole cloned IR programs, so the bound is much smaller than
-	// the wcet bound cache's.
-	cacheShardMax = 128
-)
+// defaultCacheMax is the default bound on cached snapshots. Snapshots
+// can be whole cloned IR programs, so the bound is much smaller than
+// the wcet bound cache's.
+const defaultCacheMax = 4096
 
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheAddr]any
-}
-
-// Cache is a sharded, bounded, content-addressed pass-result store.
-// Snapshots stored in it must be immutable (the Snapshot/Restore
-// contract deep-copies anything mutable). The zero value is ready to
-// use with the default per-shard bound.
+// Cache is a bounded, content-addressed pass-result store. Snapshots
+// stored in it must be immutable (the Snapshot/Restore contract
+// deep-copies anything mutable).
 type Cache struct {
-	shards [cacheShards]cacheShard
-	// maxPerShard overrides cacheShardMax when positive (set via
-	// NewCache or SetMax).
-	maxPerShard int
+	m *memo.Cache[cacheAddr, any]
 
 	// fallback is an optional read-through tier consulted on a local
 	// miss (session-private caches fall back to Global). Stores dedupe
@@ -62,7 +49,6 @@ type Cache struct {
 	// pressures the local bound into needless evictions.
 	fallback *Cache
 
-	evictions atomic.Int64
 	deferrals atomic.Int64
 }
 
@@ -71,42 +57,25 @@ type Cache struct {
 // argod requests all reuse each other's pass results). Its entry count
 // and eviction total are exported as the expvars
 // argo_pass_cache_entries and argo_pass_cache_evictions.
-var Global = &Cache{}
+var Global = NewCache(0)
 
 // NewCache returns a private pass cache bounded to at most maxEntries
 // snapshots (maxEntries <= 0: the default bound). Interactive sessions
 // use private caches so one session's artifact history cannot evict
 // another's, and evicting the session frees its snapshots.
 func NewCache(maxEntries int) *Cache {
-	c := &Cache{}
-	c.SetMax(maxEntries)
-	return c
+	return &Cache{m: memo.New[cacheAddr, any](cacheBound(maxEntries))}
 }
 
-// SetMax rebounds the cache to at most maxEntries snapshots across all
-// shards (maxEntries <= 0 restores the default bound). Shards already
-// above the new bound shrink lazily as inserts arrive.
-func (c *Cache) SetMax(maxEntries int) {
+// SetMax rebounds the cache to at most maxEntries snapshots
+// (maxEntries <= 0 restores the default bound).
+func (c *Cache) SetMax(maxEntries int) { c.m.SetMax(cacheBound(maxEntries)) }
+
+func cacheBound(maxEntries int) int {
 	if maxEntries <= 0 {
-		c.maxPerShard = 0
-		return
+		return defaultCacheMax
 	}
-	per := maxEntries / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c.maxPerShard = per
-}
-
-func (c *Cache) shardMax() int {
-	if c.maxPerShard > 0 {
-		return c.maxPerShard
-	}
-	return cacheShardMax
-}
-
-func (c *Cache) shard(a cacheAddr) *cacheShard {
-	return &c.shards[a[0]>>(8-cacheShardBits)]
+	return maxEntries
 }
 
 // SetFallback chains a read-through tier behind c: gets consult it on a
@@ -121,10 +90,7 @@ func (c *Cache) SetFallback(f *Cache) { c.fallback = f }
 func (c *Cache) Deferrals() int64 { return c.deferrals.Load() }
 
 func (c *Cache) get(a cacheAddr) (any, bool) {
-	s := c.shard(a)
-	s.mu.RLock()
-	v, ok := s.m[a]
-	s.mu.RUnlock()
+	v, ok := c.m.Get(a)
 	if !ok && c.fallback != nil {
 		if v, ok = c.fallback.get(a); ok {
 			c.deferrals.Add(1)
@@ -140,66 +106,31 @@ func (c *Cache) put(a cacheAddr, v any) {
 			return
 		}
 	}
-	s := c.shard(a)
-	max := c.shardMax()
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[cacheAddr]any)
+	if c.m.Put(a, v) {
+		globalEvictions.Add(1)
 	}
-	if _, exists := s.m[a]; !exists {
-		// Evict arbitrary entries down to the bound. The cache is a pure
-		// accelerator: which snapshot survives never affects results,
-		// only which future executions hit.
-		for len(s.m) >= max {
-			for k := range s.m {
-				delete(s.m, k)
-				c.evictions.Add(1)
-				globalEvictions.Add(1)
-				break
-			}
-		}
-	}
-	s.m[a] = v
-	s.mu.Unlock()
 }
 
 // Reset drops every cached pass result (tests and benchmarks measuring
-// the cold path). Eviction counters are preserved.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
+// the cold path). Counters are preserved.
+func (c *Cache) Reset() { c.m.Reset() }
 
 // Len returns the number of cached snapshots.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.m.Len() }
 
-// CacheStats is a point-in-time snapshot of one cache's size counters
-// (hit/miss totals are process-wide, see CacheCounters).
+// CacheStats is a point-in-time snapshot of one cache's counters. The
+// process-wide hit/miss totals of the pipeline (every tier together)
+// are CacheCounters.
 type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Evictions int64 `json:"evictions"`
-	// Deferrals counts stores deduplicated against the fallback tier
-	// (zero for caches without one).
+	memo.Stats
+	// Deferrals counts requests deferred to the fallback tier (zero for
+	// caches without one).
 	Deferrals int64 `json:"deferrals,omitempty"`
 }
 
-// Stats snapshots the cache's entry count, eviction total, and
-// fallback-deferral total.
+// Stats snapshots the cache's counters and fallback-deferral total.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Entries: c.Len(), Evictions: c.evictions.Load(), Deferrals: c.deferrals.Load()}
+	return CacheStats{Stats: c.m.Stats(), Deferrals: c.deferrals.Load()}
 }
 
 // Process-wide pass-cache growth observability: entries currently held

@@ -6,16 +6,21 @@ import (
 )
 
 func TestCacheBoundEvictsPerInsert(t *testing.T) {
-	c := NewCache(cacheShards) // one entry per shard
-	for i := 0; i < 10*cacheShards; i++ {
+	const bound = 32
+	c := NewCache(bound)
+	ev0 := globalEvictions.Value()
+	for i := 0; i < 10*bound; i++ {
 		c.put(cacheAddress("p", []byte(fmt.Sprintf("fp-%d", i))), i)
 	}
-	if n := c.Len(); n > cacheShards {
-		t.Fatalf("cache holds %d entries, bound is %d", n, cacheShards)
+	if n := c.Len(); n != bound {
+		t.Fatalf("cache holds %d entries, bound is %d", n, bound)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("inserts beyond the bound evicted nothing")
+	if st.Evictions != 9*bound {
+		t.Fatalf("%d evictions, want one per insert beyond the bound (%d)", st.Evictions, 9*bound)
+	}
+	if got := globalEvictions.Value() - ev0; got != st.Evictions {
+		t.Fatalf("argo_pass_cache_evictions moved by %d, the cache evicted %d", got, st.Evictions)
 	}
 	if st.Entries != c.Len() {
 		t.Fatalf("Stats.Entries %d != Len %d", st.Entries, c.Len())
@@ -35,31 +40,32 @@ func TestCacheBoundEvictsPerInsert(t *testing.T) {
 }
 
 func TestCacheSetMaxAndReset(t *testing.T) {
-	c := &Cache{}
-	if c.shardMax() != cacheShardMax {
-		t.Fatalf("zero-value shard bound %d, want default %d", c.shardMax(), cacheShardMax)
+	fill := func(c *Cache, n int) {
+		for i := 0; i < n; i++ {
+			c.put(cacheAddress("p", []byte(fmt.Sprintf("%d", i))), i)
+		}
 	}
-	c.SetMax(5 * cacheShards)
-	if c.shardMax() != 5 {
-		t.Fatalf("shard bound %d after SetMax, want 5", c.shardMax())
+	c := NewCache(0)
+	fill(c, defaultCacheMax+10)
+	if n := c.Len(); n != defaultCacheMax {
+		t.Fatalf("NewCache(0) holds %d entries, want the default bound %d", n, defaultCacheMax)
 	}
-	c.SetMax(1) // below one per shard: clamps to 1
-	if c.shardMax() != 1 {
-		t.Fatalf("shard bound %d, want 1", c.shardMax())
+	c.SetMax(5)
+	if n := c.Len(); n != 5 {
+		t.Fatalf("SetMax(5) left %d entries", n)
 	}
 	c.SetMax(0) // restores the default
-	if c.shardMax() != cacheShardMax {
-		t.Fatalf("shard bound %d after SetMax(0), want default", c.shardMax())
+	fill(c, defaultCacheMax+10)
+	if n := c.Len(); n != defaultCacheMax {
+		t.Fatalf("after SetMax(0) the cache holds %d entries, want %d", n, defaultCacheMax)
 	}
 
-	for i := 0; i < 64; i++ {
-		c.put(cacheAddress("p", []byte(fmt.Sprintf("%d", i))), i)
-	}
-	if c.Len() == 0 {
-		t.Fatal("nothing cached")
-	}
+	ev := c.Stats().Evictions
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatalf("Reset left %d entries", c.Len())
+	}
+	if got := c.Stats().Evictions; got != ev {
+		t.Fatalf("Reset changed the eviction total: %d -> %d", ev, got)
 	}
 }

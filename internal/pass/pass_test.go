@@ -110,7 +110,7 @@ func cacheablePass(name string, fp []byte, runs *int) *Pass {
 }
 
 func TestCacheHitRestoresWithoutRunning(t *testing.T) {
-	cache := &Cache{}
+	cache := NewCache(0)
 	runs := 0
 	run := func(seed int) int {
 		c := NewContext(context.Background())

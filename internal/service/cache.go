@@ -1,40 +1,26 @@
 package service
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"argo/internal/memo"
 )
 
-// Outcome classifies how a cache request was served.
-type Outcome int
+// Outcome classifies how a cache request was served: OutcomeMiss (this
+// request computed the value), OutcomeHit (it was cached) or
+// OutcomeDedup (an identical request was in flight and this one
+// attached to it).
+type Outcome = memo.Outcome
 
 // Cache request outcomes.
 const (
-	// OutcomeMiss: the value was computed by this request.
-	OutcomeMiss Outcome = iota
-	// OutcomeHit: the value was already cached.
-	OutcomeHit
-	// OutcomeDedup: an identical request was already in flight and this
-	// one attached to it (singleflight).
-	OutcomeDedup
+	OutcomeMiss  = memo.Miss
+	OutcomeHit   = memo.Hit
+	OutcomeDedup = memo.Dedup
 )
-
-// String returns the outcome label used in headers and metrics.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeHit:
-		return "hit"
-	case OutcomeDedup:
-		return "dedup"
-	}
-	return "miss"
-}
 
 // HashKey derives a content address from the canonicalized parts of a
 // request: the parts are JSON-encoded in order and hashed with SHA-256.
@@ -54,152 +40,17 @@ func HashKey(parts ...any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// call is one in-flight computation followers can attach to.
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
-}
+// Cache is the bounded, content-addressed result cache with singleflight
+// deduplication: Do computes the value for a key at most once at a
+// time, concurrent requests for the same key share the one execution,
+// and successful results are retained under LRU eviction. A coordinator
+// keeps its forwarded-response tier in the same instance (Get and Put
+// under "fwd:" keys).
+type Cache = memo.Cache[string, any]
 
-// Cache is a bounded, content-addressed result cache with singleflight
-// deduplication: Do computes the value for a key at most once at a time,
-// concurrent requests for the same key share the one execution, and
-// successful results are retained under LRU eviction.
-type Cache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	calls   map[string]*call
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	dedups    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val any
-}
+// Stats is a point-in-time snapshot of the cache counters.
+type Stats = memo.Stats
 
 // NewCache returns a cache retaining up to max entries (max <= 0 means
 // an unbounded cache).
-func NewCache(max int) *Cache {
-	return &Cache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		calls:   make(map[string]*call),
-	}
-}
-
-// Do returns the cached value for key, or computes it with fn. If an
-// identical computation is already in flight, Do waits for it and shares
-// its result instead of starting a second one. Errors are returned but
-// never cached. A follower whose ctx expires while waiting stops waiting
-// and returns ctx's error; the in-flight computation itself keeps
-// running under the leader's context.
-func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any, Outcome, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return val, OutcomeHit, nil
-	}
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		c.dedups.Add(1)
-		select {
-		case <-cl.done:
-			return cl.val, OutcomeDedup, cl.err
-		case <-ctx.Done():
-			return nil, OutcomeDedup, ctx.Err()
-		}
-	}
-	cl := &call{done: make(chan struct{})}
-	c.calls[key] = cl
-	c.mu.Unlock()
-	c.misses.Add(1)
-
-	cl.val, cl.err = fn()
-
-	c.mu.Lock()
-	delete(c.calls, key)
-	if cl.err == nil {
-		c.insert(key, cl.val)
-	}
-	c.mu.Unlock()
-	close(cl.done)
-	return cl.val, OutcomeMiss, cl.err
-}
-
-// insert adds a value under LRU eviction. Caller holds c.mu.
-func (c *Cache) insert(key string, val any) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	if c.max > 0 && c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// Get returns the cached value for key without computing anything (a
-// peek — it still counts as a hit and refreshes the entry's LRU
-// position). The coordinator uses it to serve its forwarded-response
-// tier before routing.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// Put stores val under key directly, bypassing singleflight (the
-// coordinator uses it to retain forwarded replica responses; the value
-// was computed remotely, so there is no local call to deduplicate).
-func (c *Cache) Put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, val)
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
-type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Dedups    int64 `json:"dedups"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-}
-
-// Stats snapshots the cache counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Dedups:    c.dedups.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-	}
-}
+func NewCache(max int) *Cache { return memo.New[string, any](max) }

@@ -52,24 +52,28 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
-	ctx := context.Background()
-	mk := func(v int) func() (any, error) { return func() (any, error) { return v, nil } }
+// TestCacheDoPanicReleasesKey checks that a computation panicking in
+// the leader does not wedge its key: the panic reaches the caller (the
+// HTTP server recovers it per connection) and the next request for the
+// key runs the computation again instead of waiting for a call that
+// will never finish.
+func TestCacheDoPanicReleasesKey(t *testing.T) {
+	c := NewCache(4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic swallowed")
+			}
+		}()
+		c.Do(context.Background(), "k", func() (any, error) { panic("boom") })
+	}()
 
-	c.Do(ctx, "a", mk(1))
-	c.Do(ctx, "b", mk(2))
-	c.Do(ctx, "a", mk(0)) // touch a: b becomes LRU
-	c.Do(ctx, "c", mk(3)) // evicts b
-
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Errorf("evictions %d, want 1", ev)
-	}
-	if _, outcome, _ := c.Do(ctx, "a", mk(0)); outcome != OutcomeHit {
-		t.Errorf("a evicted, want retained")
-	}
-	if _, outcome, _ := c.Do(ctx, "b", mk(2)); outcome != OutcomeMiss {
-		t.Errorf("b retained, want evicted")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	v, outcome, err := c.Do(ctx, "k", func() (any, error) { return 1, nil })
+	if err != nil || v != 1 || outcome != OutcomeMiss {
+		t.Fatalf("Do after panic: v=%v outcome=%v err=%v after %v", v, outcome, err, time.Since(t0))
 	}
 }
 

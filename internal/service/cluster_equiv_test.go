@@ -15,7 +15,7 @@ import (
 
 // startReplicas starts n in-process analysis replicas. wrap, when
 // non-nil, wraps replica i's handler (fault injection).
-func startReplicas(t *testing.T, n int, cfg Config, wrap func(i int, h http.Handler) http.Handler) ([]string, []*Server) {
+func startReplicas(t testing.TB, n int, cfg Config, wrap func(i int, h http.Handler) http.Handler) ([]string, []*Server) {
 	t.Helper()
 	urls := make([]string, n)
 	servers := make([]*Server, n)
@@ -34,7 +34,7 @@ func startReplicas(t *testing.T, n int, cfg Config, wrap func(i int, h http.Hand
 }
 
 // startCoordinator starts a coordinator server over the given peers.
-func startCoordinator(t *testing.T, peers []string, cfg Config) (*Server, string) {
+func startCoordinator(t testing.TB, peers []string, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Peers = peers
 	s := NewServer(cfg)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"argo/internal/cluster"
+	"argo/internal/memo"
 	"argo/internal/sched"
 	"argo/pkg/argo"
 )
@@ -713,6 +714,9 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case IsSaturated(err):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, memo.ErrPanicked):
+		// The computation this request attached to crashed in its leader.
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -37,6 +37,7 @@ import (
 	"argo/internal/adl"
 	"argo/internal/core"
 	"argo/internal/fault"
+	"argo/internal/memo"
 	"argo/internal/pass"
 	"argo/internal/sim"
 	"argo/internal/syswcet"
@@ -71,9 +72,8 @@ type Session struct {
 	// analyzed configuration (toggling a transform back, A/B-ing two
 	// parameter values) is the empty-dirty-suffix limit case of
 	// incremental re-analysis: nothing re-runs, the finished result is
-	// restored whole. memoOrder is the FIFO eviction order.
-	memo      map[string]memoEntry
-	memoOrder []string
+	// restored whole.
+	memo *memo.Cache[string, memoEntry]
 
 	closed atomic.Bool
 }
@@ -124,8 +124,8 @@ type ApplyOptions struct {
 
 // sessionCacheEntries bounds each session's private pass cache. The
 // cache holds deep-frozen pass outputs (cloned IR programs, schedules),
-// so the bound is deliberately small; a busy session evicts its oldest
-// what-if variants first.
+// so the bound is deliberately small; a busy session evicts its least
+// recently used what-if variants first.
 const sessionCacheEntries = 256
 
 // sessionMemoEntries bounds the per-session result memo. Each entry
@@ -152,7 +152,7 @@ func newSession(ctx context.Context, source string, opt core.Options, faults fau
 		opt:    opt,
 		faults: faults,
 		cache:  pass.NewCache(sessionCacheEntries),
-		memo:   make(map[string]memoEntry),
+		memo:   memo.New[string, memoEntry](sessionMemoEntries),
 	}
 	// Tier the private cache over the process-wide one: a configuration
 	// the global tier already analyzed (an argod compile request, another
@@ -241,16 +241,15 @@ func (s *Session) Apply(ctx context.Context, e Edit, aopt ApplyOptions) (*EditRe
 func (s *Session) analyzeLocked(ctx context.Context, source string, opt core.Options, aopt ApplyOptions) (*EditResult, error) {
 	t0 := time.Now()
 	key := configKey(source, opt)
-	var art *core.Artifacts
 	var skipped, reran int
-	if ent, ok := s.memo[key]; ok {
+	ent, ok := s.memo.Get(key)
+	if ok {
 		memoHits.Add(1)
-		art = ent.art
-		skipped = len(art.PassTrace.Passes)
+		skipped = len(ent.art.PassTrace.Passes)
 		if aopt.OnTiming != nil {
 			// Streaming observers still see one event per pass; a memo
 			// restore is a cache hit for every one of them.
-			for _, tm := range art.PassTrace.Passes {
+			for _, tm := range ent.art.PassTrace.Passes {
 				aopt.OnTiming(pass.Timing{Pass: tm.Pass, Round: tm.Round, Cache: pass.CacheHit})
 			}
 		}
@@ -258,17 +257,17 @@ func (s *Session) analyzeLocked(ctx context.Context, source string, opt core.Opt
 		opt.Passes.Cache = s.cache
 		opt.Passes.NoCache = false
 		opt.Passes.OnTiming = aopt.OnTiming
-		var err error
-		art, err = core.CompileSourceContext(ctx, source, opt)
+		art, err := core.CompileSourceContext(ctx, source, opt)
 		if err != nil {
 			return nil, err
 		}
 		skipped, reran = art.PassTrace.CacheCounts()
-		s.memoPut(key, memoEntry{art: art, fp: ResultFingerprint(art)})
+		ent = memoEntry{art: art, fp: ResultFingerprint(art)}
+		s.memo.Put(key, ent)
 	}
 	res := &EditResult{
-		Artifacts:     art,
-		Fingerprint:   s.memo[key].fp,
+		Artifacts:     ent.art,
+		Fingerprint:   ent.fp,
 		PassesSkipped: skipped,
 		PassesReran:   reran,
 		Wall:          time.Since(t0),
@@ -285,20 +284,6 @@ func (s *Session) analyzeLocked(ctx context.Context, source string, opt core.Opt
 		res.Verified = true
 	}
 	return res, nil
-}
-
-// memoPut stores one finished analysis under its configuration key,
-// evicting the oldest memoized configuration beyond the bound. The
-// just-inserted key is never the eviction victim.
-func (s *Session) memoPut(key string, ent memoEntry) {
-	if _, ok := s.memo[key]; !ok {
-		s.memoOrder = append(s.memoOrder, key)
-		if len(s.memoOrder) > sessionMemoEntries {
-			delete(s.memo, s.memoOrder[0])
-			s.memoOrder = s.memoOrder[1:]
-		}
-	}
-	s.memo[key] = ent
 }
 
 // configKey content-addresses everything the pipeline's result depends

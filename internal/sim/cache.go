@@ -10,6 +10,7 @@ import (
 
 	"argo/internal/ir"
 	"argo/internal/ir/vm"
+	"argo/internal/memo"
 	"argo/internal/par"
 	"argo/internal/wcet"
 )
@@ -274,16 +275,48 @@ func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment
 	c.memoAt = (c.memoAt + 1) % memoCap
 }
 
+// vmShared is the process-wide compiled-code cache. CompileRegions is
+// the dominant cold-path cost of the first VM run over a parallel
+// program; identical IR compiled under the same region partition and
+// superinstruction mask yields behaviourally identical code, so
+// compiled Programs are shared across par.Programs, interactive
+// sessions and argod requests, the same way internal/pass shares
+// structural pass results. Sharing the *vm.Program value is safe
+// because compiled code is immutable and safe for concurrent Machines.
+// Entry count and evictions are exported as argo_vm_shared_entries and
+// argo_vm_shared_evictions.
+var vmShared = memo.New[[sha256.Size]byte, *vm.Program](vmSharedMax)
+
+// vmSharedMax is the default bound of the shared code cache. Compiled
+// programs are a few instructions per source statement; hundreds of
+// cached programs are cheap, unbounded growth in a long-running argod
+// is not.
+const vmSharedMax = 256
+
+// SetVMCacheMax rebounds the shared compiled-code cache to at most
+// maxEntries programs (maxEntries <= 0 restores the default bound).
+// argod exposes this as -vm-cache-max.
+func SetVMCacheMax(maxEntries int) {
+	if maxEntries <= 0 {
+		maxEntries = vmSharedMax
+	}
+	vmShared.SetMax(maxEntries)
+}
+
+func init() {
+	expvar.Publish("argo_vm_shared_entries", expvar.Func(func() any { return vmShared.Len() }))
+	expvar.Publish("argo_vm_shared_evictions", expvar.Func(func() any { return vmShared.Stats().Evictions }))
+}
+
 // vmSharedKey content-addresses the compiled bytecode of p for the
-// process-wide code cache: the whole-program IR fingerprint (variable
-// table with storage classes in registration order, entry body — equal
+// shared code cache: the whole-program IR fingerprint (variable table
+// with storage classes in registration order, entry body — equal
 // fingerprints imply structurally identical programs), the region
 // partition in task order, and the superinstruction mask the code would
 // be compiled under. CompileRegions reads nothing else, so equal keys
-// yield behaviourally identical compiled Programs; sharing the Program
-// value is safe because compiled code is immutable and the meter-facing
+// yield behaviourally identical compiled Programs; the meter-facing
 // surface only reads per-variable data the fingerprint covers.
-func vmSharedKey(p *par.Program, regions [][]ir.Stmt) vm.CacheKey {
+func vmSharedKey(p *par.Program, regions [][]ir.Stmt) [sha256.Size]byte {
 	h := sha256.New()
 	fp := wcet.FingerprintProgram(p.IR)
 	h.Write(fp[:])
@@ -296,7 +329,7 @@ func vmSharedKey(p *par.Program, regions [][]ir.Stmt) vm.CacheKey {
 	}
 	binary.LittleEndian.PutUint64(b[:], uint64(vm.SuperMask()))
 	h.Write(b[:])
-	var k vm.CacheKey
+	var k [sha256.Size]byte
 	h.Sum(k[:0])
 	return k
 }
@@ -323,7 +356,7 @@ func (c *traceCache) vmProgram(p *par.Program) *vm.Program {
 			regions[n.ID] = n.Stmts
 		}
 		key := vmSharedKey(p, regions)
-		if cp, ok := vm.SharedLookup(key); ok {
+		if cp, ok := vmShared.Get(key); ok {
 			c.vmProg = cp
 			c.vmReady.Store(true)
 			return
@@ -331,7 +364,7 @@ func (c *traceCache) vmProgram(p *par.Program) *vm.Program {
 		vmCompiles.Add(1)
 		if cp, err := vm.CompileRegions(p.IR, regions); err == nil {
 			c.vmProg = cp
-			vm.SharedStore(key, cp)
+			vmShared.Put(key, cp)
 		}
 		c.vmReady.Store(true)
 	})

@@ -1,14 +1,52 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
 	"argo/internal/adl"
 	"argo/internal/ir"
+	"argo/internal/ir/vm"
 	"argo/internal/sched"
 	"argo/internal/wcet"
 )
+
+// TestSharedCacheBound pins the shared code cache's bound (argod's
+// -vm-cache-max): stores beyond the cap evict rather than grow, the
+// most recent store survives, and a non-positive bound restores the
+// default.
+func TestSharedCacheBound(t *testing.T) {
+	vmShared.Reset()
+	SetVMCacheMax(16)
+	t.Cleanup(func() {
+		SetVMCacheMax(0)
+		vmShared.Reset()
+	})
+	ev0 := vmShared.Stats().Evictions
+	store := func(n int) (last [sha256.Size]byte) {
+		for i := 0; i < n; i++ {
+			last = [sha256.Size]byte{byte(i), byte(i >> 8)}
+			vmShared.Put(last, new(vm.Program))
+		}
+		return last
+	}
+	last := store(64)
+	if n := vmShared.Len(); n != 16 {
+		t.Errorf("shared cache holds %d entries, bound is 16", n)
+	}
+	if ev := vmShared.Stats().Evictions - ev0; ev != 48 {
+		t.Errorf("%d evictions, want 48", ev)
+	}
+	if _, ok := vmShared.Get(last); !ok {
+		t.Error("most recent store missing from shared cache")
+	}
+	SetVMCacheMax(0)
+	store(2 * vmSharedMax)
+	if n := vmShared.Len(); n != vmSharedMax {
+		t.Errorf("after SetVMCacheMax(0) the cache holds %d entries, want the default %d", n, vmSharedMax)
+	}
+}
 
 // TestTraceCacheWarmRunsIdentical runs the same inputs through a warm
 // program (trace cache populated by earlier seeds) and through per-seed

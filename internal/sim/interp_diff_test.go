@@ -14,7 +14,6 @@ import (
 	"argo/internal/adl"
 	"argo/internal/core"
 	"argo/internal/fault"
-	"argo/internal/ir/vm"
 	"argo/internal/sim"
 	"argo/internal/usecases"
 )
@@ -214,7 +213,7 @@ func TestVMCountersMove(t *testing.T) {
 	}
 	// A shared-cache hit would legitimately skip the compile; empty the
 	// shared code cache so this compilation is observable.
-	vm.SharedReset()
+	sim.ResetVMShared()
 	c0, h0, m0, _ := sim.VMCounters()
 	for i := 0; i < 3; i++ {
 		if _, err := sim.RunInterp(art.Parallel, u.Inputs(1), sim.InterpVM); err != nil {

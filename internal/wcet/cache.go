@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"argo/internal/ir"
+	"argo/internal/memo"
 )
 
 // Code-level bounds are pure functions of (region content, cost model):
@@ -28,11 +29,6 @@ import (
 // identical code-level analysis results for any cost model.
 type Fingerprint [sha256.Size]byte
 
-var (
-	cacheHits   = expvar.NewInt("argo_wcet_cache_hits")
-	cacheMisses = expvar.NewInt("argo_wcet_cache_misses")
-)
-
 // cacheKey includes the engine identity: two engines may legitimately
 // produce different bounds for the same (region, model), so no cache
 // tier may ever serve one engine's bound as another's.
@@ -42,34 +38,22 @@ type cacheKey struct {
 	engine string
 }
 
-// The cache is sharded to keep contention low when parallel candidate
-// evaluation annotates task graphs concurrently, and bounded so a
-// long-running argod cannot grow it without limit (a full shard is
-// simply reset: the cache is an accelerator, not a correctness
-// mechanism).
-const (
-	cacheShardBits = 6
-	cacheShards    = 1 << cacheShardBits
-	cacheShardMax  = 4096
-)
+// boundCacheMax bounds the bound cache so a long-running argod cannot
+// grow it without limit; at capacity the least recently used bound is
+// evicted (the cache is an accelerator, not a correctness mechanism).
+const boundCacheMax = 1 << 18
 
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]Report
+var boundCache = memo.New[cacheKey, Report](boundCacheMax)
+
+func init() {
+	expvar.Publish("argo_wcet_cache_hits", expvar.Func(func() any { return boundCache.Stats().Hits }))
+	expvar.Publish("argo_wcet_cache_misses", expvar.Func(func() any { return boundCache.Stats().Misses }))
 }
-
-var boundCache [cacheShards]cacheShard
 
 // ResetCache drops all memoized bounds and is intended for tests and
-// benchmarks that measure the cold path.
-func ResetCache() {
-	for i := range boundCache {
-		s := &boundCache[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
+// benchmarks that measure the cold path. The hit/miss counters are
+// kept.
+func ResetCache() { boundCache.Reset() }
 
 // --- region serialization ---------------------------------------------------
 
@@ -235,27 +219,17 @@ func AnalyzeFP(e Engine, fp Fingerprint, stmts []ir.Stmt, m CostModel) Report {
 		e = IPETEngine
 	}
 	key := cacheKey{fp: fp, m: m, engine: e.Name()}
-	shard := &boundCache[fp[0]>>(8-cacheShardBits)]
-	shard.mu.RLock()
-	rep, ok := shard.m[key]
-	shard.mu.RUnlock()
-	if ok {
-		cacheHits.Add(1)
+	if rep, ok := boundCache.Get(key); ok {
 		return rep
 	}
-	cacheMisses.Add(1)
-	rep = e.Analyze(stmts, m)
-	shard.mu.Lock()
-	if shard.m == nil || len(shard.m) >= cacheShardMax {
-		shard.m = make(map[cacheKey]Report)
-	}
-	shard.m[key] = rep
-	shard.mu.Unlock()
+	rep := e.Analyze(stmts, m)
+	boundCache.Put(key, rep)
 	return rep
 }
 
 // CacheCounters returns the cumulative hit/miss counts of the bound
 // cache (also exported as expvars argo_wcet_cache_{hits,misses}).
 func CacheCounters() (hits, misses int64) {
-	return cacheHits.Value(), cacheMisses.Value()
+	st := boundCache.Stats()
+	return st.Hits, st.Misses
 }
