@@ -27,14 +27,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark run; writes the machine-readable report to
-# BENCH_PR10.json, with BENCH_PR9.json (kept in-tree) as the baseline so
-# the per-benchmark delta of this round (the sharded cluster tier:
-# hash-ring placement, coordinator forwarding, batch) is recorded on
-# top of the previous round's numbers.
+# Full micro-benchmark run, printed to stdout. Single samples are for
+# looking, not for claims: performance claims go through perfbench/
+# (multi-run, end to end, per layer).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . | \
-		$(GO) run ./cmd/benchjson -baseline BENCH_PR9.json -o BENCH_PR10.json
+	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # CPU/heap profiles of the two simulator-bound experiment benchmarks,
 # written under profiles/ (gitignored) for `go tool pprof`.
@@ -65,6 +62,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotRemap$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzSlice$$' -fuzztime=$(FUZZTIME) ./internal/ir/slice
 	$(GO) test -run=^$$ -fuzz='^FuzzHashRing$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=^$$ -fuzz='^FuzzSolveMIP$$' -fuzztime=$(FUZZTIME) ./internal/lp
 
 # Soak smokes, under the race detector: session churn (many sessions,
 # randomized edits, eviction/TTL, differential verification) and the

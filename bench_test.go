@@ -507,15 +507,20 @@ func BenchmarkTreeExec(b *testing.B) {
 // BenchmarkSimulate measures end-to-end simulator runs/sec with the
 // bytecode VM on the functional phase (the default engine).
 func BenchmarkSimulate(b *testing.B) {
-	benchSimulate(b, sim.InterpVM)
+	benchSimulate(b)
 }
 
-// BenchmarkSimulateTree is BenchmarkSimulate under -interp=tree.
+// BenchmarkSimulateTree is BenchmarkSimulate on the tree walker, selected
+// through the process-wide switch.
 func BenchmarkSimulateTree(b *testing.B) {
-	benchSimulate(b, sim.InterpTree)
+	if err := argo.SetInterp("tree"); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = argo.SetInterp("vm") }) // "vm" is always valid
+	benchSimulate(b)
 }
 
-func benchSimulate(b *testing.B, interp sim.Interp) {
+func benchSimulate(b *testing.B) {
 	u := usecases.POLKA()
 	art, err := argo.CompileUseCase(u, argo.Platform("xentium4"))
 	if err != nil {
@@ -526,7 +531,7 @@ func benchSimulate(b *testing.B, interp sim.Interp) {
 	for i := 0; i < b.N; i++ {
 		// Rotate the input seed so the steady state is the production
 		// shape: fresh inputs per run, segment traces warm in the cache.
-		if _, err := sim.RunInterp(art.Parallel, u.Inputs(int64(i%8)), interp); err != nil {
+		if _, err := sim.Run(art.Parallel, u.Inputs(int64(i%8))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -782,35 +787,6 @@ func BenchmarkSessionEditCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.CompileSource(uc.Source, opts[i%2]); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVMExecSuperOff is BenchmarkVMExec with the multiply-
-// accumulate superinstructions disabled at compile time — the A-B
-// column isolating the fused-dispatch win (results are bit-identical
-// either way; only the dispatch count differs).
-func BenchmarkVMExecSuperOff(b *testing.B) {
-	prog := vmBenchProgram(b)
-	vm.SetSuperinstructions(false)
-	cp, err := vm.Compile(prog)
-	vm.SetSuperinstructions(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := vm.NewMachine(cp, nil)
-	in := usecases.POLKA().Inputs(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Init(in); err != nil {
-			b.Fatal(err)
-		}
-		if err := m.ExecEntry(); err != nil {
-			b.Fatal(err)
-		}
-		if got := m.Results(); len(got) == 0 {
-			b.Fatal("no results")
 		}
 	}
 }

@@ -14,11 +14,6 @@
 // while draining after SIGTERM), and /debug/vars expose health and
 // metrics. See docs/SERVICE.md.
 //
-// -interp selects the simulator execution engine for every request: the
-// compiled register-bytecode VM (default) or the tree-walking oracle.
-// The engines are bit-identical, so the choice is deliberately not part
-// of the result-cache keys.
-//
 // -peers puts the daemon in coordinator mode: compile and optimize
 // requests are consistent-hash sharded across the listed argod replicas
 // (rendezvous hashing with a bounded-load fallback via
@@ -64,7 +59,6 @@ type config struct {
 	grace        time.Duration
 	passCacheMax int
 	vmCacheMax   int
-	interp       sim.Interp
 	service      service.Config
 }
 
@@ -86,10 +80,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		sessionTTL   = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
 		passCacheMax = fs.Int("pass-cache-max", 0, "max snapshots in the global pass cache (0: default bound, 4096)")
 		vmCacheMax   = fs.Int("vm-cache-max", 0, "max compiled programs in the shared VM code cache (0: default bound, 256)")
-		interp       = fs.String("interp", "vm", "simulator execution engine: vm (bytecode) or tree (oracle)")
 		wcetEngine   = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
 		peers        = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
-		coordinator  = fs.Bool("coordinator", false, "run as cluster coordinator (requires -peers; implied by -peers)")
 		maxPerRep    = fs.Int("max-per-replica", 0, "bounded-load fallback: max in-flight forwards per replica (0: unbounded)")
 		fwdTimeout   = fs.Duration("forward-timeout", 30*time.Second, "per-attempt budget for forwarded cluster requests")
 	)
@@ -99,11 +91,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "argod: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
-		return nil, 2
-	}
-	engine, err := sim.ParseInterp(*interp)
-	if err != nil {
-		fmt.Fprintf(stderr, "argod: %v\n", err)
 		return nil, 2
 	}
 	if err := argo.ParseWCETEngine(*wcetEngine); err != nil {
@@ -123,10 +110,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		fmt.Fprintf(stderr, "argod: %v\n", err)
 		return nil, 2
 	}
-	if *coordinator && len(peerList) == 0 {
-		fmt.Fprintln(stderr, "argod: -coordinator requires -peers")
-		return nil, 2
-	}
 	if *maxPerRep < 0 || *fwdTimeout <= 0 {
 		fmt.Fprintln(stderr, "argod: -max-per-replica must be >= 0 and -forward-timeout positive")
 		return nil, 2
@@ -136,7 +119,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		grace:        *grace,
 		passCacheMax: *passCacheMax,
 		vmCacheMax:   *vmCacheMax,
-		interp:       engine,
 		service: service.Config{
 			Workers:        *workers,
 			CacheEntries:   *cache,
@@ -181,9 +163,6 @@ func main() {
 	if cfg == nil {
 		os.Exit(code)
 	}
-	// The engine is a process-wide default: every simulation the daemon
-	// runs resolves InterpAuto to this choice.
-	sim.SetInterp(cfg.interp)
 	// Bound the process-wide pass cache; entry count and evictions are
 	// exported as argo_pass_cache_{entries,evictions} in /debug/vars.
 	pass.Global.SetMax(cfg.passCacheMax)
@@ -204,8 +183,8 @@ func main() {
 	if len(cfg.service.Peers) > 0 {
 		log.Printf("coordinator over %d replicas: %v", len(cfg.service.Peers), cfg.service.Peers)
 	}
-	log.Printf("listening on %s (workers %d, cache %d entries, timeout %v, interp %s)",
-		cfg.addr, cfg.service.Workers, cfg.service.CacheEntries, cfg.service.Timeout, cfg.interp)
+	log.Printf("listening on %s (workers %d, cache %d entries, timeout %v)",
+		cfg.addr, cfg.service.Workers, cfg.service.CacheEntries, cfg.service.Timeout)
 	if err := srv.ListenAndServe(ctx, cfg.addr, cfg.grace); err != nil && err != http.ErrServerClosed {
 		log.Printf("serve: %v", err)
 		os.Exit(1)

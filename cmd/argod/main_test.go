@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"strings"
 	"testing"
-
-	"argo/internal/sim"
 )
 
 func parseCLI(t *testing.T, args ...string) (*config, int, string) {
@@ -23,21 +20,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8321" {
 		t.Errorf("addr = %q, want :8321", cfg.addr)
 	}
-	if cfg.interp != sim.InterpVM {
-		t.Errorf("interp = %v, want vm", cfg.interp)
-	}
 	if cfg.service.Workers <= 0 || cfg.service.CacheEntries != 256 {
 		t.Errorf("unexpected service config: %+v", cfg.service)
-	}
-}
-
-func TestParseFlagsInterp(t *testing.T) {
-	cfg, code, errb := parseCLI(t, "-interp", "tree")
-	if cfg == nil || code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb)
-	}
-	if cfg.interp != sim.InterpTree {
-		t.Errorf("interp = %v, want tree", cfg.interp)
 	}
 }
 
@@ -45,7 +29,6 @@ func TestParseFlagsUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nosuchflag"},           // flag misuse
 		{"positional"},            // unexpected arguments
-		{"-interp", "jit"},        // unknown engine
 		{"-wcet-engine", "tree"},  // unknown WCET engine
 		{"-workers", "0"},         // non-positive worker pool
 		{"-timeout", "-1s"},       // non-positive budget
@@ -69,16 +52,9 @@ func TestParseFlagsWCETEngine(t *testing.T) {
 	}
 }
 
-func TestParseFlagsUnknownInterpMessage(t *testing.T) {
-	_, _, errb := parseCLI(t, "-interp", "jit")
-	if !strings.Contains(errb, "unknown interpreter") {
-		t.Fatalf("missing interpreter error:\n%s", errb)
-	}
-}
-
 func TestParseFlagsClusterMode(t *testing.T) {
 	cfg, code, errb := parseCLI(t,
-		"-peers", " http://n1:8321, http://n2:8321/ ,", "-coordinator",
+		"-peers", " http://n1:8321, http://n2:8321/ ,",
 		"-max-per-replica", "3", "-forward-timeout", "5s")
 	if cfg == nil || code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errb)
@@ -90,10 +66,7 @@ func TestParseFlagsClusterMode(t *testing.T) {
 	if cfg.service.MaxPerReplica != 3 || cfg.service.ForwardTimeout.Seconds() != 5 {
 		t.Errorf("cluster knobs: %+v", cfg.service)
 	}
-	// -peers alone implies coordinator mode; no peers means single mode.
-	if cfg, code, _ = parseCLI(t, "-peers", "http://n1:8321"); cfg == nil || code != 0 || len(cfg.service.Peers) != 1 {
-		t.Errorf("-peers without -coordinator rejected")
-	}
+	// No peers means single mode.
 	if cfg, code, _ = parseCLI(t); cfg == nil || code != 0 || cfg.service.Peers != nil {
 		t.Errorf("default config has peers: %+v", cfg)
 	}
@@ -101,7 +74,6 @@ func TestParseFlagsClusterMode(t *testing.T) {
 
 func TestParseFlagsClusterUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-coordinator"},      // coordinator without peers
 		{"-peers", "n1:8321"}, // not an http(s) URL
 		{"-peers", " , ,"},    // no usable URLs
 		{"-peers", "http://n1", "-max-per-replica", "-1"}, // negative bound

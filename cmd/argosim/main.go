@@ -11,10 +11,6 @@
 // -exec-inflation above 1 deliberately breaks the bound and the tool
 // reports the structured violations and exits non-zero.
 //
-// -interp selects the simulator's execution engine: the compiled
-// register-bytecode VM (default) or the tree-walking oracle. Both are
-// bit-identical, so the flag only affects speed.
-//
 // Examples:
 //
 //	argosim -usecase polka -platform xentium4 -runs 25
@@ -45,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		platform = fs.String("platform", "xentium4", "target platform name")
 		runs     = fs.Int("runs", 10, "number of deterministic input variants")
 		gantt    = fs.Bool("gantt", false, "draw an ASCII timeline of the first run")
-		interp   = fs.String("interp", "vm", "execution engine: vm (bytecode) or tree (oracle)")
 
 		faultSeed = fs.Int64("fault-seed", 0, "fault-injection seed (re-seeded per run with the input seed)")
 		jitter    = fs.Float64("access-jitter", 0, "share [0,1] of per-access interference budget injected as stall")
@@ -53,11 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nocStall  = fs.Float64("noc-stall", 0, "share [0,1] of per-hop NoC waiting allowance injected as stalls")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	engine, err := sim.ParseInterp(*interp)
-	if err != nil {
-		fmt.Fprintf(stderr, "argosim: %v\n", err)
 		return 2
 	}
 	faults := argo.FaultSpec{
@@ -81,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opt := argo.DefaultOptions(uc.Entry, uc.Args, plat)
-	opt.Interp = engine
 	art, err := argo.CompileSource(uc.Source, opt)
 	if err != nil {
 		fmt.Fprintf(stderr, "argosim: %v\n", err)

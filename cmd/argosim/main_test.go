@@ -19,7 +19,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-usecase", "nonesuch"}, // unknown use case
 		{"-usecase", "polka", "-platform", "does-not-exist"}, // unknown platform
 		{"-usecase", "polka", "-nosuchflag"},                 // flag misuse
-		{"-usecase", "polka", "-interp", "jit"},              // unknown engine
 		{"-usecase", "polka", "-exec-inflation", "-1"},       // invalid fault spec
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
@@ -37,22 +36,6 @@ func TestSimulateSucceeds(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestInterpModesAgree pins the escape hatch: -interp=tree and the
-// default VM engine must render the identical report tables.
-func TestInterpModesAgree(t *testing.T) {
-	codeVM, outVM, errVM := runCLI(t, "-usecase", "polka", "-platform", "xentium2", "-runs", "2", "-interp", "vm")
-	if codeVM != 0 {
-		t.Fatalf("vm: exit %d, stderr:\n%s", codeVM, errVM)
-	}
-	codeTree, outTree, errTree := runCLI(t, "-usecase", "polka", "-platform", "xentium2", "-runs", "2", "-interp", "tree")
-	if codeTree != 0 {
-		t.Fatalf("tree: exit %d, stderr:\n%s", codeTree, errTree)
-	}
-	if outVM != outTree {
-		t.Fatalf("engine outputs differ:\n--- vm ---\n%s\n--- tree ---\n%s", outVM, outTree)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"expvar"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -31,6 +32,31 @@ func Normalize(n int) int {
 	return n
 }
 
+// PanicError is what a fan-out returns when a worker function panics:
+// the recovered value and the stack of the goroutine that panicked.
+// After a panic no new index starts and calls already running finish,
+// so one crashing candidate fails its fan-out instead of the process.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("conc: worker panicked: %v", e.Value) }
+
+// call runs fn under the InFlight gauge and turns a panic into a
+// *PanicError.
+func call(fn func()) (pe *PanicError) {
+	InFlight.Add(1)
+	defer func() {
+		InFlight.Add(-1)
+		if r := recover(); r != nil {
+			pe = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
 // ForEach runs fn(i) for every i in [0, n) on at most Normalize(p)
 // goroutines and blocks until all started work has finished. Indices are
 // claimed in ascending order; fn must write its result into
@@ -38,7 +64,8 @@ func Normalize(n int) int {
 //
 // If ctx is cancelled, no new indices are started (in-flight calls run
 // to completion) and ForEach reports ctx.Err(); it returns nil once
-// every index has run, even if ctx was cancelled afterwards.
+// every index has run, even if ctx was cancelled afterwards. If fn
+// panics, ForEach stops the same way and returns a *PanicError.
 func ForEach(ctx context.Context, p, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -47,42 +74,18 @@ func ForEach(ctx context.Context, p, n int, fn func(i int)) error {
 	if p > n {
 		p = n
 	}
-	var done int64
-	if p == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			InFlight.Add(1)
-			fn(i)
-			InFlight.Add(-1)
-			done++
+	if p > 1 {
+		return ForEachOn(ctx, []int{p}, n, func(_, i int) { fn(i) })
+	}
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil
+		if pe := call(func() { fn(i) }); pe != nil {
+			return pe
+		}
 	}
-	next := int64(-1)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				InFlight.Add(1)
-				fn(i)
-				InFlight.Add(-1)
-				atomic.AddInt64(&done, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if atomic.LoadInt64(&done) == int64(n) {
-		return nil
-	}
-	return ctx.Err()
+	return nil
 }
 
 // ForEachOn is the heterogeneous-worker variant of ForEach — the seam
@@ -96,9 +99,10 @@ func ForEach(ctx context.Context, p, n int, fn func(i int)) error {
 // therefore every published result, is bit-identical at any worker
 // count or width.
 //
-// Cancellation matches ForEach: once ctx is cancelled no new indices
-// start, in-flight calls finish, and ForEachOn reports ctx.Err() unless
-// every index already ran.
+// Cancellation and panics match ForEach: once ctx is cancelled or fn
+// has panicked no new indices start, in-flight calls finish, and
+// ForEachOn reports the *PanicError, else ctx.Err() unless every index
+// already ran.
 func ForEachOn(ctx context.Context, widths []int, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return nil
@@ -112,29 +116,36 @@ func ForEachOn(ctx context.Context, widths []int, n int, fn func(worker, i int))
 	if total == 0 {
 		return fmt.Errorf("conc: no worker slots")
 	}
-	var done int64
-	next := int64(-1)
-	var wg sync.WaitGroup
+	var (
+		next, done atomic.Int64
+		panicked   atomic.Pointer[PanicError]
+		wg         sync.WaitGroup
+	)
+	next.Store(-1)
 	for w, width := range widths {
 		for s := 0; s < width; s++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1))
+				for ctx.Err() == nil && panicked.Load() == nil {
+					i := int(next.Add(1))
 					if i >= n {
 						return
 					}
-					InFlight.Add(1)
-					fn(w, i)
-					InFlight.Add(-1)
-					atomic.AddInt64(&done, 1)
+					if pe := call(func() { fn(w, i) }); pe != nil {
+						panicked.CompareAndSwap(nil, pe)
+						return
+					}
+					done.Add(1)
 				}
 			}(w)
 		}
 	}
 	wg.Wait()
-	if atomic.LoadInt64(&done) == int64(n) {
+	if pe := panicked.Load(); pe != nil {
+		return pe
+	}
+	if done.Load() == int64(n) {
 		return nil
 	}
 	return ctx.Err()

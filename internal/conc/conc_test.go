@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -180,5 +181,87 @@ func TestForEachOnDeterministicByIndex(t *testing.T) {
 				t.Fatalf("widths %v: out[%d] = %d, want %d", widths, i, out[i], want[i])
 			}
 		}
+	}
+}
+
+// TestWorkerPanicReturnsError: a panicking fn fails the fan-out with a
+// *PanicError carrying the panic value and its stack, on the serial and
+// the parallel path of both functions, and the process survives. On the
+// serial paths no index after the panicking one starts.
+func TestWorkerPanicReturnsError(t *testing.T) {
+	bg := context.Background()
+	each := func(p int) func(fn func(int)) error {
+		return func(fn func(int)) error { return ForEach(bg, p, 10, fn) }
+	}
+	on := func(widths ...int) func(fn func(int)) error {
+		return func(fn func(int)) error {
+			return ForEachOn(bg, widths, 10, func(_, i int) { fn(i) })
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		run    func(fn func(int)) error
+		serial bool
+	}{
+		{"ForEach/serial", each(1), true},
+		{"ForEach/parallel", each(3), false},
+		{"ForEachOn/serial", on(1), true},
+		{"ForEachOn/parallel", on(2, 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ran [10]atomic.Bool
+			err := tc.run(func(i int) {
+				ran[i].Store(true)
+				if i == 4 {
+					panic("boom")
+				}
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PanicError", err)
+			}
+			if pe.Value != "boom" {
+				t.Errorf("panic value = %v, want boom", pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "TestWorkerPanicReturnsError") {
+				t.Errorf("stack does not reach the panicking fn:\n%s", pe.Stack)
+			}
+			if v := InFlight.Value(); v != 0 {
+				t.Errorf("InFlight = %d after the fan-out returned", v)
+			}
+			if tc.serial {
+				for i := 5; i < len(ran); i++ {
+					if ran[i].Load() {
+						t.Errorf("index %d started after the panic at 4", i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWorkerPanicLetsInFlightCallsFinish: a call already running when
+// another worker panics completes before the fan-out returns.
+func TestWorkerPanicLetsInFlightCallsFinish(t *testing.T) {
+	release := make(chan struct{})
+	var finished atomic.Bool
+	// Two workers: the one holding index 0 blocks until index 1, which
+	// only the other worker can claim, is about to panic.
+	err := ForEach(context.Background(), 2, 10, func(i int) {
+		switch i {
+		case 0:
+			<-release
+			finished.Store(true)
+		case 1:
+			close(release)
+			panic("boom")
+		}
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if !finished.Load() {
+		t.Error("ForEach returned before the in-flight call finished")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"argo/internal/pass"
 	"argo/internal/sched"
 	"argo/internal/scil"
-	"argo/internal/sim"
 	"argo/internal/syswcet"
 	"argo/internal/transform"
 	"argo/internal/wcet"
@@ -50,17 +49,12 @@ type Options struct {
 	// evaluates concurrently (0: GOMAXPROCS, 1: serial). Results are
 	// bit-identical at every setting.
 	Parallelism int
-	// Interp selects the simulator's execution engine: the compiled
-	// register-bytecode VM (default) or the tree-walking oracle. Both
-	// are observably bit-identical, so the choice is excluded from
-	// result-cache keys.
-	Interp sim.Interp
 	// WCETEngine selects the code-level WCET engine: "ipet" (or empty,
 	// the default), "mc" (exact slicing+model-checking bounds), or
 	// "both" (IPET bounds downstream with the exact engine cross-checked
-	// on every region — compilation fails if exact > IPET). Unlike
-	// Interp, engines legitimately produce different bounds, so the
-	// selection is part of every WCET-derived cache key.
+	// on every region — compilation fails if exact > IPET). Engines
+	// legitimately produce different bounds, so the selection is part of
+	// every WCET-derived cache key.
 	WCETEngine string
 	// Passes configures the pass manager that executes the pipeline.
 	Passes PassOptions

@@ -705,7 +705,7 @@ func SimulateContext(ctx context.Context, a *Artifacts, inputs [][]float64) (*si
 	p := &pass.Pass{
 		Name: "simulate", Input: "par-program", Output: "sim-report",
 		Run: func(c *pass.Context) error {
-			r, err := sim.RunContextInterp(c.Ctx(), a.Parallel, inputs, a.Options.Interp)
+			r, err := sim.RunContext(c.Ctx(), a.Parallel, inputs)
 			if err != nil {
 				return err
 			}
@@ -728,7 +728,7 @@ func SimulateFaultyContext(ctx context.Context, a *Artifacts, inputs [][]float64
 	p := &pass.Pass{
 		Name: "simulate-faulty", Input: "par-program", Output: "sim-report",
 		Run: func(c *pass.Context) error {
-			r, err := sim.RunFaultyInterp(c.Ctx(), a.Parallel, inputs, spec, a.Options.Interp)
+			r, err := sim.RunFaulty(c.Ctx(), a.Parallel, inputs, spec)
 			if err != nil {
 				return err
 			}

@@ -34,10 +34,13 @@ import (
 var Parallelism int
 
 // forEachCell fans n independent experiment cells out on the shared
-// worker pool.
+// worker pool. The context is never cancelled, so the only error is a
+// cell's panic, which is re-raised with the stack of its origin.
 func forEachCell(n int, fn func(i int)) {
-	// The context is never cancelled, so the error can only be nil.
-	_ = conc.ForEach(context.Background(), Parallelism, n, fn)
+	if err := conc.ForEach(context.Background(), Parallelism, n, fn); err != nil {
+		pe := err.(*conc.PanicError)
+		panic(fmt.Sprintf("%v\n\n%s", pe.Value, pe.Stack))
+	}
 }
 
 // firstErr returns the lowest-index error, keeping failure reporting

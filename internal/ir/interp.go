@@ -589,67 +589,30 @@ func (ex *Exec) eval(e Expr) (float64, error) {
 				return 0, err
 			}
 		}
-		switch x.Op {
-		case OpAdd:
-			return a + b, nil
-		case OpSub:
-			return a - b, nil
-		case OpMul:
-			return a * b, nil
-		case OpDiv:
-			return a / b, nil
-		}
 		return FoldBin(x.Op, a, b), nil
 	case *Un:
 		a, err := ex.eval(x.X)
 		if err != nil {
 			return 0, err
 		}
-		if x.Op == OpNeg {
-			return -a, nil
-		}
-		if a == 0 {
-			return 1, nil
-		}
-		return 0, nil
+		return FoldUn(x.Op, a), nil
 	case *Intrinsic:
 		b := scil.LookupBuiltin(x.Name)
 		if b == nil {
 			return 0, fmt.Errorf("ir: unknown intrinsic %q", x.Name)
 		}
-		// Scalar fast paths: same function the boxed Eval applies, minus
-		// the per-call Value allocations.
-		if len(x.Args) == 1 && b.Scalar1 != nil {
-			a, err := ex.eval(x.Args[0])
-			if err != nil {
-				return 0, err
-			}
-			return b.Scalar1(a), nil
-		}
-		if len(x.Args) == 2 && b.Scalar2 != nil {
-			a, err := ex.eval(x.Args[0])
-			if err != nil {
-				return 0, err
-			}
-			c, err := ex.eval(x.Args[1])
-			if err != nil {
-				return 0, err
-			}
-			return b.Scalar2(a, c), nil
-		}
-		args := make([]scil.Value, len(x.Args))
-		for i, a := range x.Args {
+		// Arguments in order, first error wins; the array keeps one- and
+		// two-argument calls free of allocations.
+		var buf [2]float64
+		args := buf[:0]
+		for _, a := range x.Args {
 			v, err := ex.eval(a)
 			if err != nil {
 				return 0, err
 			}
-			args[i] = scil.Scalar(v)
+			args = append(args, v)
 		}
-		v, err := b.Eval(args)
-		if err != nil {
-			return 0, err
-		}
-		return v.ScalarVal(), nil
+		return b.Call(args)
 	}
 	return 0, fmt.Errorf("ir: unknown expression %T", e)
 }

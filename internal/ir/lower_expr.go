@@ -14,7 +14,11 @@ var binOpMap = map[scil.Kind]BinOp{
 	scil.GT: OpGt, scil.GE: OpGe, scil.AND: OpAnd, scil.OR: OpOr,
 }
 
-// FoldBin evaluates a binary op on constants.
+// FoldBin evaluates a binary op. With FoldUn it is the one definition of
+// scalar operator semantics: lowering, transform.FoldConstants, ir.Exec
+// and the exact WCET engine all evaluate operators through it, and the
+// VM's binary opcodes (one per BinOp, in BinOp order) mirror it case by
+// case.
 func FoldBin(op BinOp, a, b float64) float64 {
 	t := func(v bool) float64 {
 		if v {
@@ -51,6 +55,21 @@ func FoldBin(op BinOp, a, b float64) float64 {
 		return t(a != 0 || b != 0)
 	}
 	panic(fmt.Sprintf("ir.FoldBin: unknown op %v", op))
+}
+
+// FoldUn evaluates a unary op: -a, or for ~a 1 when a is zero and 0
+// otherwise.
+func FoldUn(op UnOp, a float64) float64 {
+	switch op {
+	case OpNeg:
+		return -a
+	case OpNot:
+		if a == 0 {
+			return 1
+		}
+		return 0
+	}
+	panic(fmt.Sprintf("ir.FoldUn: unknown op %d", int(op)))
 }
 
 // expr lowers a scil expression to an operand, emitting statements for any
@@ -101,12 +120,7 @@ func (lo *lowerer) unExpr(x *scil.UnExpr, fr *frame) (operand, error) {
 	if op.scalar() {
 		out := operand{expr: &Un{Op: irop, X: op.expr}}
 		if op.cval != nil {
-			var c float64
-			if irop == OpNeg {
-				c = -*op.cval
-			} else if *op.cval == 0 {
-				c = 1
-			}
+			c := FoldUn(irop, *op.cval)
 			out.cval = &c
 			out.expr = &Const{Val: c}
 		}
@@ -397,15 +411,15 @@ func (lo *lowerer) builtinCall(x *scil.CallExpr, fr *frame) (operand, error) {
 	}
 	if !anyMatrix {
 		if allConst {
-			vals := make([]scil.Value, len(args))
+			vals := make([]float64, len(args))
 			for i, a := range args {
-				vals[i] = scil.Scalar(*a.cval)
+				vals[i] = *a.cval
 			}
-			v, err := scil.LookupBuiltin(x.Name).Eval(vals)
+			v, err := scil.LookupBuiltin(x.Name).Call(vals)
 			if err != nil {
 				return operand{}, lowErr(x.Pos, "constant folding %s: %v", x.Name, err)
 			}
-			return constOp(v.ScalarVal()), nil
+			return constOp(v), nil
 		}
 		exprs := make([]Expr, len(args))
 		for i, a := range args {

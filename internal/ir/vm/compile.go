@@ -33,15 +33,13 @@ const (
 	opConst
 	// opMov: regs[a] = regs[b]
 	opMov
-	// Arithmetic (the four direct operators of the tree walker's inline
-	// path): regs[a] = regs[b] <op> regs[c]
+	// Binary operators, one opcode per ir.BinOp and in the same order
+	// (expr emits opAdd + op(x.Op)), with ir.FoldBin's exact semantics
+	// (comparisons and logic yield 1/0): regs[a] = regs[b] <op> regs[c]
 	opAdd
 	opSub
 	opMul
 	opDiv
-	// Comparison/logical/power operators, inlined with FoldBin's exact
-	// semantics (comparisons and logic yield 1/0):
-	// regs[a] = regs[b] <op> regs[c]
 	opPow
 	opEq
 	opNe
@@ -51,10 +49,6 @@ const (
 	opGe
 	opAnd
 	opOr
-	// opFold: regs[a] = ir.FoldBin(BinOp(d), regs[b], regs[c]) — the
-	// fallback for operators without a dedicated opcode; keeps FoldBin's
-	// panic on an unknown BinOp, like the tree walker.
-	opFold
 	// opNeg / opNot: regs[a] = -regs[b] / regs[a] = (regs[b]==0 ? 1 : 0)
 	opNeg
 	opNot
@@ -117,12 +111,12 @@ const (
 	// separate step + jump back to the head's opForCond (which still
 	// exists to handle the first iteration, un-stepped).
 	opForNext
-	// Superinstructions (profile-guided, see profile.go): the four
-	// multiply-accumulate shapes fused from an opMul feeding an opAdd or
-	// opSub, one dispatch instead of two. The dispatch cases round the
-	// product through an explicit float64 conversion so no hardware FMA
-	// contraction can occur — results stay bit-identical to the unfused
-	// pair (and to the tree walker).
+	// Superinstructions (see fuseSuper): the four multiply-accumulate
+	// shapes fused from an opMul feeding an opAdd or opSub, one dispatch
+	// instead of two. The dispatch cases round the product through an
+	// explicit float64 conversion so no hardware FMA contraction can
+	// occur — results stay bit-identical to the unfused pair (and to the
+	// tree walker).
 	//
 	// opMulAdd: regs[a] = float64(regs[b]*regs[c]) + regs[d]
 	// opAddMul: regs[a] = regs[b] + float64(regs[c]*regs[d])
@@ -149,7 +143,7 @@ var burnFusible = [burnDelta]bool{
 	opConst: true, opMov: true,
 	opAdd: true, opSub: true, opMul: true, opDiv: true,
 	opPow: true, opEq: true, opNe: true, opLt: true, opLe: true,
-	opGt: true, opGe: true, opAnd: true, opOr: true, opFold: true,
+	opGt: true, opGe: true, opAnd: true, opOr: true,
 	opNeg: true, opNot: true,
 	opIntr1: true, opIntr2: true,
 	opToInt: true, opLoad1: true, opLoad2: true, opIdx1: true, opIdx2: true,
@@ -840,39 +834,13 @@ func (c *compiler) expr(e ir.Expr, dst int32) {
 		if c.fuseSuper(x, dst) {
 			return
 		}
+		if x.Op < ir.OpAdd || x.Op > ir.OpOr {
+			fail("unknown binary operator %v", x.Op)
+		}
 		m := c.mark()
 		a := c.operand(x.X)
 		b := c.operand(x.Y)
-		switch x.Op {
-		case ir.OpAdd:
-			c.emit(instr{op: opAdd, a: dst, b: a, c: b})
-		case ir.OpSub:
-			c.emit(instr{op: opSub, a: dst, b: a, c: b})
-		case ir.OpMul:
-			c.emit(instr{op: opMul, a: dst, b: a, c: b})
-		case ir.OpDiv:
-			c.emit(instr{op: opDiv, a: dst, b: a, c: b})
-		case ir.OpPow:
-			c.emit(instr{op: opPow, a: dst, b: a, c: b})
-		case ir.OpEq:
-			c.emit(instr{op: opEq, a: dst, b: a, c: b})
-		case ir.OpNe:
-			c.emit(instr{op: opNe, a: dst, b: a, c: b})
-		case ir.OpLt:
-			c.emit(instr{op: opLt, a: dst, b: a, c: b})
-		case ir.OpLe:
-			c.emit(instr{op: opLe, a: dst, b: a, c: b})
-		case ir.OpGt:
-			c.emit(instr{op: opGt, a: dst, b: a, c: b})
-		case ir.OpGe:
-			c.emit(instr{op: opGe, a: dst, b: a, c: b})
-		case ir.OpAnd:
-			c.emit(instr{op: opAnd, a: dst, b: a, c: b})
-		case ir.OpOr:
-			c.emit(instr{op: opOr, a: dst, b: a, c: b})
-		default:
-			c.emit(instr{op: opFold, a: dst, b: a, c: b, d: int32(x.Op)})
-		}
+		c.emit(instr{op: opAdd + op(x.Op), a: dst, b: a, c: b})
 		c.release(m)
 	case *ir.Un:
 		m := c.mark()
@@ -915,9 +883,8 @@ func (c *compiler) expr(e ir.Expr, dst int32) {
 }
 
 // fuseSuper emits one multiply-accumulate superinstruction for an
-// Add/Sub whose X or Y operand is a Mul, when the matching fusion bit
-// is enabled; reports whether it emitted. Equivalence with the unfused
-// opMul + opAdd/opSub pair:
+// Add/Sub whose X or Y operand is a Mul; reports whether it emitted.
+// Equivalence with the unfused opMul + opAdd/opSub pair:
 //
 //   - Values: the dispatch case rounds the product to float64 through an
 //     explicit conversion before the accumulate, the same two-rounding
@@ -937,17 +904,10 @@ func (c *compiler) fuseSuper(x *ir.Bin, dst int32) bool {
 	if x.Op != ir.OpAdd && x.Op != ir.OpSub {
 		return false
 	}
-	mask := superMask.Load()
-	if mask == 0 {
-		return false
-	}
 	if mx, ok := x.X.(*ir.Bin); ok && mx.Op == ir.OpMul {
-		o, bit := opMulAdd, SuperMulAdd
+		o := opMulAdd
 		if x.Op == ir.OpSub {
-			o, bit = opMulSub, SuperMulSub
-		}
-		if mask&bit == 0 {
-			return false
+			o = opMulSub
 		}
 		m := c.mark()
 		p := c.operand(mx.X)
@@ -959,12 +919,9 @@ func (c *compiler) fuseSuper(x *ir.Bin, dst int32) bool {
 		return true
 	}
 	if my, ok := x.Y.(*ir.Bin); ok && my.Op == ir.OpMul {
-		o, bit := opAddMul, SuperAddMul
+		o := opAddMul
 		if x.Op == ir.OpSub {
-			o, bit = opSubMul, SuperSubMul
-		}
-		if mask&bit == 0 {
-			return false
+			o = opSubMul
 		}
 		m := c.mark()
 		z := c.operand(x.X)

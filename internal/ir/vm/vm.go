@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"math"
 
@@ -11,6 +12,22 @@ import (
 
 // errFuel matches the tree walker's budget-exhaustion message.
 var errFuel = errors.New("ir: execution budget exhausted")
+
+// Superinstruction observability, served by argod's /debug/vars:
+// argo_superinst_fused counts fusions emitted at compile time (one per
+// superinstruction in compiled code, cold path), and
+// argo_superinst_dispatched counts superinstruction executions (batched
+// per Machine run and flushed at exec exit, so the hot loop pays one
+// field increment, not an atomic).
+var (
+	superFused      = expvar.NewInt("argo_superinst_fused")
+	superDispatched = expvar.NewInt("argo_superinst_dispatched")
+)
+
+// SuperCounters returns the cumulative (fused, dispatched) totals.
+func SuperCounters() (fused, dispatched int64) {
+	return superFused.Value(), superDispatched.Value()
+}
 
 // b2f is FoldBin's truth encoding (1/0).
 func b2f(v bool) float64 {
@@ -49,16 +66,10 @@ type Machine struct {
 
 	vals []scil.Value // scratch for boxed intrinsic calls
 
-	// profile, when non-nil, records dispatched opcode pairs (see
-	// PairProfile); superHits batches superinstruction dispatches and is
-	// flushed to argo_superinst_dispatched at exec exit.
-	profile   *PairProfile
+	// superHits batches superinstruction dispatches and is flushed to
+	// argo_superinst_dispatched at exec exit.
 	superHits int64
 }
-
-// SetPairProfile attaches (or detaches, with nil) a dispatch-pair
-// recorder. Recording survives Reset only if re-attached.
-func (m *Machine) SetPairProfile(p *PairProfile) { m.profile = p }
 
 // NewMachine returns a machine for prog. meter may be nil.
 func NewMachine(prog *Program, meter ir.Meter) *Machine {
@@ -245,8 +256,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 	mats := m.mats
 	iters := m.iters
 	meter := m.meter
-	prof := m.profile
-	prev := opHalt
 	pc := 0
 	for {
 		in := ins[pc]
@@ -260,10 +269,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 				return fuel, errFuel
 			}
 			o -= burnDelta
-		}
-		if prof != nil {
-			prof.counts[prev][o]++
-			prev = o
 		}
 		switch o {
 		case opHalt:
@@ -298,8 +303,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			regs[in.a] = b2f(regs[in.b] != 0 && regs[in.c] != 0)
 		case opOr:
 			regs[in.a] = b2f(regs[in.b] != 0 || regs[in.c] != 0)
-		case opFold:
-			regs[in.a] = ir.FoldBin(ir.BinOp(in.d), regs[in.b], regs[in.c])
 		case opNeg:
 			regs[in.a] = -regs[in.b]
 		case opNot:

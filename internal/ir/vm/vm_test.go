@@ -313,15 +313,17 @@ func TestVMDirectIR(t *testing.T) {
 	})
 
 	t.Run("boxed intrinsic", func(t *testing.T) {
-		// atan registers only a boxed Eval (no Scalar1/Scalar2), so both
-		// interpreters take the boxed call path for either arity.
+		// sum, size and zeros register only a boxed Eval (no Scalar1 or
+		// Scalar2), so both interpreters take the boxed call path for
+		// either arity, and zeros' dimension check fails on -0.5.
 		prog := build(func(p *ir.Program, x, r *ir.Var) []ir.Stmt {
 			return []ir.Stmt{
 				&ir.AssignScalar{Dst: r, Src: &ir.Bin{
 					Op: ir.OpAdd,
-					X:  &ir.Intrinsic{Name: "atan", Args: []ir.Expr{&ir.VarRef{V: x}}},
-					Y:  &ir.Intrinsic{Name: "atan", Args: []ir.Expr{&ir.VarRef{V: x}, &ir.Const{Val: 2}}},
+					X:  &ir.Intrinsic{Name: "sum", Args: []ir.Expr{&ir.VarRef{V: x}}},
+					Y:  &ir.Intrinsic{Name: "size", Args: []ir.Expr{&ir.VarRef{V: x}, &ir.Const{Val: 2}}},
 				}},
+				&ir.AssignScalar{Dst: r, Src: &ir.Intrinsic{Name: "zeros", Args: []ir.Expr{&ir.VarRef{V: x}, &ir.Const{Val: 1}}}},
 			}
 		})
 		assertSame(t, prog, [][]float64{{3}})

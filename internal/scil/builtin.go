@@ -14,13 +14,37 @@ type Builtin struct {
 	Eval func(args []Value) (Value, error)
 	// Scalar1 / Scalar2, when non-nil, compute the same result as Eval
 	// for all-scalar arguments without boxing them into Values — the
-	// interpreter's allocation-free fast path. They are exact aliases of
+	// allocation-free fast path Call takes. They are exact aliases of
 	// Eval restricted to scalars, never a different function.
 	Scalar1 func(a float64) float64
 	Scalar2 func(a, b float64) float64
 	// Cost is the abstract operation cost used by the WCET cost model,
 	// in "ALU-op" units (the ADL core model scales these to cycles).
 	Cost int
+}
+
+// Call applies b to scalar arguments: Scalar1 or Scalar2 when set for
+// that many arguments, else the boxed Eval, whose result it unboxes with
+// ScalarVal. Lowering's constant folding, transform.FoldConstants,
+// ir.Exec and the exact WCET engine call builtins through it, and the
+// VM's intrinsic opcodes make the same choice at compile time, so all of
+// them agree bit for bit.
+func (b *Builtin) Call(args []float64) (float64, error) {
+	switch {
+	case len(args) == 1 && b.Scalar1 != nil:
+		return b.Scalar1(args[0]), nil
+	case len(args) == 2 && b.Scalar2 != nil:
+		return b.Scalar2(args[0], args[1]), nil
+	}
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		vals[i] = Scalar(a)
+	}
+	v, err := b.Eval(vals)
+	if err != nil {
+		return 0, err
+	}
+	return v.ScalarVal(), nil
 }
 
 func unary(name string, cost int, f func(float64) float64) *Builtin {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -103,18 +104,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	results := make([]BatchCellResult, len(req.Cells))
 	// Deterministic fan-out over cells; each cell's own errors land in
-	// its result row, so a ctx-cancel abort is the only way ForEach can
-	// fail, and even then every started cell has a filled row.
-	_ = conc.ForEach(ctx, req.Parallelism, len(req.Cells), func(i int) {
+	// its result row, so ForEach fails only when the deadline or a worker
+	// panic stops it, and then every cell that finished has a row.
+	err := conc.ForEach(ctx, req.Parallelism, len(req.Cells), func(i int) {
 		results[i] = s.runBatchCell(ctx, i, &req.Cells[i])
 	})
 	s.metrics.Observe("batch", time.Since(t0))
+	// A cell without a row never finished: its worker panicked, or a
+	// panic elsewhere stopped the fan-out before the cell started (500),
+	// or the batch deadline expired first (504).
+	var pe *conc.PanicError
+	if !errors.As(err, &pe) {
+		err = context.DeadlineExceeded
+	}
 
 	resp := &BatchResponse{Cells: results}
 	for i := range results {
 		if results[i].Status == 0 {
-			// The batch deadline expired before this cell started.
-			results[i] = s.failedCell(i, &req.Cells[i], context.DeadlineExceeded)
+			results[i] = s.failedCell(i, &req.Cells[i], err)
 		}
 		if results[i].Status >= 200 && results[i].Status < 300 {
 			resp.OK++

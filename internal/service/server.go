@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"argo/internal/cluster"
+	"argo/internal/conc"
 	"argo/internal/memo"
 	"argo/internal/sched"
 	"argo/pkg/argo"
@@ -714,8 +715,9 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case IsSaturated(err):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, memo.ErrPanicked):
-		// The computation this request attached to crashed in its leader.
+	case errors.Is(err, memo.ErrPanicked), errors.As(err, new(*conc.PanicError)):
+		// The computation this request attached to crashed in its
+		// leader, or a fan-out worker of this request panicked.
 		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"argo/internal/conc"
+	"argo/internal/memo"
 	"argo/pkg/argo"
 )
 
@@ -397,5 +399,51 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp, _ := get(t, ts.URL+"/v1/compile")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/compile status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestStatusForPanics: a crashed computation is a server fault — a
+// fan-out worker's panic, bare or wrapped, and a singleflight leader's
+// panic map to 500, never to the 504 of an expired deadline.
+func TestStatusForPanics(t *testing.T) {
+	pe := &conc.PanicError{Value: "boom"}
+	for _, err := range []error{pe, fmt.Errorf("optimize: %w", pe), memo.ErrPanicked} {
+		if got := statusFor(err); got != http.StatusInternalServerError {
+			t.Errorf("statusFor(%v) = %d, want 500", err, got)
+		}
+	}
+}
+
+// TestBatchPanickingCellIs500: a batch cell whose pipeline panics answers
+// 500, and so do the cells the stopped fan-out never started, not the
+// 504 of an expired deadline; the finished cell keeps its 200 row and
+// the daemon keeps serving.
+func TestBatchPanickingCellIs500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	real := s.compile
+	s.compile = func(ctx context.Context, job *compileJob) (*argo.Artifacts, error) {
+		if job.usecaseName() == "weaa" {
+			panic("injected pipeline panic")
+		}
+		return real(ctx, job)
+	}
+	cell := func(uc string) BatchCell {
+		return BatchCell{CompileRequest: CompileRequest{UseCase: uc, Platform: "xentium2"}}
+	}
+	out := postBatch(t, ts.URL, &BatchRequest{Parallelism: 1,
+		Cells: []BatchCell{cell("polka"), cell("weaa"), cell("egpws")}})
+	for i, want := range []int{http.StatusOK, http.StatusInternalServerError, http.StatusInternalServerError} {
+		if got := out.Cells[i].Status; got != want {
+			t.Errorf("cell %d: status %d (%s), want %d", i, got, out.Cells[i].Error, want)
+		}
+	}
+	if !strings.Contains(out.Cells[1].Error, "injected pipeline panic") {
+		t.Errorf("panicking cell's error %q does not carry the panic value", out.Cells[1].Error)
+	}
+	if out.OK != 1 || out.Failed != 2 {
+		t.Errorf("ok %d failed %d, want 1 and 2", out.OK, out.Failed)
+	}
+	if resp, body := post(t, ts.URL+"/v1/compile", `{"usecase":"egpws","platform":"xentium2"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile after the panic: %d %s", resp.StatusCode, body)
 	}
 }

@@ -277,12 +277,12 @@ func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment
 
 // vmShared is the process-wide compiled-code cache. CompileRegions is
 // the dominant cold-path cost of the first VM run over a parallel
-// program; identical IR compiled under the same region partition and
-// superinstruction mask yields behaviourally identical code, so
-// compiled Programs are shared across par.Programs, interactive
-// sessions and argod requests, the same way internal/pass shares
-// structural pass results. Sharing the *vm.Program value is safe
-// because compiled code is immutable and safe for concurrent Machines.
+// program; identical IR compiled under the same region partition yields
+// behaviourally identical code, so compiled Programs are shared across
+// par.Programs, interactive sessions and argod requests, the same way
+// internal/pass shares structural pass results. Sharing the *vm.Program
+// value is safe because compiled code is immutable and safe for
+// concurrent Machines.
 // Entry count and evictions are exported as argo_vm_shared_entries and
 // argo_vm_shared_evictions.
 var vmShared = memo.New[[sha256.Size]byte, *vm.Program](vmSharedMax)
@@ -311,10 +311,9 @@ func init() {
 // vmSharedKey content-addresses the compiled bytecode of p for the
 // shared code cache: the whole-program IR fingerprint (variable table
 // with storage classes in registration order, entry body — equal
-// fingerprints imply structurally identical programs), the region
-// partition in task order, and the superinstruction mask the code would
-// be compiled under. CompileRegions reads nothing else, so equal keys
-// yield behaviourally identical compiled Programs; the meter-facing
+// fingerprints imply structurally identical programs) and the region
+// partition in task order. CompileRegions reads nothing else, so equal
+// keys yield behaviourally identical compiled Programs; the meter-facing
 // surface only reads per-variable data the fingerprint covers.
 func vmSharedKey(p *par.Program, regions [][]ir.Stmt) [sha256.Size]byte {
 	h := sha256.New()
@@ -327,8 +326,6 @@ func vmSharedKey(p *par.Program, regions [][]ir.Stmt) [sha256.Size]byte {
 		rfp := wcet.FingerprintRegion(stmts)
 		h.Write(rfp[:])
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(vm.SuperMask()))
-	h.Write(b[:])
 	var k [sha256.Size]byte
 	h.Sum(k[:0])
 	return k

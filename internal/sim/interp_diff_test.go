@@ -7,7 +7,6 @@
 package sim_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -18,34 +17,17 @@ import (
 	"argo/internal/usecases"
 )
 
-func TestInterpParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want sim.Interp
-		err  bool
-	}{
-		{"vm", sim.InterpVM, false},
-		{"tree", sim.InterpTree, false},
-		{"auto", sim.InterpAuto, false},
-		{"", sim.InterpAuto, false},
-		{"jit", sim.InterpAuto, true},
-	}
-	for _, c := range cases {
-		got, err := sim.ParseInterp(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseInterp(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	if sim.DefaultInterp() != sim.InterpVM {
-		t.Errorf("default interpreter = %v, want vm", sim.DefaultInterp())
-	}
-}
+// Engine selectors for sim.RunEngine and sim.RunFaultyEngine.
+const (
+	onVM   = false
+	onTree = true
+)
 
 // TestVMBitIdenticalToGolden: the VM engine and the tree engine must both
 // reproduce the golden fingerprints for every builtin platform × use case
 // × seed. Cross-engine identity over the full matrix plus identity to the
 // pre-VM goldens pins results, task timings, bus waits and DMA phases
-// bit-for-bit under both -interp modes.
+// bit-for-bit on both engines.
 func TestVMBitIdenticalToGolden(t *testing.T) {
 	golden := loadGolden(t)
 	for _, pname := range adl.BuiltinNames() {
@@ -68,14 +50,14 @@ func TestVMBitIdenticalToGolden(t *testing.T) {
 					if !ok {
 						t.Fatalf("no golden fingerprint for %q", key)
 					}
-					vmRep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpVM)
+					vmRep, err := sim.RunEngine(art.Parallel, u.Inputs(seed), onVM)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := fingerprint(vmRep); got != want {
 						t.Errorf("vm engine drifted from golden\n key %s\n got  %s\n want %s", key, got, want)
 					}
-					treeRep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpTree)
+					treeRep, err := sim.RunEngine(art.Parallel, u.Inputs(seed), onTree)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,11 +93,11 @@ func TestVMFaultyBitIdenticalAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vmRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(1), spec, sim.InterpVM)
+			vmRep, err := sim.RunFaultyEngine(art.Parallel, u.Inputs(1), spec, onVM)
 			if err != nil {
 				t.Fatal(err)
 			}
-			treeRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(1), spec, sim.InterpTree)
+			treeRep, err := sim.RunFaultyEngine(art.Parallel, u.Inputs(1), spec, onTree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +134,7 @@ func TestVariantTraceMemo(t *testing.T) {
 	// full entries, rounds 3-4 hit.
 	for round := 0; round < 4; round++ {
 		for seed := int64(1); seed <= 3; seed++ {
-			rep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpVM)
+			rep, err := sim.RunEngine(art.Parallel, u.Inputs(seed), onVM)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +154,7 @@ func TestVariantTraceMemo(t *testing.T) {
 		t.Errorf("memo misses moved by %d, want >= 6 (rounds 1-2 must miss)", m1-m0)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		rep, err := sim.RunInterp(art.Parallel, u.Inputs(seed), sim.InterpTree)
+		rep, err := sim.RunEngine(art.Parallel, u.Inputs(seed), onTree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,11 +165,11 @@ func TestVariantTraceMemo(t *testing.T) {
 	// Fault injection inflates and jitters the traces phase 0 hands over;
 	// a memo-hit input must produce the same injected run as the oracle.
 	spec := fault.Spec{Seed: 7, AccessJitter: 0.5, ExecInflation: 0.5}
-	vmRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(2), spec, sim.InterpVM)
+	vmRep, err := sim.RunFaultyEngine(art.Parallel, u.Inputs(2), spec, onVM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeRep, err := sim.RunFaultyInterp(context.Background(), art.Parallel, u.Inputs(2), spec, sim.InterpTree)
+	treeRep, err := sim.RunFaultyEngine(art.Parallel, u.Inputs(2), spec, onTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +198,7 @@ func TestVMCountersMove(t *testing.T) {
 	sim.ResetVMShared()
 	c0, h0, m0, _ := sim.VMCounters()
 	for i := 0; i < 3; i++ {
-		if _, err := sim.RunInterp(art.Parallel, u.Inputs(1), sim.InterpVM); err != nil {
+		if _, err := sim.RunEngine(art.Parallel, u.Inputs(1), onVM); err != nil {
 			t.Fatal(err)
 		}
 	}

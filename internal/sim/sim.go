@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"argo/internal/adl"
 	"argo/internal/fault"
@@ -157,6 +158,17 @@ type Report struct {
 	Faults fault.Stats
 }
 
+// treeWalker routes every simulation's functional phase through the
+// ir.Exec tree walker, the differential oracle, instead of the bytecode
+// VM. Both engines are bit-identical — results, traces, meter charges
+// and errors — so the switch only affects speed and is excluded from
+// result-cache keys.
+var treeWalker atomic.Bool
+
+// SetTreeWalker selects the tree walker (true) or the bytecode VM (false,
+// the default) for every later simulation in the process.
+func SetTreeWalker(on bool) { treeWalker.Store(on) }
+
 // Run simulates the parallel program on the given inputs.
 //
 // Run is reentrant: p is read-only during simulation (all mutable state
@@ -171,7 +183,7 @@ func Run(p *par.Program, args [][]float64) (*Report, error) {
 // cancelled or expired context aborts the simulation and returns
 // ctx.Err().
 func RunContext(ctx context.Context, p *par.Program, args [][]float64) (*Report, error) {
-	return run(ctx, p, args, nil, InterpAuto)
+	return run(ctx, p, args, nil, treeWalker.Load())
 }
 
 // RunFaulty simulates the parallel program under deterministic fault
@@ -183,10 +195,10 @@ func RunFaulty(ctx context.Context, p *par.Program, args [][]float64, spec fault
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, p, args, fault.New(spec), InterpAuto)
+	return run(ctx, p, args, fault.New(spec), treeWalker.Load())
 }
 
-func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injector, interp Interp) (*Report, error) {
+func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injector, tree bool) (*Report, error) {
 	nTasks := len(p.Input.Tasks)
 	rep := &Report{
 		TaskStart:  make([]int64, nTasks),
@@ -198,13 +210,12 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	// an input-invariant trace replay the program's cached trace and run
 	// un-metered (the fast interpreter path); the rest are re-metered.
 	//
-	// The execution engine is the compiled bytecode VM by default, with
-	// the tree walker as the oracle/escape hatch — both produce the same
-	// traces, results, and errors, so the trace cache is shared between
-	// modes.
+	// The execution engine is the compiled bytecode VM unless tree is
+	// set — both produce the same traces, results, and errors, so the
+	// trace cache is shared between engines.
 	cache := cacheFor(p)
 	var cp *vm.Program
-	if interp.resolve() == InterpVM {
+	if !tree {
 		cp = cache.vmProgram(p)
 	}
 

@@ -99,13 +99,7 @@ func foldExpr(e ir.Expr, n *int) ir.Expr {
 		x.X = foldExpr(x.X, n)
 		if a, ok := constOf(x.X); ok {
 			*n++
-			if x.Op == ir.OpNeg {
-				return &ir.Const{Val: -a}
-			}
-			if a == 0 {
-				return &ir.Const{Val: 1}
-			}
-			return &ir.Const{Val: 0}
+			return &ir.Const{Val: ir.FoldUn(x.Op, a)}
 		}
 		return x
 	case *ir.Index:
@@ -123,14 +117,13 @@ func foldExpr(e ir.Expr, n *int) ir.Expr {
 		}
 		if allConst {
 			if b := scil.LookupBuiltin(x.Name); b != nil && len(x.Args) >= b.MinArgs && len(x.Args) <= b.MaxArgs {
-				vals := make([]scil.Value, len(x.Args))
+				vals := make([]float64, len(x.Args))
 				for i, a := range x.Args {
-					c, _ := constOf(a)
-					vals[i] = scil.Scalar(c)
+					vals[i], _ = constOf(a)
 				}
-				if v, err := b.Eval(vals); err == nil {
+				if v, err := b.Call(vals); err == nil {
 					*n++
-					return &ir.Const{Val: v.ScalarVal()}
+					return &ir.Const{Val: v}
 				}
 			}
 		}

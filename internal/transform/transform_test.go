@@ -357,6 +357,39 @@ endfunction`
 	assertSameBehaviour(t, orig, x)
 }
 
+// TestFoldConstantsMatchesExec: folding a constant operator or builtin
+// call (scalar fast path and boxed Eval alike) yields exactly the bits
+// ir.Exec computes for the unfolded expression.
+func TestFoldConstantsMatchesExec(t *testing.T) {
+	c := func(v float64) ir.Expr { return &ir.Const{Val: v} }
+	for _, e := range []ir.Expr{
+		&ir.Un{Op: ir.OpNeg, X: c(0.1)},
+		&ir.Un{Op: ir.OpNot, X: c(0)},
+		&ir.Un{Op: ir.OpNot, X: c(math.NaN())},
+		&ir.Bin{Op: ir.OpPow, X: c(1.1), Y: c(0.3)},
+		&ir.Bin{Op: ir.OpDiv, X: c(1), Y: c(3)},
+		&ir.Intrinsic{Name: "sqrt", Args: []ir.Expr{c(2)}},
+		&ir.Intrinsic{Name: "atan", Args: []ir.Expr{c(1), c(3)}},
+		&ir.Intrinsic{Name: "sum", Args: []ir.Expr{c(0.7)}},
+	} {
+		orig := &ir.Program{}
+		r := orig.NewVar(&ir.Var{Name: "r", Scalar: true, Result: true})
+		orig.Entry = &ir.Func{Name: "f", Results: []*ir.Var{r},
+			Body: []ir.Stmt{&ir.AssignScalar{Dst: r, Src: e}}}
+		want, err := ir.NewExec(orig, nil).Run(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ir.ExprString(e), err)
+		}
+		folded := cloneProg(orig)
+		FoldConstants(folded)
+		got, ok := folded.Entry.Body[0].(*ir.AssignScalar).Src.(*ir.Const)
+		if !ok || math.Float64bits(got.Val) != math.Float64bits(want[0][0]) {
+			t.Errorf("%s folded to %s, Exec computes %v", ir.ExprString(e),
+				ir.ExprString(folded.Entry.Body[0].(*ir.AssignScalar).Src), want[0][0])
+		}
+	}
+}
+
 func TestPromoteScratchpadSelectsHotVars(t *testing.T) {
 	src := `
 function r = f(big, small)

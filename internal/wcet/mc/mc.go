@@ -537,8 +537,9 @@ func (ex *explorer) merge(states []*state) ([]*state, bool) {
 
 // eval mirrors the interpreter's expression semantics over the flat
 // constant domain: matrix loads are unknown, operators and the pure
-// builtin intrinsics fold known operands exactly (same operator paths
-// as ir.Exec, so folded values are bit-identical to executed ones).
+// builtin intrinsics fold known operands exactly through ir.FoldBin,
+// ir.FoldUn and scil.Builtin.Call, the definitions ir.Exec executes, so
+// folded values are bit-identical to executed ones.
 func (ex *explorer) eval(e ir.Expr, sa *state) absVal {
 	switch x := e.(type) {
 	case *ir.Const:
@@ -556,29 +557,13 @@ func (ex *explorer) eval(e ir.Expr, sa *state) absVal {
 		if !a.known || !b.known {
 			return absVal{}
 		}
-		switch x.Op {
-		case ir.OpAdd:
-			return absVal{known: true, val: a.val + b.val}
-		case ir.OpSub:
-			return absVal{known: true, val: a.val - b.val}
-		case ir.OpMul:
-			return absVal{known: true, val: a.val * b.val}
-		case ir.OpDiv:
-			return absVal{known: true, val: a.val / b.val}
-		}
 		return absVal{known: true, val: ir.FoldBin(x.Op, a.val, b.val)}
 	case *ir.Un:
 		a := ex.eval(x.X, sa)
 		if !a.known {
 			return absVal{}
 		}
-		if x.Op == ir.OpNeg {
-			return absVal{known: true, val: -a.val}
-		}
-		if a.val == 0 {
-			return absVal{known: true, val: 1}
-		}
-		return absVal{known: true, val: 0}
+		return absVal{known: true, val: ir.FoldUn(x.Op, a.val)}
 	case *ir.Intrinsic:
 		b := scil.LookupBuiltin(x.Name)
 		if b == nil {
@@ -592,21 +577,11 @@ func (ex *explorer) eval(e ir.Expr, sa *state) absVal {
 			}
 			args[i] = a.val
 		}
-		if len(args) == 1 && b.Scalar1 != nil {
-			return absVal{known: true, val: b.Scalar1(args[0])}
-		}
-		if len(args) == 2 && b.Scalar2 != nil {
-			return absVal{known: true, val: b.Scalar2(args[0], args[1])}
-		}
-		boxed := make([]scil.Value, len(args))
-		for i, a := range args {
-			boxed[i] = scil.Scalar(a)
-		}
-		v, err := b.Eval(boxed)
+		v, err := b.Call(args)
 		if err != nil {
 			return absVal{}
 		}
-		return absVal{known: true, val: v.ScalarVal()}
+		return absVal{known: true, val: v}
 	}
 	return absVal{}
 }

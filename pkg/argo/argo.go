@@ -83,21 +83,6 @@ type (
 	PassTrace = pass.Trace
 	// PassTiming is one entry of a PassTrace.
 	PassTiming = pass.Timing
-	// Interp selects the simulator execution engine (Options.Interp):
-	// the compiled register-bytecode VM or the tree-walking oracle.
-	Interp = sim.Interp
-)
-
-// Simulator execution engines. Both are observably bit-identical —
-// results, traces, meter charges, and errors — so the choice only
-// affects speed.
-const (
-	// InterpAuto defers to the process default (SetInterp).
-	InterpAuto = sim.InterpAuto
-	// InterpVM executes compiled register bytecode (the default).
-	InterpVM = sim.InterpVM
-	// InterpTree executes the tree-walking oracle.
-	InterpTree = sim.InterpTree
 )
 
 // Policy selects the multi-core scheduling strategy.
@@ -253,23 +238,22 @@ func SimulateFaultyContext(ctx context.Context, a *Artifacts, inputs [][]float64
 	return core.SimulateFaultyContext(ctx, a, inputs, spec)
 }
 
-// SetInterp selects the process-wide simulator execution engine by flag
-// spelling: "vm" (compiled register bytecode, the default), "tree" (the
-// tree-walking oracle), or "auto"/"" to restore the default. It governs
-// what InterpAuto resolves to; per-run choice goes through
-// Options.Interp instead. Returns an error for unknown modes.
+// SetInterp selects the process-wide simulator execution engine: "vm"
+// (compiled register bytecode, the default) or "tree" (the tree-walking
+// oracle). Both are observably bit-identical — results, traces, meter
+// charges, and errors — so the choice only affects speed. Returns an
+// error for any other mode.
 func SetInterp(mode string) error {
-	i, err := sim.ParseInterp(mode)
-	if err != nil {
-		return err
+	switch mode {
+	case "vm":
+		sim.SetTreeWalker(false)
+	case "tree":
+		sim.SetTreeWalker(true)
+	default:
+		return fmt.Errorf("argo: unknown interpreter %q (want vm or tree)", mode)
 	}
-	sim.SetInterp(i)
 	return nil
 }
-
-// InterpMode reports the engine simulation runs currently default to
-// ("vm" or "tree").
-func InterpMode() string { return sim.DefaultInterp().String() }
 
 // WCETEngines lists the valid Options.WCETEngine spellings: every
 // registered code-level WCET engine plus "both" (IPET bounds with the

@@ -1,8 +1,11 @@
 package argo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"argo/internal/sim"
 )
 
 func TestPlatformLookup(t *testing.T) {
@@ -140,5 +143,49 @@ func TestRuntimeHeaderAndDiagramCodec(t *testing.T) {
 	}
 	if d2.Name != "roundtrip" {
 		t.Fatal("codec")
+	}
+}
+
+// TestSetInterpTreeWalker pins the process-wide engine switch that
+// perfbench's -write-expected relies on: after SetInterp("tree"),
+// Simulate runs on the tree walker, so the bytecode VM counters stay
+// put, and reports exactly what the VM reports.
+func TestSetInterpTreeWalker(t *testing.T) {
+	uc := UseCaseByName("weaa")
+	art, err := CompileUseCase(uc, Platform("leon3-2x2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmRep, err := Simulate(art, uc.Inputs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetInterp("tree"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = SetInterp("vm") }) // "vm" is always valid
+	c0, h0, m0, f0 := sim.VMCounters()
+	treeRep, err := Simulate(art, uc.Inputs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1, h1, m1, f1 := sim.VMCounters(); c1 != c0 || h1 != h0 || m1 != m0 || f1 != f0 {
+		t.Errorf("VM counters moved on the tree walker: compiles %d->%d hits %d->%d misses %d->%d fallbacks %d->%d",
+			c0, c1, h0, h1, m0, m1, f0, f1)
+	}
+	if !reflect.DeepEqual(treeRep, vmRep) {
+		t.Errorf("tree walker report differs from the VM's\n tree %+v\n vm   %+v", treeRep, vmRep)
+	}
+	if err := SetInterp("jit"); err == nil {
+		t.Error(`SetInterp("jit") accepted`)
+	}
+	if err := SetInterp("vm"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(art, uc.Inputs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, h2, _, _ := sim.VMCounters(); h2 == h0 {
+		t.Error(`Simulate after SetInterp("vm") did not run on the VM`)
 	}
 }
