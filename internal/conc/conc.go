@@ -43,18 +43,26 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("conc: worker panicked: %v", e.Value) }
 
-// call runs fn under the InFlight gauge and turns a panic into a
-// *PanicError.
-func call(fn func()) (pe *PanicError) {
-	InFlight.Add(1)
+// Recover runs fn and turns a panic into a *PanicError carrying the
+// panic value and the stack of the panicking goroutine; it returns nil
+// when fn returns normally. Goroutines outside a fan-out use it at their
+// boundary, so a crash fails one request instead of the process.
+func Recover(fn func()) (pe *PanicError) {
 	defer func() {
-		InFlight.Add(-1)
 		if r := recover(); r != nil {
 			pe = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	fn()
 	return nil
+}
+
+// call runs fn under the InFlight gauge and turns a panic into a
+// *PanicError.
+func call(fn func()) *PanicError {
+	InFlight.Add(1)
+	defer InFlight.Add(-1)
+	return Recover(fn)
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most Normalize(p)

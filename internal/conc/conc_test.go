@@ -265,3 +265,20 @@ func TestWorkerPanicLetsInFlightCallsFinish(t *testing.T) {
 		t.Error("ForEach returned before the in-flight call finished")
 	}
 }
+
+func TestRecover(t *testing.T) {
+	if pe := Recover(func() {}); pe != nil {
+		t.Fatalf("Recover of a normal return = %v, want nil", pe)
+	}
+	before := InFlight.Value()
+	pe := Recover(func() { panic("boom") })
+	if pe == nil || pe.Value != "boom" {
+		t.Fatalf("Recover = %v, want the panic value boom", pe)
+	}
+	if !strings.Contains(string(pe.Stack), "TestRecover") {
+		t.Errorf("stack does not reach the panicking fn:\n%s", pe.Stack)
+	}
+	if v := InFlight.Value(); v != before {
+		t.Errorf("InFlight moved from %d to %d: Recover is not a fan-out worker", before, v)
+	}
+}

@@ -86,6 +86,71 @@ func TestFreshCompileServedFromGlobalCache(t *testing.T) {
 	}
 }
 
+// TestWarmCompileIRIsPrivate: the lazy IR thaw hands a warm compile a
+// clone of the cached program, never the program itself. Vandalizing the
+// IR a fully warm compile returned — every variable's storage class and
+// one loop statement — changes neither the next fully warm compile's
+// result fingerprint nor its agreement with a NoCache compile.
+func TestWarmCompileIRIsPrivate(t *testing.T) {
+	uc := usecases.ByName("egpws")
+	src, err := uc.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions(uc.Entry, uc.Args, adl.XentiumPlatform(4))
+	opt.Passes.Cache = pass.NewCache(0)
+	warmCompile := func() *core.Artifacts {
+		t.Helper()
+		art, err := core.Compile(src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
+	warmCompile()
+	first := warmCompile()
+	want := session.ResultFingerprint(first)
+
+	for _, v := range first.IR.Vars {
+		v.Storage = (v.Storage + 1) % 3
+	}
+	loops := 0
+	ir.WalkStmts(first.IR.Entry.Body, func(s ir.Stmt) bool {
+		if f, ok := s.(*ir.For); ok {
+			f.Trip++
+			f.Body = f.Body[:0]
+			loops++
+			return false
+		}
+		return true
+	})
+	if loops == 0 {
+		t.Fatal("found no loop statement to vandalize")
+	}
+
+	second := warmCompile()
+	for _, ag := range second.PassTrace.Aggregate() {
+		if ag.CacheMisses != 0 {
+			t.Errorf("pass %q missed the cache after the vandalism", ag.Pass)
+		}
+	}
+	if second.IR == first.IR {
+		t.Fatal("two warm compiles returned the same program")
+	}
+	if got := session.ResultFingerprint(second); got != want {
+		t.Fatalf("warm compile after vandalizing the previous result: fingerprint %s, want %s", got, want)
+	}
+	plain := opt
+	plain.Passes.NoCache = true
+	uncached, err := core.Compile(src, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := session.ResultFingerprint(uncached); got != want {
+		t.Fatalf("NoCache compile %s, warm compiles %s", got, want)
+	}
+}
+
 // TestWarmCompileAcrossPlatformsKeysDistinctly guards the fingerprint
 // keys: a different platform must not be served another platform's
 // structural artifacts.

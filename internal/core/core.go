@@ -166,7 +166,7 @@ func CompileContext(ctx context.Context, src *scil.Program, opt Options) (*Artif
 		return nil, err
 	}
 	// One-shot compile: the front-end IR is private, no clone needed.
-	return backEnd(ctx, fe.prog, opt, fe.trace)
+	return backEnd(ctx, newManager(opt.Passes), fe.prog, opt, fe.trace)
 }
 
 // FrontEnd is the shared result of the source-level phases — model check
@@ -195,7 +195,7 @@ func newFrontEnd(ctx context.Context, src *scil.Program, entry string, args []ir
 	if err := newManager(popt).Run(c, checkPass(), lowerPass(entry, args)); err != nil {
 		return nil, err
 	}
-	return &FrontEnd{entry: entry, args: args, prog: pass.Need(c, keyIR), trace: c.Trace().Passes}, nil
+	return &FrontEnd{entry: entry, args: args, prog: irProg(c), trace: c.Trace().Passes}, nil
 }
 
 // newManager builds the pass manager one pipeline execution uses.
@@ -250,7 +250,7 @@ func (fe *FrontEnd) CompileContext(ctx context.Context, opt Options) (*Artifacts
 	if opt.Platform == nil {
 		return nil, fmt.Errorf("core: no platform")
 	}
-	return backEnd(ctx, fe.prog.Clone(), opt, fe.trace)
+	return backEnd(ctx, newManager(opt.Passes), fe.prog.Clone(), opt, fe.trace)
 }
 
 // spmOptionsFor derives the scratchpad-promotion options AutoSPM uses
@@ -267,9 +267,9 @@ func spmOptionsFor(p *adl.Platform) *transform.SPMOptions {
 // backEnd runs everything after lowering on the pass manager:
 // predictability transformations, task graph extraction, scheduling,
 // parallel program construction, and the placement/analysis feedback
-// loop. prog is owned by the call; feTrace seeds the execution's trace
-// with the front-end timings.
-func backEnd(ctx context.Context, prog *ir.Program, opt Options, feTrace []pass.Timing) (*Artifacts, error) {
+// loop on mgr. prog is owned by the call; feTrace seeds the execution's
+// trace with the front-end timings.
+func backEnd(ctx context.Context, mgr *pass.Manager, prog *ir.Program, opt Options, feTrace []pass.Timing) (*Artifacts, error) {
 	tOpt := opt.Transforms
 	if opt.AutoSPM {
 		tOpt.SPM = spmOptionsFor(opt.Platform)
@@ -284,10 +284,9 @@ func backEnd(ctx context.Context, prog *ir.Program, opt Options, feTrace []pass.
 	}
 	pl := buildPipeline(opt, tOpt, disabled)
 
-	mgr := newManager(opt.Passes)
 	c := pass.NewContext(ctx)
 	c.SeedTrace(feTrace)
-	pass.Put(c, keyIR, prog)
+	pass.Put(c, keyIR, liveIR(prog))
 	rep := &transform.Report{}
 	pass.Put(c, keyReport, rep)
 	canon := ""
@@ -336,7 +335,7 @@ func backEnd(ctx context.Context, prog *ir.Program, opt Options, feTrace []pass.
 		return nil, err
 	}
 
-	art.IR = pass.Need(c, keyIR)
+	art.IR = irProg(c)
 	art.Transform = *rep
 	art.Graph = annGraph(c)
 	art.Input = pass.Need(c, keyInput)

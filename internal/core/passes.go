@@ -34,8 +34,10 @@ import (
 // discipline each output needs:
 //
 //   - Transformation passes snapshot a deep clone of the rewritten
-//     program (re-cloned again on restore), so no cached state ever
-//     aliases a live pipeline's IR.
+//     program. A restore installs that snapshot, with its fingerprint,
+//     as a deferred thaw (irCell): the first reader clones it once, so a
+//     run of restores clones once and no cached state ever aliases a
+//     live pipeline's IR.
 //   - The schedule pass's input (task WCET vectors, dependence volumes,
 //     platform, policy) and output (*sched.Schedule, *syswcet.Result)
 //     are pointer-free value data, deep-copied on both freeze and thaw.
@@ -61,7 +63,7 @@ import (
 // Typed artifact slots of the pipeline.
 var (
 	keyModel = pass.NewKey[*scil.Program]("scil")
-	keyIR    = pass.NewKey[*ir.Program]("ir")
+	keyIR    = pass.NewKey[*irCell]("ir")
 	// keyReport accumulates the merged transformation report;
 	// keyDelta holds the contribution of the transform pass that just
 	// ran (scratch slot consumed by Snapshot).
@@ -85,20 +87,61 @@ var (
 	keyEngine = pass.NewKey[wcet.Selection]("wcet-engine")
 )
 
-func dumpIR(c *pass.Context) string { return pass.Need(c, keyIR).Dump() }
+// irCell holds the live IR artifact, optionally as a deferred thaw of a
+// transform snapshot. On a fully warm compile every transform pass
+// restores, and each restore is overwritten by the next before any Run
+// reads the program: the cell installs the snapshot instead of a clone,
+// and the first reader (label-loops, on a fully warm compile) clones it
+// once. The clone is the pipeline's private program; the cached one is
+// never handed out. The cell memoizes, so every reader sees one program
+// instance, exactly as with an eager Put.
+type irCell struct {
+	once sync.Once
+	snap *transformSnap
+	// rep receives the snapshot's SPM promotions, resolved against the
+	// clone. spm, the only pass that promotes, is the last
+	// transformation, so no later restore replaces its cell unthawed.
+	rep  *transform.Report
+	prog *ir.Program
+}
+
+func liveIR(p *ir.Program) *irCell { return &irCell{prog: p} }
+
+func (ic *irCell) program() *ir.Program {
+	ic.once.Do(func() {
+		if ic.snap == nil {
+			return
+		}
+		ic.prog = ic.snap.prog.Clone()
+		if n := len(ic.snap.promoted); n > 0 {
+			ic.rep.SPM.Promoted = make([]*ir.Var, n)
+			for i, j := range ic.snap.promoted {
+				ic.rep.SPM.Promoted[i] = ic.prog.Vars[j]
+			}
+		}
+	})
+	return ic.prog
+}
+
+// irProg materializes the live IR program.
+func irProg(c *pass.Context) *ir.Program { return pass.Need(c, keyIR).program() }
+
+func dumpIR(c *pass.Context) string { return irProg(c).Dump() }
 
 // irMemo caches, per pipeline execution, the derived views of the live
 // IR that the cache machinery rebuilds constantly: its content
 // fingerprint (one full-program walk per structural-pass key without
 // the memo) and the snapshot codec's freeze index / thaw table (one
 // statement traversal per freeze/restore). All three are pure functions
-// of the program's current state, so the memo is keyed to the program
-// pointer AND explicitly invalidated by every pass that mutates the
-// program in place (transform runs, label-loops, par-build's storage
-// side effect on both Run and Restore) — the pointer check alone cannot
-// see in-place mutation.
+// of the program's current state, so the memo is keyed to the IR cell
+// AND explicitly invalidated by every pass that mutates what they read
+// in place (transform and par-build runs) — the cell check alone cannot
+// see in-place mutation. Two in-place writers keep it: label-loops
+// writes only For.Label, which neither wcet.FingerprintProgram nor the
+// codec's positions read, and a par-build restore replays storage
+// mutations whose resulting fingerprint its snapshot recorded.
 type irMemo struct {
-	prog *ir.Program
+	cell *irCell
 	fp   wcet.Fingerprint
 	idx  *ir.SnapshotIndex
 	tab  *ir.SnapshotTable
@@ -107,11 +150,11 @@ type irMemo struct {
 var keyIRMemo = pass.NewKey[*irMemo]("ir-memo")
 
 func irMemoOf(c *pass.Context) *irMemo {
-	prog := pass.Need(c, keyIR)
-	if m, ok := pass.Get(c, keyIRMemo); ok && m != nil && m.prog == prog {
+	cell := pass.Need(c, keyIR)
+	if m, ok := pass.Get(c, keyIRMemo); ok && m != nil && m.cell == cell {
 		return m
 	}
-	m := &irMemo{prog: prog, fp: wcet.FingerprintProgram(prog)}
+	m := &irMemo{cell: cell, fp: wcet.FingerprintProgram(cell.program())}
 	pass.Put(c, keyIRMemo, m)
 	return m
 }
@@ -119,7 +162,7 @@ func irMemoOf(c *pass.Context) *irMemo {
 func irMemoIndex(c *pass.Context) *ir.SnapshotIndex {
 	m := irMemoOf(c)
 	if m.idx == nil {
-		m.idx = ir.NewSnapshotIndex(m.prog)
+		m.idx = ir.NewSnapshotIndex(m.cell.program())
 	}
 	return m.idx
 }
@@ -127,14 +170,14 @@ func irMemoIndex(c *pass.Context) *ir.SnapshotIndex {
 func irMemoTable(c *pass.Context) *ir.SnapshotTable {
 	m := irMemoOf(c)
 	if m.tab == nil {
-		m.tab = ir.NewSnapshotTable(m.prog)
+		m.tab = ir.NewSnapshotTable(m.cell.program())
 	}
 	return m.tab
 }
 
-// invalidateIRMemo must be called by any code that mutates the live IR
-// program in place; the next memo access recomputes against the mutated
-// state.
+// invalidateIRMemo must be called by any code that mutates, in place,
+// live IR state the memo's views read; the next memo access recomputes
+// against the mutated state.
 func invalidateIRMemo(c *pass.Context) { pass.Put(c, keyIRMemo, nil) }
 
 // graphCell holds a task graph artifact, optionally as a deferred thaw.
@@ -191,7 +234,7 @@ func lowerPass(entry string, args []ir.ArgSpec) *pass.Pass {
 			if err != nil {
 				return err
 			}
-			pass.Put(c, keyIR, prog)
+			pass.Put(c, keyIR, liveIR(prog))
 			return nil
 		},
 		Dump: dumpIR,
@@ -201,10 +244,11 @@ func lowerPass(entry string, args []ir.ArgSpec) *pass.Pass {
 // --- transformation passes --------------------------------------------------
 
 // transformSnap is the frozen result of one cacheable transformation
-// pass: the rewritten program (a private clone, re-cloned on thaw) plus
-// the pass's report contribution. SPM-promoted variables are stored as
-// indices into prog.Vars — Clone preserves registration order, so the
-// pointers are rebuilt against whichever clone a thaw produces.
+// pass: the rewritten program (a private clone, cloned again by the
+// irCell that thaws it) plus the pass's report contribution.
+// SPM-promoted variables are stored as indices into prog.Vars — Clone
+// preserves registration order, so the pointers are rebuilt against
+// whichever clone the pipeline thaws.
 type transformSnap struct {
 	prog     *ir.Program
 	rep      transform.Report
@@ -237,18 +281,6 @@ func freezeTransform(live *ir.Program, delta transform.Report, fp wcet.Fingerpri
 	return s
 }
 
-func (s *transformSnap) thaw() (*ir.Program, transform.Report) {
-	prog := s.prog.Clone()
-	rep := s.rep
-	if len(s.promoted) > 0 {
-		rep.SPM.Promoted = make([]*ir.Var, len(s.promoted))
-		for i, j := range s.promoted {
-			rep.SPM.Promoted[i] = prog.Vars[j]
-		}
-	}
-	return prog, rep
-}
-
 func transformPasses(tOpt transform.Options, disabled map[string]bool) []*pass.Pass {
 	var out []*pass.Pass
 	for _, spec := range transform.Plan(tOpt) {
@@ -260,7 +292,7 @@ func transformPasses(tOpt transform.Options, disabled map[string]bool) []*pass.P
 			Name: spec.Name, Input: "ir", Output: "ir",
 			Run: func(c *pass.Context) error {
 				var delta transform.Report
-				spec.Run(pass.Need(c, keyIR), tOpt, &delta)
+				spec.Run(irProg(c), tOpt, &delta)
 				invalidateIRMemo(c)
 				pass.Need(c, keyReport).Merge(delta)
 				pass.Put(c, keyDelta, &delta)
@@ -273,7 +305,7 @@ func transformPasses(tOpt transform.Options, disabled map[string]bool) []*pass.P
 			Snapshot: func(c *pass.Context) any {
 				// irMemoOf also warms the memo for the next pass's
 				// Fingerprint (Run just invalidated it).
-				s := freezeTransform(pass.Need(c, keyIR), *pass.Need(c, keyDelta), irMemoOf(c).fp)
+				s := freezeTransform(irProg(c), *pass.Need(c, keyDelta), irMemoOf(c).fp)
 				if s == nil {
 					return nil
 				}
@@ -281,10 +313,11 @@ func transformPasses(tOpt transform.Options, disabled map[string]bool) []*pass.P
 			},
 			Restore: func(c *pass.Context, snap any) {
 				ts := snap.(*transformSnap)
-				prog, delta := ts.thaw()
-				pass.Put(c, keyIR, prog)
-				pass.Put(c, keyIRMemo, &irMemo{prog: prog, fp: ts.fp})
-				pass.Need(c, keyReport).Merge(delta)
+				rep := pass.Need(c, keyReport)
+				rep.Merge(ts.rep)
+				cell := &irCell{snap: ts, rep: rep}
+				pass.Put(c, keyIR, cell)
+				pass.Put(c, keyIRMemo, &irMemo{cell: cell, fp: ts.fp})
 			},
 			Dump: dumpIR,
 		})
@@ -344,8 +377,8 @@ func labelLoopsPass() *pass.Pass {
 	return &pass.Pass{
 		Name: "label-loops", Input: "ir", Output: "ir",
 		Run: func(c *pass.Context) error {
-			transform.LabelLoops(pass.Need(c, keyIR))
-			invalidateIRMemo(c)
+			// Labels are invisible to the irMemo's views, so it stays valid.
+			transform.LabelLoops(irProg(c))
 			return nil
 		},
 		Dump: dumpIR,
@@ -356,7 +389,7 @@ func buildHTGPass() *pass.Pass {
 	return &pass.Pass{
 		Name: "build-htg", Input: "ir", Output: "htg",
 		Run: func(c *pass.Context) error {
-			pass.Put(c, keyBase, liveGraph(htg.Build(pass.Need(c, keyIR))))
+			pass.Put(c, keyBase, liveGraph(htg.Build(irProg(c))))
 			return nil
 		},
 		Fingerprint: irFingerprint,
@@ -553,11 +586,19 @@ func schedulePass(policy sched.Policy) *pass.Pass {
 	}
 }
 
+// parSnap is a frozen par-build result plus the fingerprint of the IR
+// after Build's storage mutations, so a restore, which replays them,
+// needs no program walk to key the next round.
+type parSnap struct {
+	s  *par.Snapshot
+	fp wcet.Fingerprint
+}
+
 func parBuildPass(platform *adl.Platform, maxTasks int, policy sched.Policy) *pass.Pass {
 	return &pass.Pass{
 		Name: "par-build", Input: "schedule+syswcet", Output: "par-program",
 		Run: func(c *pass.Context) error {
-			pp, err := par.Build(pass.Need(c, keyIR), annGraph(c),
+			pp, err := par.Build(irProg(c), annGraph(c),
 				pass.Need(c, keyInput), pass.Need(c, keySched), pass.Need(c, keySys), platform)
 			// Build mutates variable storage (shared-buffer assignment)
 			// even on error paths, so the memo is stale either way.
@@ -579,15 +620,18 @@ func parBuildPass(platform *adl.Platform, maxTasks int, policy sched.Policy) *pa
 			if !ok {
 				return nil
 			}
-			return s
+			return &parSnap{s: s, fp: irMemoOf(c).fp}
 		},
 		Restore: func(c *pass.Context, snap any) {
-			tab := irMemoTable(c)
-			pp := snap.(*par.Snapshot).Thaw(tab,
-				platform, pass.Need(c, keyIR), annGraph(c),
+			ps := snap.(*parSnap)
+			m := irMemoOf(c)
+			pp := ps.s.Thaw(irMemoTable(c),
+				platform, irProg(c), annGraph(c),
 				pass.Need(c, keyInput), pass.Need(c, keySched), pass.Need(c, keySys))
-			// Thaw replays Build's storage mutations on the live program.
-			invalidateIRMemo(c)
+			// Thaw replays Build's storage mutations on the live program,
+			// which moves its fingerprint to the recorded one; positions,
+			// and so the thaw table, are unchanged.
+			m.fp = ps.fp
 			pass.Put(c, keyPar, pp)
 		},
 		Dump: func(c *pass.Context) string {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"argo/internal/ir"
 	"argo/internal/pass"
 	"argo/internal/usecases"
+	"argo/internal/wcet"
 )
 
 // TestPassCacheKeepsOptimizeIdentical pins the tentpole caching
@@ -183,5 +185,74 @@ func TestDescribePipeline(t *testing.T) {
 	}
 	if !byName["schedule"].Loop || byName["build-htg"].Loop {
 		t.Fatal("loop markers wrong")
+	}
+}
+
+// TestIRMemoTracksProgram checks the fingerprints the pipeline carries
+// instead of recomputing them (a transform restore's, kept across
+// label-loops; a par-build snapshot's, seeded by its restore): after
+// every pass of a cache-filling and of a fully warm compile, a memo that
+// belongs to the live IR holds that program's fingerprint. It also
+// checks that the SPM promotions the report lists are variables of the
+// program the compile returns, which a lazy thaw resolves against its
+// one clone.
+func TestIRMemoTracksProgram(t *testing.T) {
+	ctx := context.Background()
+	multiRound := false
+	for _, uc := range usecases.All() {
+		src, err := uc.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plat := range []string{"xentium4", "xentium8", "leon3-2x2", "hetero-2f2s"} {
+			opt := DefaultOptions(uc.Entry, uc.Args, adl.Builtin(plat))
+			opt.Passes.Cache = pass.NewCache(0)
+			var promoted [2][]string
+			for compile := 0; compile < 2; compile++ {
+				prog, err := ir.Lower(src, uc.Entry, uc.Args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checked := 0
+				mgr := newManager(opt.Passes)
+				mgr.AfterPass = func(p *pass.Pass, c *pass.Context) {
+					m, ok := pass.Get(c, keyIRMemo)
+					if !ok || m == nil || m.cell != pass.Need(c, keyIR) {
+						return
+					}
+					checked++
+					if wcet.FingerprintProgram(m.cell.program()) != m.fp {
+						t.Errorf("%s/%s compile %d: stale IR fingerprint after pass %q (round %d)",
+							uc.Name, plat, compile, p.Name, c.Round)
+					}
+				}
+				art, err := backEnd(ctx, mgr, prog, opt, nil)
+				if err != nil {
+					t.Fatalf("%s/%s compile %d: %v", uc.Name, plat, compile, err)
+				}
+				if checked == 0 {
+					t.Fatalf("%s/%s compile %d: no pass left a memo to check", uc.Name, plat, compile)
+				}
+				multiRound = multiRound || art.FeedbackRounds > 1
+				vars := make(map[*ir.Var]bool, len(art.IR.Vars))
+				for _, v := range art.IR.Vars {
+					vars[v] = true
+				}
+				for _, v := range art.Transform.SPM.Promoted {
+					if !vars[v] {
+						t.Errorf("%s/%s compile %d: promoted %s is not a variable of the returned program",
+							uc.Name, plat, compile, v.Name)
+					}
+					promoted[compile] = append(promoted[compile], v.Name)
+				}
+			}
+			if !reflect.DeepEqual(promoted[0], promoted[1]) {
+				t.Errorf("%s/%s: warm compile promoted %v, cache-filling compile %v",
+					uc.Name, plat, promoted[1], promoted[0])
+			}
+		}
+	}
+	if !multiRound {
+		t.Error("no configuration ran a second feedback round, so no par-build restore seeded the memo")
 	}
 }

@@ -21,7 +21,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -89,12 +89,7 @@ func (v *Var) Elems() int {
 func (v *Var) SizeBytes() int { return v.Elems() * 8 }
 
 // String renders the variable with its shape and storage.
-func (v *Var) String() string {
-	if v.Scalar {
-		return fmt.Sprintf("%s:scalar", v.Name)
-	}
-	return fmt.Sprintf("%s:%dx%d@%s", v.Name, v.Rows, v.Cols, v.Storage)
-}
+func (v *Var) String() string { return string(appendVar(nil, v)) }
 
 // BinOp enumerates binary scalar operators.
 type BinOp int
@@ -379,104 +374,165 @@ func (p *Program) TotalDataBytes() int {
 // --- pretty printing -------------------------------------------------------
 
 // Dump renders the program as pseudo-code for debugging and golden tests.
-func (p *Program) Dump() string {
-	var sb strings.Builder
+func (p *Program) Dump() string { return string(p.AppendDump(nil)) }
+
+// AppendDump appends Dump's rendering of the program to buf and returns
+// the extended buffer. It formats numbers with strconv, not fmt, so a
+// caller that reuses buf (the result fingerprint hashes every compiled
+// program's dump) renders without allocating.
+func (p *Program) AppendDump(buf []byte) []byte {
 	f := p.Entry
-	fmt.Fprintf(&sb, "func %s(", f.Name)
-	for i, v := range f.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(v.String())
-	}
-	sb.WriteString(") -> (")
-	for i, v := range f.Results {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(v.String())
-	}
-	sb.WriteString(")\n")
-	dumpBlock(&sb, f.Body, 1)
-	return sb.String()
+	buf = append(buf, "func "...)
+	buf = append(buf, f.Name...)
+	buf = append(buf, '(')
+	buf = appendVarList(buf, f.Params)
+	buf = append(buf, ") -> ("...)
+	buf = appendVarList(buf, f.Results)
+	buf = append(buf, ")\n"...)
+	return appendBlock(buf, f.Body, 1)
 }
 
-func indent(sb *strings.Builder, n int) {
+func appendVarList(buf []byte, vs []*Var) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = appendVar(buf, v)
+	}
+	return buf
+}
+
+func appendVar(buf []byte, v *Var) []byte {
+	buf = append(buf, v.Name...)
+	if v.Scalar {
+		return append(buf, ":scalar"...)
+	}
+	buf = append(buf, ':')
+	buf = strconv.AppendInt(buf, int64(v.Rows), 10)
+	buf = append(buf, 'x')
+	buf = strconv.AppendInt(buf, int64(v.Cols), 10)
+	buf = append(buf, '@')
+	return append(buf, v.Storage.String()...)
+}
+
+func appendIndent(buf []byte, n int) []byte {
 	for i := 0; i < n; i++ {
-		sb.WriteString("  ")
+		buf = append(buf, "  "...)
 	}
+	return buf
 }
 
-func dumpBlock(sb *strings.Builder, stmts []Stmt, depth int) {
+func appendBlock(buf []byte, stmts []Stmt, depth int) []byte {
 	for _, s := range stmts {
-		dumpStmt(sb, s, depth)
+		buf = appendStmt(buf, s, depth)
 	}
+	return buf
 }
 
-func dumpStmt(sb *strings.Builder, s Stmt, depth int) {
-	indent(sb, depth)
+func appendEnd(buf []byte, depth int) []byte {
+	return append(appendIndent(buf, depth), "end\n"...)
+}
+
+func appendStmt(buf []byte, s Stmt, depth int) []byte {
+	buf = appendIndent(buf, depth)
 	switch st := s.(type) {
 	case *AssignScalar:
-		fmt.Fprintf(sb, "%s = %s\n", st.Dst.Name, ExprString(st.Src))
+		buf = append(buf, st.Dst.Name...)
+		buf = append(buf, " = "...)
+		buf = appendExpr(buf, st.Src)
+		return append(buf, '\n')
 	case *Store:
-		fmt.Fprintf(sb, "%s[%s] = %s\n", st.Dst.Name, idxString(st.Idx), ExprString(st.Src))
+		buf = append(buf, st.Dst.Name...)
+		buf = append(buf, '[')
+		buf = appendExprList(buf, st.Idx)
+		buf = append(buf, "] = "...)
+		buf = appendExpr(buf, st.Src)
+		return append(buf, '\n')
 	case *For:
-		fmt.Fprintf(sb, "for %s = %s : %s : %s (trip %d)\n",
-			st.IVar.Name, ExprString(st.Lo), ExprString(st.Step), ExprString(st.Hi), st.Trip)
-		dumpBlock(sb, st.Body, depth+1)
-		indent(sb, depth)
-		sb.WriteString("end\n")
+		buf = append(buf, "for "...)
+		buf = append(buf, st.IVar.Name...)
+		buf = append(buf, " = "...)
+		buf = appendExpr(buf, st.Lo)
+		buf = append(buf, " : "...)
+		buf = appendExpr(buf, st.Step)
+		buf = append(buf, " : "...)
+		buf = appendExpr(buf, st.Hi)
+		buf = append(buf, " (trip "...)
+		buf = strconv.AppendInt(buf, int64(st.Trip), 10)
+		buf = append(buf, ")\n"...)
+		buf = appendBlock(buf, st.Body, depth+1)
+		return appendEnd(buf, depth)
 	case *While:
-		fmt.Fprintf(sb, "while %s (bound %d)\n", ExprString(st.Cond), st.Bound)
-		dumpBlock(sb, st.Body, depth+1)
-		indent(sb, depth)
-		sb.WriteString("end\n")
+		buf = append(buf, "while "...)
+		buf = appendExpr(buf, st.Cond)
+		buf = append(buf, " (bound "...)
+		buf = strconv.AppendInt(buf, int64(st.Bound), 10)
+		buf = append(buf, ")\n"...)
+		buf = appendBlock(buf, st.Body, depth+1)
+		return appendEnd(buf, depth)
 	case *If:
-		fmt.Fprintf(sb, "if %s\n", ExprString(st.Cond))
-		dumpBlock(sb, st.Then, depth+1)
+		buf = append(buf, "if "...)
+		buf = appendExpr(buf, st.Cond)
+		buf = append(buf, '\n')
+		buf = appendBlock(buf, st.Then, depth+1)
 		if len(st.Else) > 0 {
-			indent(sb, depth)
-			sb.WriteString("else\n")
-			dumpBlock(sb, st.Else, depth+1)
+			buf = append(appendIndent(buf, depth), "else\n"...)
+			buf = appendBlock(buf, st.Else, depth+1)
 		}
-		indent(sb, depth)
-		sb.WriteString("end\n")
+		return appendEnd(buf, depth)
 	case *Break:
-		sb.WriteString("break\n")
+		return append(buf, "break\n"...)
 	case *Continue:
-		sb.WriteString("continue\n")
-	default:
-		fmt.Fprintf(sb, "?stmt %T\n", s)
+		return append(buf, "continue\n"...)
 	}
+	return fmt.Appendf(buf, "?stmt %T\n", s)
 }
 
-func idxString(idx []Expr) string {
-	parts := make([]string, len(idx))
-	for i, e := range idx {
-		parts[i] = ExprString(e)
+func appendExprList(buf []byte, es []Expr) []byte {
+	for i, e := range es {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = appendExpr(buf, e)
 	}
-	return strings.Join(parts, ", ")
+	return buf
 }
 
 // ExprString renders an expression as pseudo-code.
-func ExprString(e Expr) string {
+func ExprString(e Expr) string { return string(appendExpr(nil, e)) }
+
+func appendExpr(buf []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case *Const:
-		return fmt.Sprintf("%g", x.Val)
+		// 'g' with the shortest precision is exactly fmt's %g.
+		return strconv.AppendFloat(buf, x.Val, 'g', -1, 64)
 	case *VarRef:
-		return x.V.Name
+		return append(buf, x.V.Name...)
 	case *Index:
-		return fmt.Sprintf("%s[%s]", x.V.Name, idxString(x.Idx))
+		buf = append(buf, x.V.Name...)
+		buf = append(buf, '[')
+		buf = appendExprList(buf, x.Idx)
+		return append(buf, ']')
 	case *Bin:
-		return fmt.Sprintf("(%s %s %s)", ExprString(x.X), x.Op, ExprString(x.Y))
+		buf = append(buf, '(')
+		buf = appendExpr(buf, x.X)
+		buf = append(buf, ' ')
+		buf = append(buf, x.Op.String()...)
+		buf = append(buf, ' ')
+		buf = appendExpr(buf, x.Y)
+		return append(buf, ')')
 	case *Un:
-		return fmt.Sprintf("%s%s", x.Op, ExprString(x.X))
+		buf = append(buf, x.Op.String()...)
+		return appendExpr(buf, x.X)
 	case *Intrinsic:
-		return fmt.Sprintf("%s(%s)", x.Name, idxString(x.Args))
+		buf = append(buf, x.Name...)
+		buf = append(buf, '(')
+		buf = appendExprList(buf, x.Args)
+		return append(buf, ')')
 	case nil:
-		return "<nil>"
+		return append(buf, "<nil>"...)
 	}
-	return fmt.Sprintf("?expr %T", e)
+	return fmt.Appendf(buf, "?expr %T", e)
 }
 
 // --- structural helpers ----------------------------------------------------

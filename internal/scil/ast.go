@@ -141,13 +141,13 @@ type Ident struct {
 }
 
 // CallExpr is f(args) — a user function call, a builtin call, or a matrix
-// indexing expression; the distinction is resolved by the checker and
-// recorded in Kind.
+// indexing expression. The checker resolves the distinction (CallKind)
+// without writing it into the tree; lowering and the interpreter resolve
+// it again from their own scopes.
 type CallExpr struct {
 	Name string
 	Args []Expr
 	Pos  Pos
-	Kind CallKind // set by the checker
 }
 
 // CallKind classifies a CallExpr after semantic analysis.

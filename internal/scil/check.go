@@ -20,15 +20,23 @@ const (
 // Check performs semantic analysis on prog, resolving every CallExpr to
 // indexing / builtin / user call and validating the subset restrictions.
 // It returns all diagnostics found (empty slice means the program is valid).
+// Check only reads prog, so one program may be checked (and compiled)
+// from many goroutines at once.
 func Check(prog *Program, mode CheckMode) []error {
-	c := &checker{prog: prog, mode: mode}
+	return check(prog, mode).errs
+}
+
+// check runs the checker and returns it with its diagnostics and the
+// call classifications it resolved.
+func check(prog *Program, mode CheckMode) *checker {
+	c := &checker{prog: prog, mode: mode, kinds: make(map[*CallExpr]CallKind)}
 	for _, f := range prog.Funcs {
 		c.checkFunc(f)
 	}
 	if mode == CheckWCET {
 		c.checkRecursion()
 	}
-	return c.errs
+	return c
 }
 
 // MustCheck panics if prog fails Check; convenience for built-in models.
@@ -43,6 +51,9 @@ type checker struct {
 	prog *Program
 	mode CheckMode
 	errs []error
+	// kinds classifies every call the checker resolved; unresolved calls
+	// are absent (CallUnresolved).
+	kinds map[*CallExpr]CallKind
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...any) {
@@ -154,7 +165,7 @@ func (c *checker) checkAssign(f *FuncDecl, st *AssignStmt, vars map[string]bool)
 			c.errorf(call.Pos, "%s: multi-assignment from %q which is not a user function", f.Name, call.Name)
 			return
 		}
-		call.Kind = CallUser
+		c.kinds[call] = CallUser
 		if len(callee.Results) < len(st.LHS) {
 			c.errorf(st.Pos, "%s: %q returns %d values but %d are requested", f.Name, call.Name, len(callee.Results), len(st.LHS))
 		}
@@ -222,19 +233,19 @@ func (c *checker) checkCall(f *FuncDecl, x *CallExpr, vars map[string]bool) {
 	}
 	switch {
 	case vars[x.Name]:
-		x.Kind = CallIndex
+		c.kinds[x] = CallIndex
 		if len(x.Args) < 1 || len(x.Args) > 2 {
 			c.errorf(x.Pos, "%s: indexing %q needs 1 or 2 subscripts, got %d", f.Name, x.Name, len(x.Args))
 		}
 	case LookupBuiltin(x.Name) != nil:
-		x.Kind = CallBuiltin
+		c.kinds[x] = CallBuiltin
 		b := LookupBuiltin(x.Name)
 		if len(x.Args) < b.MinArgs || len(x.Args) > b.MaxArgs {
 			c.errorf(x.Pos, "%s: builtin %q expects %d..%d arguments, got %d",
 				f.Name, x.Name, b.MinArgs, b.MaxArgs, len(x.Args))
 		}
 	case c.prog.Func(x.Name) != nil:
-		x.Kind = CallUser
+		c.kinds[x] = CallUser
 		callee := c.prog.Func(x.Name)
 		if len(x.Args) != len(callee.Params) {
 			c.errorf(x.Pos, "%s: %q expects %d arguments, got %d", f.Name, x.Name, len(callee.Params), len(x.Args))
@@ -253,7 +264,7 @@ func (c *checker) checkRecursion() {
 	adj := make(map[string][]string)
 	for _, f := range c.prog.Funcs {
 		callees := map[string]bool{}
-		collectCalls(f.Body, c.prog, callees)
+		c.collectCalls(f.Body, callees)
 		var list []string
 		for n := range callees {
 			list = append(list, n)
@@ -294,12 +305,12 @@ func (c *checker) checkRecursion() {
 }
 
 // collectCalls gathers the names of user functions called within stmts.
-func collectCalls(stmts []Stmt, prog *Program, out map[string]bool) {
+func (c *checker) collectCalls(stmts []Stmt, out map[string]bool) {
 	var walkExpr func(e Expr)
 	walkExpr = func(e Expr) {
 		switch x := e.(type) {
 		case *CallExpr:
-			if prog.Func(x.Name) != nil && x.Kind != CallIndex {
+			if c.prog.Func(x.Name) != nil && c.kinds[x] != CallIndex {
 				out[x.Name] = true
 			}
 			for _, a := range x.Args {

@@ -2,6 +2,7 @@ package scil
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -41,8 +42,9 @@ function r = f(a)
   m = zeros(2, 2)
   r = m(1, 1) + g(a) + abs(a)
 endfunction`)
-	if errs := Check(p, CheckBasic); len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
+	c := check(p, CheckBasic)
+	if len(c.errs) != 0 {
+		t.Fatalf("errors: %v", c.errs)
 	}
 	rhs := p.Func("f").Body[1].(*AssignStmt).RHS
 	var kinds []CallKind
@@ -50,7 +52,7 @@ endfunction`)
 	walk = func(e Expr) {
 		switch x := e.(type) {
 		case *CallExpr:
-			kinds = append(kinds, x.Kind)
+			kinds = append(kinds, c.kinds[x])
 		case *BinExpr:
 			walk(x.X)
 			walk(x.Y)
@@ -66,6 +68,37 @@ endfunction`)
 			t.Errorf("call %d: kind %d, want %d", i, kinds[i], want[i])
 		}
 	}
+}
+
+// TestCheckConcurrentOnSharedProgram: Check only reads the program, so
+// concurrent compiles may share one parsed model (the race detector
+// flags any write).
+func TestCheckConcurrentOnSharedProgram(t *testing.T) {
+	p := mustParse(t, `
+function [s, m] = stats(v)
+  s = sum(v)
+  m = s / length(v)
+endfunction
+
+function r = f(n)
+  v = zeros(1, n)
+  for i = 1:n
+    v(i) = i * i
+  end
+  [s, m] = stats(v)
+  r = s - m + v(1)
+endfunction`)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs := Check(p, CheckWCET); len(errs) != 0 {
+				t.Errorf("unexpected: %v", errs)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCheckUndefinedVariable(t *testing.T) {
@@ -182,12 +215,13 @@ function r = f(x)
   sum = [10, 20, 30]
   r = sum(2)
 endfunction`)
-	if errs := Check(p, CheckBasic); len(errs) != 0 {
-		t.Fatalf("errs: %v", errs)
+	c := check(p, CheckBasic)
+	if len(c.errs) != 0 {
+		t.Fatalf("errs: %v", c.errs)
 	}
 	rhs := p.Func("f").Body[1].(*AssignStmt).RHS.(*CallExpr)
-	if rhs.Kind != CallIndex {
-		t.Fatalf("kind = %d, want CallIndex", rhs.Kind)
+	if kind := c.kinds[rhs]; kind != CallIndex {
+		t.Fatalf("kind = %d, want CallIndex", kind)
 	}
 	// And the interpreter agrees.
 	out, err := NewInterp(p).Call("f", Scalar(0))

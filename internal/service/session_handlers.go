@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"time"
 
+	"argo/internal/conc"
 	"argo/pkg/argo"
 )
 
@@ -200,16 +201,23 @@ func (s *Server) streamSessionEdit(w http.ResponseWriter, r *http.Request, ctx c
 	t0 := time.Now()
 	go func() {
 		defer s.pool.Release()
-		res, err := s.sessionApply(ctx, id, edit, argo.SessionApplyOptions{
-			Verify: verify,
-			OnTiming: func(tm argo.PassTiming) {
-				select {
-				case events <- tm:
-				case <-ctx.Done():
-				}
-			},
-		})
-		resCh <- applyOut{res, err}
+		var out applyOut
+		// net/http recovers only the handler goroutine: a panic here
+		// would take the daemon down, so it becomes the edit's error.
+		if pe := conc.Recover(func() {
+			out.res, out.err = s.sessionApply(ctx, id, edit, argo.SessionApplyOptions{
+				Verify: verify,
+				OnTiming: func(tm argo.PassTiming) {
+					select {
+					case events <- tm:
+					case <-ctx.Done():
+					}
+				},
+			})
+		}); pe != nil {
+			out = applyOut{err: pe}
+		}
+		resCh <- out
 	}()
 
 	passEvent := func(tm argo.PassTiming) {

@@ -308,6 +308,44 @@ func TestSessionDrainClosesStream(t *testing.T) {
 	}
 }
 
+// TestSessionEditStreamPanicIsError: a panic inside a streaming edit's
+// apply goroutine ends the stream with "error" (carrying the panic
+// value) then "done", frees the worker slot, and the daemon serves the
+// next request.
+func TestSessionEditStreamPanicIsError(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	sum := createSession(t, ts.URL, `{"usecase":"polka"}`)
+	orig := s.sessionApply
+	s.sessionApply = func(context.Context, string, argo.SessionEdit, argo.SessionApplyOptions) (*argo.SessionEditResult, error) {
+		panic("injected pass panic")
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/session/"+sum.Session+"/edit", "application/json",
+		strings.NewReader(`{"op":"set-policy","policy":"oblivious","stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, bufio.NewScanner(resp.Body))
+	resp.Body.Close()
+	if n := len(events); n < 2 || events[n-2].event != "error" || events[n-1].event != "done" {
+		t.Fatalf("stream events %+v, want ... error, done", events)
+	}
+	if data := events[len(events)-2].data; !strings.Contains(data, "injected pass panic") {
+		t.Fatalf("error event %s does not carry the panic value", data)
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); s.pool.Stats().InFlight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the panicking edit never released its worker slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.sessionApply = orig
+	if resp, data := post(t, ts.URL+"/v1/session/"+sum.Session+"/edit", `{"op":"set-policy","policy":"oblivious"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("edit after the panic: %d %s", resp.StatusCode, data)
+	}
+}
+
 func TestSessionEditBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	sum := createSession(t, ts.URL, `{"usecase":"polka"}`)

@@ -444,6 +444,14 @@ func ResultFingerprint(art *core.Artifacts) string {
 	w64(int64(art.Parallel.Signals))
 	w64(int64(len(art.Parallel.Buffers)))
 	w64(int64(len(art.Parallel.Demoted)))
-	wstr(art.IR.Dump())
+	// The IR's Dump text, rendered into a recycled buffer.
+	bp := dumpBufs.Get().(*[]byte)
+	*bp = art.IR.AppendDump((*bp)[:0])
+	h.Write(*bp)
+	h.Write([]byte{0})
+	dumpBufs.Put(bp)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// dumpBufs recycles the buffers ResultFingerprint renders IR into.
+var dumpBufs = sync.Pool{New: func() any { return new([]byte) }}

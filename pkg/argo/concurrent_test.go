@@ -13,15 +13,20 @@ import (
 // TestConcurrentCompile compiles every built-in use case on every
 // built-in platform from concurrent goroutines (run with -race). The
 // pipeline entry points must be reentrant: compilations share the
-// use-case values and platform library but no mutable state, and every
-// concurrent result must equal the sequential reference bound.
+// use-case values, platform library and warm pass-cache snapshots but
+// no mutable state, and every concurrent result must equal the
+// sequential reference in bound and result fingerprint.
 func TestConcurrentCompile(t *testing.T) {
 	type pair struct {
 		uc   *argo.UseCase
 		plat *argo.PlatformDesc
 	}
+	type result struct {
+		bound int64
+		fp    string
+	}
 	var pairs []pair
-	ref := make(map[string]int64)
+	ref := make(map[string]result)
 	for _, uc := range argo.UseCases() {
 		for _, name := range argo.PlatformNames() {
 			plat := argo.Platform(name)
@@ -29,7 +34,7 @@ func TestConcurrentCompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference compile %s/%s: %v", uc.Name, name, err)
 			}
-			ref[uc.Name+"/"+plat.Name] = art.Bound()
+			ref[uc.Name+"/"+plat.Name] = result{art.Bound(), argo.SessionResultFingerprint(art)}
 			pairs = append(pairs, pair{uc, plat})
 		}
 	}
@@ -47,9 +52,14 @@ func TestConcurrentCompile(t *testing.T) {
 					errc <- fmt.Errorf("%s/%s: %v", p.uc.Name, p.plat.Name, err)
 					return
 				}
-				if got, want := art.Bound(), ref[p.uc.Name+"/"+p.plat.Name]; got != want {
+				want := ref[p.uc.Name+"/"+p.plat.Name]
+				if got := art.Bound(); got != want.bound {
 					errc <- fmt.Errorf("%s/%s: concurrent bound %d != sequential %d",
-						p.uc.Name, p.plat.Name, got, want)
+						p.uc.Name, p.plat.Name, got, want.bound)
+				}
+				if got := argo.SessionResultFingerprint(art); got != want.fp {
+					errc <- fmt.Errorf("%s/%s: concurrent result fingerprint %.16s != sequential %.16s",
+						p.uc.Name, p.plat.Name, got, want.fp)
 				}
 			}(p)
 		}
