@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench benchsmoke profile passes fuzz cover soak clean
+.PHONY: all check fmt vet build test race bench benchsmoke perfbench-check profile passes fuzz cover soak clean
 
 all: check
 
-check: fmt vet build race benchsmoke soak
+check: fmt vet build race benchsmoke soak perfbench-check
 
 # gofmt must produce no output (no unformatted files).
 fmt:
@@ -48,6 +48,12 @@ profile:
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='^BenchmarkClusterScaleOut$$' -benchtime=1x -run=^$$ ./internal/service
+
+# perfbench/ is its own module (replace argo => ../), so the root vet,
+# build and test skip it. Vet and test it here, so a rename of an API
+# the benchmark calls fails the check instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Native-fuzzing smoke of every fuzz target: seed corpus plus FUZZTIME
 # of random exploration per target (go's fuzz engine takes one target

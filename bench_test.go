@@ -579,20 +579,6 @@ func BenchmarkIPET(b *testing.B) {
 	}
 }
 
-// BenchmarkIPETCold is the same analysis on fresh solver state every
-// call — the allocation baseline BenchmarkIPET is compared against.
-func BenchmarkIPETCold(b *testing.B) {
-	prog := ipetBenchProgram(b)
-	m := wcet.ModelFor(adl.XentiumPlatform(1), 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wcet.IPETCold(prog.Entry.Body, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // mipBenchProblem is a correlated multi-constraint 0/1 knapsack the MIP
 // benchmarks share: value ≈ weight makes the LP relaxation fractional
 // along many branches, so branch-and-bound explores a real tree.

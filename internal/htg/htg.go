@@ -201,12 +201,13 @@ func (g *Graph) connect() {
 }
 
 // liveOutScalars returns scalars that some node reads without defining
-// first — only these carry real cross-task scalar dependences.
+// first (ir.DefinesBeforeUse) — only these carry real cross-task scalar
+// dependences.
 func (g *Graph) liveOutScalars() map[*ir.Var]bool {
 	out := map[*ir.Var]bool{}
 	for _, n := range g.Nodes {
 		for v := range n.Uses.ScalReads {
-			if !definesScalarBeforeUse(n.Stmts, v) {
+			if !ir.DefinesBeforeUse(n.Stmts, v) {
 				out[v] = true
 			}
 		}
@@ -219,89 +220,6 @@ func (g *Graph) liveOutScalars() map[*ir.Var]bool {
 		}
 	}
 	return out
-}
-
-// definesScalarBeforeUse reports whether the region unconditionally
-// assigns v (by AssignScalar or as a loop induction variable) before any
-// possible read.
-func definesScalarBeforeUse(stmts []ir.Stmt, v *ir.Var) bool {
-	for _, s := range stmts {
-		if as, ok := s.(*ir.AssignScalar); ok && as.Dst == v {
-			return !exprReadsScalar(as.Src, v)
-		}
-		if f, ok := s.(*ir.For); ok {
-			if exprReadsScalar(f.Lo, v) || exprReadsScalar(f.Step, v) || exprReadsScalar(f.Hi, v) {
-				return false
-			}
-			if f.IVar == v {
-				return true
-			}
-			// Recurse: v may be defined before use inside the loop body
-			// (e.g. the induction variable of a nested loop), which makes
-			// it iteration-private there too.
-			if !regionTouchesScalar(f.Body, v) {
-				continue
-			}
-			return definesScalarBeforeUse(f.Body, v)
-		}
-		if stmtTouchesScalar(s, v) {
-			return false
-		}
-	}
-	return false
-}
-
-// exprReadsScalar reports whether one evaluation of e reads the scalar v
-// (including inside matrix subscripts) — UseSets.AddExprUses restricted
-// to a single variable, without materializing the sets.
-func exprReadsScalar(e ir.Expr, v *ir.Var) bool {
-	found := false
-	ir.WalkExprs(e, func(sub ir.Expr) {
-		if r, ok := sub.(*ir.VarRef); ok && r.V == v {
-			found = true
-		}
-	})
-	return found
-}
-
-// stmtTouchesScalar reports whether s, recursively, reads or writes the
-// scalar v — ComputeUses restricted to a single variable, without
-// materializing the sets.
-func stmtTouchesScalar(s ir.Stmt, v *ir.Var) bool {
-	touched := false
-	ir.WalkStmts([]ir.Stmt{s}, func(s ir.Stmt) bool {
-		switch st := s.(type) {
-		case *ir.AssignScalar:
-			touched = st.Dst == v || exprReadsScalar(st.Src, v)
-		case *ir.Store:
-			for _, ix := range st.Idx {
-				if exprReadsScalar(ix, v) {
-					touched = true
-				}
-			}
-			touched = touched || exprReadsScalar(st.Src, v)
-		case *ir.For:
-			touched = st.IVar == v || exprReadsScalar(st.Lo, v) ||
-				exprReadsScalar(st.Step, v) || exprReadsScalar(st.Hi, v)
-		case *ir.While:
-			touched = exprReadsScalar(st.Cond, v)
-		case *ir.If:
-			touched = exprReadsScalar(st.Cond, v)
-		}
-		return !touched
-	})
-	return touched
-}
-
-// regionTouchesScalar reports whether any statement in the region reads
-// or writes the scalar v.
-func regionTouchesScalar(stmts []ir.Stmt, v *ir.Var) bool {
-	for _, s := range stmts {
-		if stmtTouchesScalar(s, v) {
-			return true
-		}
-	}
-	return false
 }
 
 // dependsOn reports a real dependence a -> b (a precedes b in program
@@ -434,40 +352,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TransitiveReduction removes edges implied by longer paths (for reports;
-// schedulers tolerate redundant edges).
-func (g *Graph) TransitiveReduction() {
-	n := len(g.Nodes)
-	reach := make([][]bool, n)
-	adj := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-		adj[i] = make([]bool, n)
-	}
-	for _, e := range g.Edges {
-		adj[e.From][e.To] = true
-	}
-	// Longest-path style reachability via >= 2 hops.
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if adj[i][k] || reach[i][k] {
-				for j := 0; j < n; j++ {
-					if adj[k][j] || reach[k][j] {
-						reach[i][j] = true
-					}
-				}
-			}
-		}
-	}
-	var kept []Edge
-	for _, e := range g.Edges {
-		if !reach[e.From][e.To] {
-			kept = append(kept, e)
-		}
-	}
-	g.Edges = kept
 }
 
 // CriticalPathWCET returns the longest path through the graph using the

@@ -164,41 +164,6 @@ func TestAnnotateWCETAndAccesses(t *testing.T) {
 	}
 }
 
-func TestTransitiveReduction(t *testing.T) {
-	prog := compile(t, pipelineSrc, "f", ir.MatrixArg(4, 4))
-	g := Build(prog)
-	// Snapshot reachability before reduction.
-	n := len(g.Nodes)
-	before := make([][]bool, n)
-	for i := range before {
-		before[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			if i != j {
-				before[i][j] = g.reaches(i, j)
-			}
-		}
-	}
-	edgesBefore := len(g.Edges)
-	g.TransitiveReduction()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Edges) > edgesBefore {
-		t.Fatal("reduction added edges")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			after := g.reaches(i, j)
-			if before[i][j] != after {
-				t.Fatalf("reachability %d->%d changed from %v to %v:\n%s", i, j, before[i][j], after, g.Dump())
-			}
-		}
-	}
-}
-
 func TestCoarsenChains(t *testing.T) {
 	prog := compile(t, `
 function out = f(v)

@@ -32,22 +32,6 @@ func (u *UseSets) AddExprUses(e Expr) {
 	})
 }
 
-// Union merges other into u.
-func (u *UseSets) Union(other *UseSets) {
-	for v := range other.MatReads {
-		u.MatReads[v] = true
-	}
-	for v := range other.MatWrites {
-		u.MatWrites[v] = true
-	}
-	for v := range other.ScalReads {
-		u.ScalReads[v] = true
-	}
-	for v := range other.ScalWrite {
-		u.ScalWrite[v] = true
-	}
-}
-
 // ComputeUses returns the may-read / may-write sets of a statement region.
 func ComputeUses(stmts []Stmt) *UseSets {
 	u := NewUseSets()
@@ -77,31 +61,79 @@ func ComputeUses(stmts []Stmt) *UseSets {
 	return u
 }
 
-// Conflicts reports whether two regions have a data dependence at
-// variable granularity (read/write or write/write overlap on any matrix
-// buffer or scalar register).
-func Conflicts(a, b *UseSets) bool {
-	for v := range a.MatWrites {
-		if b.MatReads[v] || b.MatWrites[v] {
-			return true
+// DefinesBeforeUse reports whether the region stmts unconditionally
+// assigns the scalar v, by an AssignScalar or as a for-loop induction
+// variable, before any statement that may read it. A for loop whose
+// bounds do not read v but whose body touches it decides by its body:
+// a body that defines v before use makes v iteration-private there (the
+// temporaries and induction variables of nested loops). A region that
+// never touches v does not define it.
+//
+// This is the scalar privatization question of the tool-chain: the
+// transformations' legality checks (chunking, fission, fusion, tiling)
+// and the task graph's live-out scalars all ask it. It walks the region
+// without building use sets.
+func DefinesBeforeUse(stmts []Stmt, v *Var) bool {
+	for i, s := range stmts {
+		switch st := s.(type) {
+		case *AssignScalar:
+			if st.Dst == v {
+				return !readsScalar(st.Src, v)
+			}
+		case *For:
+			if readsScalar(st.Lo, v) || readsScalar(st.Step, v) || readsScalar(st.Hi, v) {
+				return false
+			}
+			if st.IVar == v {
+				return true
+			}
+			if touchesScalar(st.Body, v) {
+				return DefinesBeforeUse(st.Body, v)
+			}
+			continue
 		}
-	}
-	for v := range b.MatWrites {
-		if a.MatReads[v] {
-			return true
-		}
-	}
-	for v := range a.ScalWrite {
-		if b.ScalReads[v] || b.ScalWrite[v] {
-			return true
-		}
-	}
-	for v := range b.ScalWrite {
-		if a.ScalReads[v] {
-			return true
+		if touchesScalar(stmts[i:i+1], v) {
+			return false
 		}
 	}
 	return false
+}
+
+// readsScalar reports whether one evaluation of e reads the scalar v,
+// matrix subscripts included.
+func readsScalar(e Expr, v *Var) bool {
+	found := false
+	WalkExprs(e, func(sub Expr) {
+		if r, ok := sub.(*VarRef); ok && r.V == v {
+			found = true
+		}
+	})
+	return found
+}
+
+// touchesScalar reports whether stmts, recursively, read or write the
+// scalar v: ComputeUses restricted to one variable.
+func touchesScalar(stmts []Stmt, v *Var) bool {
+	return !WalkStmts(stmts, func(s Stmt) bool {
+		switch st := s.(type) {
+		case *AssignScalar:
+			return st.Dst != v && !readsScalar(st.Src, v)
+		case *Store:
+			for _, ix := range st.Idx {
+				if readsScalar(ix, v) {
+					return false
+				}
+			}
+			return !readsScalar(st.Src, v)
+		case *For:
+			return st.IVar != v && !readsScalar(st.Lo, v) && !readsScalar(st.Step, v) && !readsScalar(st.Hi, v)
+		case *While:
+			return !readsScalar(st.Cond, v)
+		case *If:
+			return !readsScalar(st.Cond, v)
+		}
+		return true
+	})
 }
 
 // AccessCounts is a static worst-case count of element accesses per

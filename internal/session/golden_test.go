@@ -13,6 +13,7 @@ import (
 	"argo/internal/core"
 	"argo/internal/pass"
 	"argo/internal/sched"
+	"argo/internal/transform"
 	"argo/internal/usecases"
 )
 
@@ -29,9 +30,11 @@ var goldenPolicies = []struct {
 	pol  sched.Policy
 }{{"aware", sched.ListContentionAware}, {"oblivious", sched.ListOblivious}}
 
-func readGoldenFingerprints(t *testing.T) map[string]string {
+// readGolden maps the three-word key of every line of a golden table
+// to the rest of the line (a fingerprint, or an error text).
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.FromSlash(goldenFingerprints))
+	f, err := os.Open(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +46,11 @@ func readGoldenFingerprints(t *testing.T) map[string]string {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("%s: malformed line %q", goldenFingerprints, line)
+		w := strings.SplitN(line, " ", 4)
+		if len(w) != 4 {
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
-		want[line[:i]] = line[i+1:]
+		want[strings.Join(w[:3], " ")] = w[3]
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -59,7 +62,7 @@ func readGoldenFingerprints(t *testing.T) map[string]string {
 // free, then twice on a private pass cache — the second compile restores
 // every cacheable pass — and checks all three against the golden table.
 func TestResultFingerprintsGolden(t *testing.T) {
-	want := readGoldenFingerprints(t)
+	want := readGolden(t, goldenFingerprints)
 	ctx := context.Background()
 	var table strings.Builder
 	n := 0
@@ -103,6 +106,70 @@ func TestResultFingerprintsGolden(t *testing.T) {
 	}
 	if len(want) != n {
 		t.Errorf("%s holds %d configurations, want %d", goldenFingerprints, len(want), n)
+	}
+	if t.Failed() {
+		t.Logf("table computed by this build:\n%s", table.String())
+	}
+}
+
+// goldenLadder pins ResultFingerprint, or the error text, of a
+// cache-free compile for every rung of the optimizer ladder plus the
+// configurations no rung selects (fusion, tiling, merging to two
+// tasks), for 3 use cases × 9 built-in platforms: one "usecase platform
+// candidate result" line each. The 54 base configurations above run
+// only core.DefaultOptions' plan; this table adds every other plan the
+// optimizer tries, unrolling, fusion, tiling and coarsening.
+const goldenLadder = "testdata/ladder_fingerprints.txt"
+
+// ladderCandidates is DefaultCandidates plus a fusion and 2×3 tiling
+// plan and the chunked+spm rung coarsened to at most two tasks.
+func ladderCandidates(cores int) []core.Candidate {
+	cands := core.DefaultCandidates(cores)
+	fuseTile := transform.DefaultOptions()
+	fuseTile.Fusion = true
+	fuseTile.TileI, fuseTile.TileJ = 2, 3
+	cands = append(cands, core.Candidate{Name: "fusion+tile2x3", Transforms: fuseTile, Policy: sched.ListContentionAware})
+	for _, c := range cands {
+		if c.Name == "chunked+spm" {
+			c.Name, c.MaxTasks = "chunked+spm+max2", 2
+			cands = append(cands, c)
+			break
+		}
+	}
+	return cands
+}
+
+// TestLadderFingerprintsGolden compiles every ladder configuration
+// cache free and checks the result against the golden table.
+func TestLadderFingerprintsGolden(t *testing.T) {
+	want := readGolden(t, goldenLadder)
+	ctx := context.Background()
+	var table strings.Builder
+	n := 0
+	for _, uc := range usecases.All() {
+		for _, plat := range adl.BuiltinNames() {
+			p := adl.Builtin(plat)
+			for _, c := range ladderCandidates(p.NumCores()) {
+				key := fmt.Sprintf("%s %s %s", uc.Name, plat, c.Name)
+				n++
+				opt := core.DefaultOptions(uc.Entry, uc.Args, p)
+				opt.Transforms, opt.AutoSPM, opt.Policy, opt.MaxTasks = c.Transforms, c.AutoSPM, c.Policy, c.MaxTasks
+				opt.Passes.NoCache = true
+				var got string
+				if art, err := core.CompileSourceContext(ctx, uc.Source, opt); err != nil {
+					got = "error: " + err.Error()
+				} else {
+					got = ResultFingerprint(art)
+				}
+				fmt.Fprintf(&table, "%s %s\n", key, got)
+				if got != want[key] {
+					t.Errorf("%s: %s, golden %q", key, got, want[key])
+				}
+			}
+		}
+	}
+	if len(want) != n {
+		t.Errorf("%s holds %d configurations, want %d", goldenLadder, len(want), n)
 	}
 	if t.Failed() {
 		t.Logf("table computed by this build:\n%s", table.String())

@@ -562,40 +562,3 @@ func CheckAgainstBounds(p *par.Program, rep *Report) error {
 	}
 	return nil
 }
-
-// PeriodicReport summarizes a back-to-back frame stream execution.
-type PeriodicReport struct {
-	Frames    int
-	Period    int64
-	Makespans []int64
-	// Overruns counts frames whose makespan exceeded the period (a
-	// deadline miss in a frame-based deployment).
-	Overruns   int
-	WorstFrame int64
-}
-
-// RunPeriodic executes `frames` activations of the parallel program, one
-// per period, with per-frame inputs from inputsFor. Since the program is
-// time-triggered and stateless across activations, frames are
-// independent; the report captures the deadline behaviour of the stream
-// (the deployment model of internal/rt).
-func RunPeriodic(p *par.Program, period int64, frames int, inputsFor func(frame int) [][]float64) (*PeriodicReport, error) {
-	rep := &PeriodicReport{Frames: frames, Period: period}
-	for f := 0; f < frames; f++ {
-		r, err := Run(p, inputsFor(f))
-		if err != nil {
-			return nil, fmt.Errorf("sim: frame %d: %v", f, err)
-		}
-		if err := CheckAgainstBounds(p, r); err != nil {
-			return nil, fmt.Errorf("sim: frame %d: %v", f, err)
-		}
-		rep.Makespans = append(rep.Makespans, r.Makespan)
-		if r.Makespan > rep.WorstFrame {
-			rep.WorstFrame = r.Makespan
-		}
-		if r.Makespan > period {
-			rep.Overruns++
-		}
-	}
-	return rep, nil
-}

@@ -288,31 +288,3 @@ func TestRenderGantt(t *testing.T) {
 		t.Fatalf("gantt:\n%s", g)
 	}
 }
-
-func TestRunPeriodicStream(t *testing.T) {
-	platform := adl.XentiumPlatform(4)
-	pp := buildPipeline(t, pipelineSrc, platform, sched.ListContentionAware, false, ir.MatrixArg(8, 8))
-	period := pp.BoundMakespan() + 100 // feasible deadline
-	rep, err := RunPeriodic(pp, period, 8, func(f int) [][]float64 {
-		return [][]float64{randImg(64, int64(f))}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Overruns != 0 {
-		t.Fatalf("overruns: %d", rep.Overruns)
-	}
-	if len(rep.Makespans) != 8 || rep.WorstFrame <= 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	// An infeasible period must be reported as overruns, not hidden.
-	tight, err := RunPeriodic(pp, rep.WorstFrame-1, 4, func(f int) [][]float64 {
-		return [][]float64{randImg(64, int64(f))}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Overruns == 0 {
-		t.Fatal("expected overruns under an infeasible period")
-	}
-}

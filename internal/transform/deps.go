@@ -11,7 +11,11 @@
 // inside a loop nest blocks reordering unless every access to it in the
 // nest uses one fixed index vector made of the nest's induction variables
 // (full-rank, zero-offset), which makes each iteration's footprint
-// private.
+// private. Scalar dependences are resolved by privatization: a scalar
+// that the reading region assigns before any read (ir.DefinesBeforeUse,
+// the predicate the task graph's scalar privatization uses too) carries
+// no value across iterations or sweeps. Fission may instead replicate the
+// scalar's defining assignment.
 package transform
 
 import (
@@ -109,31 +113,22 @@ func fullRankPrivate(stmts []ir.Stmt, v *ir.Var, ivars map[*ir.Var]bool) bool {
 	return ok
 }
 
-// conflictingMatrices returns matrix variables with a dependence between
-// regions a and b (write in one, any access in the other).
-func conflictingMatrices(a, b *ir.UseSets) map[*ir.Var]bool {
-	out := map[*ir.Var]bool{}
+// reorderLegal reports whether regions a and b inside a nest may be
+// separated into distinct sweeps of the nest (or have their iterations
+// reordered against each other): every matrix variable with a
+// dependence between them (written in one, accessed in the other) must
+// be iteration-private under the nest's induction variables. Scalar
+// conflicts must be resolved by the caller (replication or
+// privatization).
+func reorderLegal(whole []ir.Stmt, a, b *ir.UseSets, ivars map[*ir.Var]bool) bool {
 	for v := range a.MatWrites {
-		if b.MatReads[v] || b.MatWrites[v] {
-			out[v] = true
+		if (b.MatReads[v] || b.MatWrites[v]) && !fullRankPrivate(whole, v, ivars) {
+			return false
 		}
 	}
 	for v := range b.MatWrites {
-		if a.MatReads[v] || a.MatWrites[v] {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-// reorderLegal reports whether regions a and b inside a nest may be
-// separated into distinct sweeps of the nest (or have their iterations
-// reordered against each other): every conflicting matrix variable must be
-// iteration-private under the nest's induction variables. Scalar conflicts
-// must be resolved by the caller (replication or privatization).
-func reorderLegal(whole []ir.Stmt, a, b *ir.UseSets, ivars map[*ir.Var]bool) bool {
-	for v := range conflictingMatrices(a, b) {
-		if !fullRankPrivate(whole, v, ivars) {
+		// Variables both regions write were checked above.
+		if a.MatReads[v] && !a.MatWrites[v] && !fullRankPrivate(whole, v, ivars) {
 			return false
 		}
 	}

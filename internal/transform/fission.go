@@ -94,7 +94,7 @@ func boundaryLegal(whole, prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) bool
 		if ivars[v] {
 			continue
 		}
-		if uA.ScalReads[v] && !definesBeforeUse(prefix, v) {
+		if uA.ScalReads[v] && !ir.DefinesBeforeUse(prefix, v) {
 			return false
 		}
 	}
@@ -111,48 +111,12 @@ func crossScalars(prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) map[*ir.Var]
 		if ivars[v] || !uA.ScalWrite[v] {
 			continue
 		}
-		if definesBeforeUse(suffix, v) {
+		if ir.DefinesBeforeUse(suffix, v) {
 			continue
 		}
 		out[v] = true
 	}
 	return out
-}
-
-// definesBeforeUse reports whether the region unconditionally assigns
-// scalar v before any statement that may read it — directly, as a loop
-// induction variable, or inside the body of a loop it does not otherwise
-// touch (iteration-private temporaries of nested loops).
-func definesBeforeUse(stmts []ir.Stmt, v *ir.Var) bool {
-	for _, s := range stmts {
-		if as, ok := s.(*ir.AssignScalar); ok && as.Dst == v {
-			u := ir.NewUseSets()
-			u.AddExprUses(as.Src)
-			return !u.ScalReads[v]
-		}
-		if f, ok := s.(*ir.For); ok {
-			u := ir.NewUseSets()
-			u.AddExprUses(f.Lo)
-			u.AddExprUses(f.Step)
-			u.AddExprUses(f.Hi)
-			if u.ScalReads[v] {
-				return false
-			}
-			if f.IVar == v {
-				return true
-			}
-			whole := ir.ComputeUses(f.Body)
-			if !whole.ScalReads[v] && !whole.ScalWrite[v] {
-				continue
-			}
-			return definesBeforeUse(f.Body, v)
-		}
-		u := ir.ComputeUses([]ir.Stmt{s})
-		if u.ScalReads[v] || u.ScalWrite[v] {
-			return false
-		}
-	}
-	return false
 }
 
 // scalarDefs maps each scalar to the index of its LAST top-level

@@ -103,55 +103,3 @@ func hoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 	}
 	return hoisted, rest
 }
-
-// Interchange swaps the two outermost loops of a perfect 2-deep (or
-// deeper) nest when every matrix written in the nest is
-// iteration-private, making all iteration orders equivalent. Returns the
-// new outer loop and true, or nil and false.
-func Interchange(loop *ir.For) (*ir.For, bool) {
-	nest := perfectNest(loop)
-	if len(nest.loops) < 2 {
-		return nil, false
-	}
-	outer, inner := nest.loops[0], nest.loops[1]
-	body := inner.Body
-	if hasLooseJumps(body) {
-		return nil, false
-	}
-	// Bounds of the inner loop must not depend on the outer ivar.
-	hdr := ir.NewUseSets()
-	hdr.AddExprUses(inner.Lo)
-	hdr.AddExprUses(inner.Step)
-	hdr.AddExprUses(inner.Hi)
-	if hdr.ScalReads[outer.IVar] {
-		return nil, false
-	}
-	ivars := map[*ir.Var]bool{}
-	for _, l := range nest.loops {
-		ivars[l.IVar] = true
-	}
-	uses := ir.ComputeUses(body)
-	for v := range uses.MatWrites {
-		if !fullRankPrivate(body, v, ivars) {
-			return nil, false
-		}
-	}
-	for v := range uses.ScalWrite {
-		if ivars[v] {
-			continue
-		}
-		if uses.ScalReads[v] && !definesBeforeUse(body, v) {
-			return nil, false
-		}
-	}
-	newInner := &ir.For{
-		IVar: outer.IVar, Lo: ir.CloneExpr(outer.Lo), Step: ir.CloneExpr(outer.Step),
-		Hi: ir.CloneExpr(outer.Hi), Trip: outer.Trip, Body: ir.CloneStmts(body),
-	}
-	newOuter := &ir.For{
-		IVar: inner.IVar, Lo: ir.CloneExpr(inner.Lo), Step: ir.CloneExpr(inner.Step),
-		Hi: ir.CloneExpr(inner.Hi), Trip: inner.Trip, Body: []ir.Stmt{newInner},
-		Label: loop.Label,
-	}
-	return newOuter, true
-}

@@ -95,122 +95,6 @@ endfunction`
 	assertSameBehaviour(t, orig, x)
 }
 
-func TestInterchangePreservesSemantics(t *testing.T) {
-	src := `
-function out = f(img)
-  h = size(img, 1)
-  w = size(img, 2)
-  out = zeros(h, w)
-  for i = 1:h
-    for j = 1:w
-      out(i, j) = img(i, j) * 2 + i * 10 + j
-    end
-  end
-endfunction`
-	orig := compile(t, src, "f", ir.MatrixArg(5, 7))
-	x := cloneProg(orig)
-	swapped := false
-	var out []ir.Stmt
-	for _, s := range x.Entry.Body {
-		if loop, ok := s.(*ir.For); ok && !swapped {
-			if nl, did := Interchange(loop); did {
-				swapped = true
-				out = append(out, nl)
-				continue
-			}
-		}
-		out = append(out, s)
-	}
-	if !swapped {
-		t.Fatal("interchange failed on an elementwise nest")
-	}
-	x.Entry.Body = out
-	assertSameBehaviour(t, orig, x)
-}
-
-func TestInterchangeRefusesDependence(t *testing.T) {
-	// out(i, j) reads out(i-1, j): interchanging would break the order.
-	src := `
-function out = f(img)
-  out = zeros(6, 6)
-  for i = 2:6
-    for j = 1:6
-      out(i, j) = out(i - 1, j) + img(i, j)
-    end
-  end
-endfunction`
-	prog := compile(t, src, "f", ir.MatrixArg(6, 6))
-	checked := false
-	for _, s := range prog.Entry.Body {
-		loop, ok := s.(*ir.For)
-		if !ok {
-			continue
-		}
-		uses := ir.ComputeUses(loop.Body)
-		// Find the compute nest: it both reads and writes `out`.
-		dependent := false
-		for v := range uses.MatWrites {
-			if uses.MatReads[v] {
-				dependent = true
-			}
-		}
-		if !dependent {
-			continue
-		}
-		checked = true
-		if _, did := Interchange(loop); did {
-			t.Fatal("interchange of a loop-carried dependent nest must be refused")
-		}
-	}
-	if !checked {
-		t.Fatal("dependent nest not found")
-	}
-}
-
-func TestInterchangeRefusesTriangular(t *testing.T) {
-	// Inner bound depends on the outer ivar: cannot interchange.
-	src := `
-function r = f(img)
-  r = 0
-  for i = 1:6
-    for j = 1:i
-      r = r + img(i, j)
-    end
-  end
-endfunction`
-	p, err := scil.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = p
-	// Triangular loops have non-constant inner bounds and are rejected at
-	// lowering already; construct the IR shape manually instead.
-	prog := compile(t, `
-function out = f(img)
-  out = zeros(6, 6)
-  for i = 1:6
-    for j = 1:6
-      out(i, j) = img(i, j)
-    end
-  end
-endfunction`, "f", ir.MatrixArg(6, 6))
-	for _, s := range prog.Entry.Body {
-		loop, ok := s.(*ir.For)
-		if !ok {
-			continue
-		}
-		nest := perfectNest(loop)
-		if len(nest.loops) < 2 {
-			continue
-		}
-		// Make the inner bound depend on the outer ivar.
-		nest.loops[1].Hi = &ir.VarRef{V: nest.loops[0].IVar}
-		if _, did := Interchange(loop); did {
-			t.Fatal("triangular nest interchanged")
-		}
-	}
-}
-
 func TestHoistOnRandomPrograms(t *testing.T) {
 	cfg := scil.DefaultGenConfig()
 	for seed := 0; seed < 30; seed++ {

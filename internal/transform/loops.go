@@ -130,8 +130,8 @@ func Fuse(a, b *ir.For) (*ir.For, bool) {
 		if ivars[v] {
 			continue
 		}
-		if (uB.ScalReads[v] && !definesBeforeUse(bodyB, v)) || uB.ScalWrite[v] {
-			if uB.ScalWrite[v] && definesBeforeUse(bodyB, v) && !uA.ScalReads[v] {
+		if (uB.ScalReads[v] && !ir.DefinesBeforeUse(bodyB, v)) || uB.ScalWrite[v] {
+			if uB.ScalWrite[v] && ir.DefinesBeforeUse(bodyB, v) && !uA.ScalReads[v] {
 				continue
 			}
 			return nil, false
@@ -141,7 +141,7 @@ func Fuse(a, b *ir.For) (*ir.For, bool) {
 		if ivars[v] {
 			continue
 		}
-		if uA.ScalReads[v] && !definesBeforeUse(a.Body, v) {
+		if uA.ScalReads[v] && !ir.DefinesBeforeUse(a.Body, v) {
 			return nil, false
 		}
 	}
@@ -222,7 +222,7 @@ func Tile(loop *ir.For, ti, tj int, prog *ir.Program) (*ir.For, bool) {
 		if ivars[v] {
 			continue
 		}
-		if uses.ScalReads[v] && !definesBeforeUse(body, v) {
+		if uses.ScalReads[v] && !ir.DefinesBeforeUse(body, v) {
 			return nil, false
 		}
 	}

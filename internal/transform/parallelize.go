@@ -75,7 +75,7 @@ func chunkable(loop *ir.For, k int) bool {
 		if v == loop.IVar {
 			continue
 		}
-		if !definesBeforeUse(loop.Body, v) {
+		if !ir.DefinesBeforeUse(loop.Body, v) {
 			return false
 		}
 	}

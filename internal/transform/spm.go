@@ -117,14 +117,3 @@ func PromoteScratchpad(prog *ir.Program, opt SPMOptions) SPMDecision {
 	}
 	return dec
 }
-
-// DemoteToShared reverts variables to shared storage (used by the
-// parallel-program construction stage when a promoted variable turns out
-// to be accessed by tasks mapped to different cores).
-func DemoteToShared(vars []*ir.Var) {
-	for _, v := range vars {
-		if v.Storage == ir.StorageSPM {
-			v.Storage = ir.StorageShared
-		}
-	}
-}

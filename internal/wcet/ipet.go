@@ -149,17 +149,10 @@ func incidence(s [][]int, n int) [][]int {
 // flow conservation and loop-bound constraints. For the structured CFGs
 // produced here the LP relaxation is integral; integrality is verified
 // and branch-and-bound is used as a fallback. Solver memory is drawn
-// from a process-wide pool; results are bit-identical to IPETCold.
+// from a process-wide pool.
 func IPET(stmts []ir.Stmt, m CostModel) (int64, error) {
 	st := ipetPool.Get().(*ipetState)
 	defer ipetPool.Put(st)
-	return st.run(stmts, m)
-}
-
-// IPETCold is IPET on fresh, unpooled solver state: the allocation
-// baseline the pooled path is benchmarked against.
-func IPETCold(stmts []ir.Stmt, m CostModel) (int64, error) {
-	st := &ipetState{ws: lp.NewWorkspace()}
 	return st.run(stmts, m)
 }
 
