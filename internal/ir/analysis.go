@@ -287,6 +287,8 @@ func countStmtAccesses(s Stmt) *AccessCounts {
 // claimed when provable, and anything data-dependent (matrix loads,
 // scalar parameters, values computed from them) is treated as varying.
 type TraceEnv struct {
+	// nonstatic holds only true entries, so its size counts the varying
+	// marks: the loop fixpoint detects a new mark by the size changing.
 	nonstatic map[*Var]bool
 }
 
@@ -334,7 +336,7 @@ func (env *TraceEnv) staticExpr(e Expr) bool {
 
 // poison marks every scalar assigned anywhere in the region as varying —
 // the catch-all effect summary for regions whose execution is
-// data-dependent (if/while bodies).
+// data-dependent (while loops, ifs on varying conditions).
 func (env *TraceEnv) poison(stmts []Stmt) {
 	for v := range ComputeUses(stmts).ScalWrite {
 		env.nonstatic[v] = true
@@ -347,70 +349,79 @@ func (env *TraceEnv) poison(stmts []Stmt) {
 // in execution order (the environment is the carrier of inter-region
 // dataflow).
 //
-// A region's trace is invariant iff it contains no if/while (their path
-// is data-dependent in general) and every for-loop's lo/hi/step are
-// static at the loop's entry — then the loop runs the same iteration
-// sequence on every run and every meter event inside is path-determined.
+// A region's trace is invariant iff its executed path is the same on
+// every run: it contains no while (treated as data-dependent), and every
+// for-loop's lo/hi/step and every if's condition are static where they
+// are evaluated. Every meter event inside is then path-determined.
 func (env *TraceEnv) AdvanceRegion(stmts []Stmt) bool {
 	inv := true
 	for _, s := range stmts {
-		switch st := s.(type) {
-		case *AssignScalar:
-			env.nonstatic[st.Dst] = !env.staticExpr(st.Src)
-		case *Store:
-			// No scalar effects; the Read/Write events it emits are
-			// path-determined.
-		case *For:
-			if !env.staticExpr(st.Lo) || !env.staticExpr(st.Hi) || !env.staticExpr(st.Step) {
-				inv = false
-				env.nonstatic[st.IVar] = true
-			}
-			// Iterated body effects: run monotone passes (marks only ever
-			// added) until the environment stabilizes, so assignments
-			// feeding back across iterations are accounted for; the final
-			// pass then judges nested invariance under the stable set.
-			for {
-				before := len(env.nonstatic)
-				bodyInv := env.advanceMonotone(st.Body)
-				if len(env.nonstatic) == before {
-					if !bodyInv {
-						inv = false
-					}
-					break
-				}
-			}
-		case *While, *If:
+		if st, ok := s.(*AssignScalar); ok && env.staticExpr(st.Src) {
+			// The region's top level runs exactly once, so a static
+			// reassignment clears a varying mark.
+			delete(env.nonstatic, st.Dst)
+			continue
+		}
+		if !env.advance(s) {
 			inv = false
-			env.poison([]Stmt{s})
-		case *Break, *Continue:
-			// Unconditional control transfer: deterministic, no effects.
 		}
 	}
 	return inv
 }
 
-// advanceMonotone is AdvanceRegion restricted to monotone effects
-// (static reassignment never clears a varying mark), which guarantees
-// the loop-body fixpoint terminates.
-func (env *TraceEnv) advanceMonotone(stmts []Stmt) bool {
+// advance is AdvanceRegion for one statement that may run any number of
+// times, restricted to monotone effects (marks are only ever added),
+// which guarantees the loop-body fixpoint terminates.
+func (env *TraceEnv) advance(s Stmt) bool {
+	switch st := s.(type) {
+	case *AssignScalar:
+		if !env.staticExpr(st.Src) {
+			env.nonstatic[st.Dst] = true
+		}
+	case *For:
+		inv := env.staticExpr(st.Lo) && env.staticExpr(st.Hi) && env.staticExpr(st.Step)
+		if !inv {
+			env.nonstatic[st.IVar] = true
+		}
+		// Iterated body effects: run monotone passes until the
+		// environment stabilizes, so assignments feeding back across
+		// iterations are accounted for; the final pass then judges
+		// nested invariance under the stable set.
+		for {
+			before := len(env.nonstatic)
+			bodyInv := env.advanceAll(st.Body)
+			if len(env.nonstatic) == before {
+				return inv && bodyInv
+			}
+		}
+	case *If:
+		return env.advanceIf(st)
+	case *While:
+		env.poison([]Stmt{s})
+		return false
+	}
+	// Store: no scalar effects, and its Read/Write events are
+	// path-determined. Break, Continue: deterministic control transfer.
+	return true
+}
+
+// advanceIf handles an if. A static condition takes the same branch on
+// every run, so the path stays invariant; which branch is not known
+// here, so both branches' effects apply.
+func (env *TraceEnv) advanceIf(st *If) bool {
+	if !env.staticExpr(st.Cond) {
+		env.poison([]Stmt{st})
+		return false
+	}
+	thenInv := env.advanceAll(st.Then)
+	return env.advanceAll(st.Else) && thenInv
+}
+
+func (env *TraceEnv) advanceAll(stmts []Stmt) bool {
 	inv := true
 	for _, s := range stmts {
-		switch st := s.(type) {
-		case *AssignScalar:
-			if !env.staticExpr(st.Src) {
-				env.nonstatic[st.Dst] = true
-			}
-		case *For:
-			if !env.staticExpr(st.Lo) || !env.staticExpr(st.Hi) || !env.staticExpr(st.Step) {
-				inv = false
-				env.nonstatic[st.IVar] = true
-			}
-			if !env.advanceMonotone(st.Body) {
-				inv = false
-			}
-		case *While, *If:
+		if !env.advance(s) {
 			inv = false
-			env.poison([]Stmt{s})
 		}
 	}
 	return inv

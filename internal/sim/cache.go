@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"expvar"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,10 +70,12 @@ func VMCounters() (compiles, hits, misses, fallbacks int64) {
 // variable, so the per-core cost model is applied by the meter, exactly
 // as in tree-walk execution.
 //
-// Only tasks whose meter trace is input-invariant (ir.TraceEnv: no
-// data-dependent control flow up to and inside the region) are cached;
-// all other tasks are re-metered on every run, so cached and fresh
-// simulations are bit-identical by construction.
+// Only tasks whose meter trace is input-invariant (ir.TraceEnv: every
+// loop bound and if condition in the region is input-independent where
+// it is evaluated, and no while) are cached; all other tasks are
+// re-metered on every run, so cached and fresh simulations are
+// bit-identical by construction. The slot also holds the event loop's
+// prefix up to the first start of a trace-variant task (loopPrefix).
 type traceCache struct {
 	invariant  []bool // task id -> trace provably input-invariant
 	hasVariant bool   // any task needs per-run metering
@@ -105,6 +108,51 @@ type traceCache struct {
 	vmOnce  sync.Once
 	vmReady atomic.Bool
 	vmProg  *vm.Program
+
+	// The discrete-event loop's prefix, recorded by the first uninjected
+	// VM run; one entry, never evicted, the first writer wins.
+	prefix atomic.Pointer[loopPrefix]
+}
+
+// loopPrefix is the discrete-event loop's state at the first start of a
+// trace-variant task in event order, or at the end of the loop when every
+// task is trace-invariant. Up to that point the loop has consumed only
+// the schedule and invariant traces, so without fault injection the state
+// is the same on every run. It is taken at a step-loop iteration
+// boundary, where the stepping core is already the (time, index) minimum
+// of the eligible cores: the rescan a resumed run starts with picks the
+// same core, and the step-until-runner-up argument keeps the event order
+// identical to a run from the start. Immutable once published.
+type loopPrefix struct {
+	cores                 []coreState
+	signalTime            []int64
+	posted                []bool
+	bus                   busState
+	taskStart, taskFinish []int64
+}
+
+// recordPrefix publishes the loop's current state as the program's
+// prefix. The first recording wins; every uninjected run reaches the
+// same state, so either copy is correct.
+func (c *traceCache) recordPrefix(cores []coreState, signalTime []int64, posted []bool, bus busState, rep *Report) {
+	c.prefix.CompareAndSwap(nil, &loopPrefix{
+		cores:      slices.Clone(cores),
+		signalTime: slices.Clone(signalTime),
+		posted:     slices.Clone(posted),
+		bus:        bus,
+		taskStart:  slices.Clone(rep.TaskStart),
+		taskFinish: slices.Clone(rep.TaskFinish),
+	})
+}
+
+// restore loads the prefix into a run's loop state.
+func (lp *loopPrefix) restore(cores []coreState, signalTime []int64, posted []bool, bus *busState, rep *Report) {
+	copy(cores, lp.cores)
+	copy(signalTime, lp.signalTime)
+	copy(posted, lp.posted)
+	*bus = lp.bus
+	copy(rep.TaskStart, lp.taskStart)
+	copy(rep.TaskFinish, lp.taskFinish)
 }
 
 // memoEntry remembers the variant-task traces and the entry results of

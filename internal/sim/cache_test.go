@@ -9,7 +9,6 @@ import (
 	"argo/internal/ir"
 	"argo/internal/ir/vm"
 	"argo/internal/sched"
-	"argo/internal/wcet"
 )
 
 // TestSharedCacheBound pins the shared code cache's bound (argod's
@@ -105,19 +104,13 @@ func TestTraceCacheInvariance(t *testing.T) {
 	if _, err := Run(p, [][]float64{randImg(64, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	ex := ir.NewExec(p.IR, nil)
-	if err := ex.Init([][]float64{randImg(64, 2)}); err != nil {
+	fresh, _, err := MeterTasks(p, [][]float64{randImg(64, 2)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range p.Graph.Nodes {
-		tm := &traceMeter{model: wcet.ModelFor(p.Platform, p.Schedule.Placements[n.ID].Core)}
-		ex.SetMeter(tm)
-		if err := ex.ExecBlock(n.Stmts); err != nil {
-			t.Fatal(err)
-		}
-		fresh := tm.finish()
-		if cached := c.traces[n.ID]; cached != nil && !reflect.DeepEqual(cached, fresh) {
-			t.Errorf("task %d: cached trace differs from fresh metering\n cached: %v\n  fresh: %v", n.ID, cached, fresh)
+	for tid, tr := range fresh {
+		if cached := c.traces[tid]; cached != nil && !reflect.DeepEqual(cached, tr) {
+			t.Errorf("task %d: cached trace differs from fresh metering\n cached: %v\n  fresh: %v", tid, cached, tr)
 		}
 	}
 

@@ -4,7 +4,9 @@ import (
 	"context"
 
 	"argo/internal/fault"
+	"argo/internal/ir"
 	"argo/internal/par"
+	"argo/internal/wcet"
 )
 
 // ResetVMShared empties the shared compiled-code cache, so a test can
@@ -25,3 +27,31 @@ func RunFaultyEngine(p *par.Program, args [][]float64, spec fault.Spec, tree boo
 	}
 	return run(context.Background(), p, args, fault.New(spec), tree)
 }
+
+// Segment is one step of a task's segment trace.
+type Segment = segment
+
+// MeterTasks executes p on args with the tree walker, metering every
+// task afresh (no trace cache, no memo), and returns each task's
+// segment trace next to the analysis's verdict on its invariance.
+func MeterTasks(p *par.Program, args [][]float64) (traces [][]Segment, invariant []bool, err error) {
+	invariant = cacheFor(p).invariant
+	ex := ir.NewExec(p.IR, nil)
+	if err := ex.Init(args); err != nil {
+		return nil, nil, err
+	}
+	traces = make([][]Segment, len(p.Input.Tasks))
+	for _, n := range p.Graph.Nodes {
+		tm := &traceMeter{model: wcet.ModelFor(p.Platform, p.Schedule.Placements[n.ID].Core)}
+		ex.SetMeter(tm)
+		if err := ex.ExecBlock(n.Stmts); err != nil {
+			return nil, nil, err
+		}
+		traces[n.ID] = tm.finish()
+	}
+	return traces, invariant, nil
+}
+
+// PrefixRecorded reports whether p's discrete-event loop prefix is
+// published.
+func PrefixRecorded(p *par.Program) bool { return cacheFor(p).prefix.Load() != nil }

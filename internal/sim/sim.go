@@ -83,11 +83,16 @@ type arbiter interface {
 	access(core int, reqTime int64) (done, wait int64)
 }
 
+// busState is the interconnect's mutable state: when the shared port is
+// next free (round-robin bus, NoC port) and the arbitration waits so far.
+type busState struct {
+	free, waits int64
+}
+
 // rrBus is a round-robin (FIFO under conservative event order) bus.
 type rrBus struct {
 	platform *adl.Platform
-	free     int64
-	waits    *int64
+	*busState
 }
 
 func (b *rrBus) access(core int, reqTime int64) (int64, int64) {
@@ -95,7 +100,7 @@ func (b *rrBus) access(core int, reqTime int64) (int64, int64) {
 	if b.free > grant {
 		grant = b.free
 	}
-	*b.waits += grant - reqTime
+	b.waits += grant - reqTime
 	b.free = grant + int64(b.platform.Bus.SlotCycles)
 	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
 }
@@ -103,7 +108,7 @@ func (b *rrBus) access(core int, reqTime int64) (int64, int64) {
 // tdmBus grants each core only its own periodic slot.
 type tdmBus struct {
 	platform *adl.Platform
-	waits    *int64
+	*busState
 }
 
 func (b *tdmBus) access(core int, reqTime int64) (int64, int64) {
@@ -116,7 +121,7 @@ func (b *tdmBus) access(core int, reqTime int64) (int64, int64) {
 	for grant < reqTime {
 		grant += period
 	}
-	*b.waits += grant - reqTime
+	b.waits += grant - reqTime
 	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
 }
 
@@ -124,8 +129,7 @@ func (b *tdmBus) access(core int, reqTime int64) (int64, int64) {
 // service quantum per contender, like a bus with a WRR-weight slot.
 type nocPort struct {
 	platform *adl.Platform
-	free     int64
-	waits    *int64
+	*busState
 }
 
 func (b *nocPort) access(core int, reqTime int64) (int64, int64) {
@@ -133,7 +137,7 @@ func (b *nocPort) access(core int, reqTime int64) (int64, int64) {
 	if b.free > grant {
 		grant = b.free
 	}
-	*b.waits += grant - reqTime
+	b.waits += grant - reqTime
 	b.free = grant + int64(b.platform.NoC.WRRWeight*b.platform.NoC.LinkCycles)
 	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
 }
@@ -209,6 +213,9 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	// compute results and extract each task's isolated trace. Tasks with
 	// an input-invariant trace replay the program's cached trace and run
 	// un-metered (the fast interpreter path); the rest are re-metered.
+	// In uninjected VM runs, phase 2 then resumes from the program's
+	// recorded loop prefix and only simulates from the first start of a
+	// trace-variant task on.
 	//
 	// The execution engine is the compiled bytecode VM unless tree is
 	// set — both produce the same traces, results, and errors, so the
@@ -352,22 +359,35 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 
 	// Phase 2: conservative discrete-event execution of the core
 	// programs (times relative to the end of the prologue).
-	var busWaits int64
+	var bus busState
 	var arb arbiter
 	switch {
 	case p.Platform.Bus != nil && p.Platform.Bus.Arbitration == adl.ArbTDM:
-		arb = &tdmBus{platform: p.Platform, waits: &busWaits}
+		arb = &tdmBus{p.Platform, &bus}
 	case p.Platform.Bus != nil:
-		arb = &rrBus{platform: p.Platform, waits: &busWaits}
+		arb = &rrBus{p.Platform, &bus}
 	default:
-		arb = &nocPort{platform: p.Platform, waits: &busWaits}
+		arb = &nocPort{p.Platform, &bus}
 	}
 	cores := rs.cores
-	for c := range cores {
-		cores[c] = coreState{entries: p.CoreEntries[c], inTask: -1}
-	}
 	signalTime := rs.signalTime
 	posted := rs.posted
+	// Uninjected VM runs resume from the program's loop prefix, or record
+	// it if none is published yet. Injected runs and the tree walker (the
+	// differential oracle) always run the loop from the start.
+	resume := inj == nil && cp != nil
+	var prefix *loopPrefix
+	if resume {
+		prefix = cache.prefix.Load()
+	}
+	record := resume && prefix == nil
+	if prefix != nil {
+		prefix.restore(cores, signalTime, posted, &bus, rep)
+	} else {
+		for c := range cores {
+			cores[c] = coreState{entries: p.CoreEntries[c], inTask: -1}
+		}
+	}
 	events := 0
 	for {
 		// Pick the runnable core with minimal time (conservative DES),
@@ -480,6 +500,10 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 					cs.idx++
 					break step // may wake an earlier-time core
 				case par.EntryCompute:
+					if record && !cache.invariant[e.Task] {
+						cache.recordPrefix(cores, signalTime, posted, bus, rep)
+						record = false
+					}
 					if e.Release > cs.time {
 						cs.time = e.Release // time-triggered release
 					}
@@ -495,12 +519,15 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 			}
 		}
 	}
+	if record {
+		cache.recordPrefix(cores, signalTime, posted, bus, rep)
+	}
 	for c := range cores {
 		if cores[c].time > rep.ExecSpan {
 			rep.ExecSpan = cores[c].time
 		}
 	}
-	rep.BusWaitCycles = busWaits
+	rep.BusWaitCycles = bus.waits
 
 	// Phase 3: DMA epilogue.
 	var epi int64

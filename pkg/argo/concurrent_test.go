@@ -71,36 +71,60 @@ func TestConcurrentCompile(t *testing.T) {
 	}
 }
 
-// TestConcurrentSimulate runs the simulator over one shared *Artifacts
-// from many goroutines: simulation must only read the compiled program,
-// and every run must stay within the static bound.
+// TestConcurrentSimulate runs the simulator over one shared, freshly
+// compiled *Artifacts from many goroutines, which race to record the
+// program's invariant traces and event-loop prefix. Simulation must only
+// read the compiled program: every run must stay within the static bound
+// and equal a serial run of the same seed on a program of its own.
 func TestConcurrentSimulate(t *testing.T) {
-	uc := argo.UseCaseByName("weaa")
-	art, err := argo.CompileUseCase(uc, argo.Platform("xentium4"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const goroutines = 8
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rep, err := argo.Simulate(art, uc.Inputs(seed))
-			if err != nil {
-				errc <- fmt.Errorf("seed %d: %v", seed, err)
-				return
-			}
-			if err := argo.CheckBounds(art, rep); err != nil {
-				errc <- fmt.Errorf("seed %d: %v", seed, err)
-			}
-		}(int64(g + 1))
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
+	for _, name := range []string{"weaa", "egpws", "polka"} {
+		for _, pname := range []string{"xentium4", "leon3-4x4"} {
+			uc, plat := argo.UseCaseByName(name), argo.Platform(pname)
+			t.Run(name+"/"+pname, func(t *testing.T) {
+				want := make([]string, goroutines)
+				for g := range want {
+					art, err := argo.CompileUseCase(uc, plat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := argo.Simulate(art, uc.Inputs(int64(g+1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[g] = fmt.Sprint(*rep)
+				}
+				art, err := argo.CompileUseCase(uc, plat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				errc := make(chan error, goroutines)
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						seed := int64(g + 1)
+						rep, err := argo.Simulate(art, uc.Inputs(seed))
+						if err != nil {
+							errc <- fmt.Errorf("seed %d: %v", seed, err)
+							return
+						}
+						if err := argo.CheckBounds(art, rep); err != nil {
+							errc <- fmt.Errorf("seed %d: %v", seed, err)
+						}
+						if got := fmt.Sprint(*rep); got != want[g] {
+							errc <- fmt.Errorf("seed %d: concurrent report differs from the serial cold run\n got  %s\n want %s", seed, got, want[g])
+						}
+					}(g)
+				}
+				wg.Wait()
+				close(errc)
+				for err := range errc {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 
