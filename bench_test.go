@@ -17,6 +17,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"argo/internal/adl"
@@ -230,6 +232,44 @@ func BenchmarkOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkOptimizeNeverSeen walks the same ladder on a model no cache
+// has seen each iteration (one perturbed decimal literal): the ladder's
+// candidates share only what they compute for each other.
+func BenchmarkOptimizeNeverSeen(b *testing.B) {
+	u := usecases.POLKA()
+	opt := core.DefaultOptions(u.Entry, u.Args, adl.XentiumPlatform(4))
+	progs := neverSeen(b, u.Source, b.N)
+	pass.Global.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Optimize(progs[i], opt, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// neverSeen parses n variants of src, the i-th with its first decimal
+// literal scaled by 1+i·2^-40: models no cache has seen, as perfbench's
+// compile-cold workload sends them (decimal literals are never loop
+// bounds or indices in the use cases).
+func neverSeen(b *testing.B, src string, n int) []*scil.Program {
+	b.Helper()
+	loc := regexp.MustCompile(`[0-9]+\.[0-9]+`).FindStringIndex(src)
+	v, err := strconv.ParseFloat(src[loc[0]:loc[1]], 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := make([]*scil.Program, n)
+	for i := range progs {
+		lit := strconv.FormatFloat(v*(1+float64(i+1)*0x1p-40), 'f', -1, 64)
+		if progs[i], err = scil.Parse(src[:loc[0]] + lit + src[loc[1]:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return progs
 }
 
 // benchSchedInput builds a deterministic layered DAG scheduling problem.
@@ -783,10 +823,11 @@ func BenchmarkSessionEditCold(b *testing.B) {
 // BenchmarkCompileFresh measures what a fresh compilation of an
 // already-seen configuration costs now that the structural passes
 // (build-htg through par-build) snapshot into the process-wide pass
-// cache: one cold compile warms pass.Global, then every iteration is a
-// brand-new core.Compile (distinct pass.Context, as a new argod request
-// presents) restored from the shared tier. Compare
-// BenchmarkCompileFreshCold for the unwarmed cost.
+// cache: two compiles warm pass.Global (it stores a snapshot on its
+// key's second sighting), then every iteration is a brand-new
+// core.Compile (distinct pass.Context, as a new argod request presents)
+// restored from the shared tier. Compare BenchmarkCompileFreshCold for
+// the uncached cost and BenchmarkCompileNeverSeen for a model seen once.
 func BenchmarkCompileFresh(b *testing.B) {
 	u := usecases.EGPWS()
 	p, err := u.Program()
@@ -795,13 +836,34 @@ func BenchmarkCompileFresh(b *testing.B) {
 	}
 	opt := core.DefaultOptions(u.Entry, u.Args, adl.XentiumPlatform(4))
 	pass.Global.Reset()
-	if _, err := core.Compile(p, opt); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := core.Compile(p, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Compile(p, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileNeverSeen is the in-process twin of perfbench's
+// compile-cold workload: every iteration compiles a model no cache has
+// seen (one perturbed decimal literal) through pass.Global, so every
+// cacheable pass but schedule misses and the cache must decide what to
+// keep.
+func BenchmarkCompileNeverSeen(b *testing.B) {
+	u := usecases.EGPWS()
+	opt := core.DefaultOptions(u.Entry, u.Args, adl.XentiumPlatform(4))
+	progs := neverSeen(b, u.Source, b.N)
+	pass.Global.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compile(progs[i], opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -830,21 +892,24 @@ func BenchmarkCompileFreshCold(b *testing.B) {
 // BenchmarkSessionEditFresh measures interactive-session bootstrap over
 // a warm process: every iteration creates a brand-new session (private
 // pass cache, falling back to the warmed pass.Global) and applies one
-// edit. The initial full analysis restores its structural ladder from
-// the Global tier instead of recomputing it — the cost a second client
-// pays to open a what-if session on a configuration the daemon has
-// already compiled.
+// edit. The initial full analysis and the edit restore their passes
+// from the Global tier instead of recomputing them — the cost a client
+// pays to open a what-if session on a configuration, and make an edit,
+// that other clients have made before. Two sessions warm the Global
+// tier: the first one's keys are sightings, the second one's are stored.
 func BenchmarkSessionEditFresh(b *testing.B) {
 	uc := usecases.ByName("polka")
 	opt := core.DefaultOptions(uc.Entry, uc.Args, adl.Builtin("xentium4"))
 	pass.Global.Reset()
-	warm, _, err := session.New(context.Background(), uc.Source, opt, fault.Spec{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	edit := session.Edit{Op: session.OpSetParam, Param: "shared.access_cycles", Value: 30}
-	if _, err := warm.Apply(context.Background(), edit, session.ApplyOptions{}); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 2; i++ {
+		warm, _, err := session.New(context.Background(), uc.Source, opt, fault.Spec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := warm.Apply(context.Background(), edit, session.ApplyOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -198,6 +198,32 @@ func (p *Platform) SharedAccessIsolated(coreID int) int {
 	return lat
 }
 
+// SharedAccessCharge is the analysis's charge for one shared-memory
+// element access from core id, before interference
+// (AccessInterferenceDelay adds a hold per contender). A round-robin bus
+// holds the shared port for a whole slot and the mesh's memory port for
+// one WRR quantum (wrr_weight × link_cycles), while an access completes
+// after its isolated latency. Where the hold is longer, the core that
+// last held the port may have finished its access and queued its next
+// one while the port is still held: a request can wait out that
+// residual, at most hold minus the shortest isolated latency
+// (access_cycles), on top of one hold per contender. The charge is the
+// isolated latency plus that residual; on a bus, where every core's
+// isolated latency is access_cycles, that is max(isolated, hold). TDM
+// needs no such term: its interference bound already charges every
+// access a full period.
+func (p *Platform) SharedAccessCharge(coreID int) int {
+	hold := 0
+	switch {
+	case p.Bus != nil && p.Bus.Arbitration == ArbTDM:
+	case p.Bus != nil:
+		hold = p.Bus.SlotCycles
+	case p.NoC != nil:
+		hold = p.NoC.WRRWeight * p.NoC.LinkCycles
+	}
+	return p.SharedAccessIsolated(coreID) + max(0, hold-p.Shared.AccessCycles)
+}
+
 // MaxSharedAccessIsolated returns the maximum isolated shared access
 // latency over all cores (used where the core is not yet known).
 func (p *Platform) MaxSharedAccessIsolated() int {

@@ -92,6 +92,47 @@ func TestSharedAccessIsolatedNoCGrowsWithDistance(t *testing.T) {
 	}
 }
 
+// TestSharedAccessCharge pins the access charge: the isolated latency
+// plus the residual by which the interconnect's hold per grant
+// (round-robin slot, NoC WRR quantum) outlasts the shortest access, and
+// never a hold under TDM.
+func TestSharedAccessCharge(t *testing.T) {
+	rr := XentiumPlatform(2)
+	rr.Bus.SlotCycles = 48
+	if got := rr.SharedAccessCharge(1); got != 48 {
+		t.Errorf("round-robin, slot 48 > access 18: charge %d, want 48", got)
+	}
+	tdm := XentiumTDMPlatform(2)
+	tdm.Bus.SlotCycles = 48
+	if got := tdm.SharedAccessCharge(1); got != 18 {
+		t.Errorf("TDM, slot 48: charge %d, want the isolated 18", got)
+	}
+	noc := Leon3TilePlatform(2, 2)
+	noc.NoC.WRRWeight = 10 // hold 10 × 2 = 20
+	if got := noc.SharedAccessCharge(0); got != 20 {
+		t.Errorf("NoC tile (0,0), hold 20 > isolated 12: charge %d, want 20", got)
+	}
+	// Tile (1,1) is 32 cycles from memory, longer than the hold, but a
+	// request still waits out a nearer core's residual hold (20 - 12).
+	if got := noc.SharedAccessCharge(3); got != 32+8 {
+		t.Errorf("NoC tile (1,1), isolated 32, residual 8: charge %d, want 40", got)
+	}
+}
+
+// TestSharedAccessChargeBuiltins: every built-in platform holds a grant
+// no longer than an access takes, so the charge is the isolated latency
+// and no built-in bound depends on the hold term.
+func TestSharedAccessChargeBuiltins(t *testing.T) {
+	for _, name := range BuiltinNames() {
+		p := Builtin(name)
+		for id := range p.Cores {
+			if got, want := p.SharedAccessCharge(id), p.SharedAccessIsolated(id); got != want {
+				t.Errorf("%s core %d: charge %d, isolated %d", name, id, got, want)
+			}
+		}
+	}
+}
+
 func TestAccessInterferenceDelayRoundRobin(t *testing.T) {
 	p := XentiumPlatform(4)
 	if d := p.AccessInterferenceDelay(0); d != 0 {

@@ -36,12 +36,15 @@ func structuralRuns() map[string]int64 {
 	return out
 }
 
-// TestFreshCompileServedFromGlobalCache pins the tentpole acceptance
-// criterion: after one compilation warms pass.Global, a second fresh
-// core.Compile of the identical configuration (a distinct pass.Context,
-// as a new argod request or session would present) re-runs none of the
-// structural passes, grows argo_pass_cache_hits, and produces a result
-// fingerprint bit-identical to a compilation with caching disabled.
+// TestFreshCompileServedFromGlobalCache pins the process-wide pass
+// cache's contract: pass.Global stores a snapshot on its key's second
+// sighting. After a Reset, a configuration's first compile stores
+// nothing and its second compile runs every pass and stores. A third
+// fresh core.Compile of the identical configuration (a distinct
+// pass.Context, as a new argod request or session would present)
+// re-runs none of the structural passes, grows argo_pass_cache_hits,
+// and produces a result fingerprint bit-identical to a compilation with
+// caching disabled.
 func TestFreshCompileServedFromGlobalCache(t *testing.T) {
 	uc := usecases.ByName("egpws")
 	src, err := uc.Program()
@@ -49,30 +52,47 @@ func TestFreshCompileServedFromGlobalCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := core.DefaultOptions(uc.Entry, uc.Args, adl.XentiumPlatform(4))
+	compile := func() *core.Artifacts {
+		t.Helper()
+		art, err := core.Compile(src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
 
 	pass.Global.Reset()
-	first, err := core.Compile(src, opt)
-	if err != nil {
-		t.Fatal(err)
+	first := compile()
+	if n := pass.Global.Len(); n != 0 {
+		t.Fatalf("the first compile stored %d snapshots; a first sighting stores none", n)
+	}
+	second := compile()
+	if n := pass.Global.Len(); n == 0 {
+		t.Fatal("the second compile stored nothing")
+	}
+	for _, ag := range second.PassTrace.Aggregate() {
+		if ag.CacheHits != 0 {
+			t.Errorf("pass %q restored %d times on the second compile; the first stored nothing to restore", ag.Pass, ag.CacheHits)
+		}
 	}
 
 	runsBefore := structuralRuns()
 	hits0, _ := pass.CacheCounters()
-	second, err := core.Compile(src, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := compile()
 	hits1, _ := pass.CacheCounters()
 	if hits1 <= hits0 {
-		t.Fatalf("argo_pass_cache_hits did not grow across the warm compile (%d -> %d)", hits0, hits1)
+		t.Fatalf("argo_pass_cache_hits did not grow across the third compile (%d -> %d)", hits0, hits1)
 	}
 	for _, name := range structuralPasses {
 		if delta := pass.Runs(name) - runsBefore[name]; delta != 0 {
-			t.Errorf("structural pass %q re-ran %d times on the warm compile; want 0 (argo_pass_runs)", name, delta)
+			t.Errorf("structural pass %q re-ran %d times on the third compile; want 0 (argo_pass_runs)", name, delta)
 		}
 	}
-	if a, b := session.ResultFingerprint(first), session.ResultFingerprint(second); a != b {
-		t.Fatalf("warm compile diverged from cold compile:\ncold %s\nwarm %s", b, a)
+	want := session.ResultFingerprint(first)
+	for i, art := range []*core.Artifacts{second, third} {
+		if got := session.ResultFingerprint(art); got != want {
+			t.Fatalf("compile %d diverged from the first:\nfirst %s\ngot   %s", i+2, want, got)
+		}
 	}
 
 	plain := opt
@@ -81,8 +101,30 @@ func TestFreshCompileServedFromGlobalCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := session.ResultFingerprint(second), session.ResultFingerprint(uncached); a != b {
+	if a, b := session.ResultFingerprint(third), session.ResultFingerprint(uncached); a != b {
 		t.Fatalf("cached compile diverged from NoCache run:\ncached   %s\nuncached %s", a, b)
+	}
+}
+
+// TestFirstCompileStoresNothing: no pass key recurs within one compile,
+// so after a Reset the first compile of every use case on every
+// built-in platform leaves pass.Global empty — a model compiled once
+// costs the cache no snapshot.
+func TestFirstCompileStoresNothing(t *testing.T) {
+	for _, uc := range usecases.All() {
+		src, err := uc.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range adl.BuiltinNames() {
+			pass.Global.Reset()
+			if _, err := core.Compile(src, core.DefaultOptions(uc.Entry, uc.Args, adl.Builtin(name))); err != nil {
+				t.Fatalf("%s on %s: %v", uc.Name, name, err)
+			}
+			if n := pass.Global.Len(); n != 0 {
+				t.Errorf("%s on %s: the first compile stored %d snapshots, want 0", uc.Name, name, n)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,10 @@
 // only which future lookups hit. The eviction policy still matters for
 // repeatability, so it is one deterministic policy everywhere — least
 // recently used under an entry bound — and a fixed request sequence
-// always yields the same hits, misses and evictions.
+// always yields the same hits, misses and evictions. Caches that store
+// an entry only on its key's second sighting (Admit: the process-wide
+// pass cache, the simulator's variant-trace memo) share one ghost-list
+// rule, so the same sequence also yields the same admissions.
 package memo
 
 import (
@@ -57,11 +60,63 @@ type Stats struct {
 	Entries   int   `json:"entries"`
 }
 
-// node is one cached entry on the recency list.
+// node is one entry on a recency list.
 type node[K comparable, V any] struct {
 	key        K
 	val        V
 	prev, next *node[K, V]
+}
+
+// lru is a map threaded on a recency list: root.next is the most
+// recently used node, root.prev the least. It is not safe to copy once
+// reset.
+type lru[K comparable, V any] struct {
+	m    map[K]*node[K, V]
+	root node[K, V] // sentinel
+}
+
+// reset empties the list.
+func (l *lru[K, V]) reset() {
+	l.m = make(map[K]*node[K, V])
+	l.root.prev, l.root.next = &l.root, &l.root
+}
+
+// add stores v under the absent key k as the most recent node.
+func (l *lru[K, V]) add(k K, v V) {
+	n := &node[K, V]{key: k, val: v}
+	l.m[k] = n
+	l.pushFront(n)
+}
+
+// trim drops least recent nodes until at most max remain (max <= 0:
+// unbounded) and returns how many it dropped.
+func (l *lru[K, V]) trim(max int) int {
+	dropped := 0
+	for max > 0 && len(l.m) > max {
+		last := l.root.prev
+		l.unlink(last)
+		delete(l.m, last.key)
+		dropped++
+	}
+	return dropped
+}
+
+func (l *lru[K, V]) pushFront(n *node[K, V]) {
+	n.prev, n.next = &l.root, l.root.next
+	n.prev.next, n.next.prev = n, n
+}
+
+func (l *lru[K, V]) unlink(n *node[K, V]) {
+	n.prev.next, n.next.prev = n.next, n.prev
+}
+
+// touch marks n the most recently used node.
+func (l *lru[K, V]) touch(n *node[K, V]) {
+	if l.root.next == n {
+		return
+	}
+	l.unlink(n)
+	l.pushFront(n)
 }
 
 // call is one in-flight computation followers can attach to.
@@ -72,14 +127,17 @@ type call[V any] struct {
 }
 
 // Cache is a map bounded by entry count with least-recently-used
-// eviction and singleflight computation (Do). Every lookup, store and
-// counter update happens under one mutex. All methods are safe for
-// concurrent use.
+// eviction, singleflight computation (Do) and a second-sighting
+// admission rule for callers that want one (Admit). Every lookup, store,
+// sighting and counter update happens under one mutex. All methods are
+// safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	mu    sync.Mutex
-	max   int
-	m     map[K]*node[K, V]
-	root  node[K, V] // sentinel: root.next is the most recently used entry, root.prev the least
+	mu      sync.Mutex
+	max     int
+	entries lru[K, V]
+	// ghost holds the keys Admit has sighted, bounded to twice the
+	// entry bound.
+	ghost lru[K, struct{}]
 	calls map[K]*call[V]
 
 	hits, misses, dedups, evictions int64
@@ -87,8 +145,9 @@ type Cache[K comparable, V any] struct {
 
 // New returns a cache holding at most max entries (max <= 0: unbounded).
 func New[K comparable, V any](max int) *Cache[K, V] {
-	c := &Cache[K, V]{max: max, m: make(map[K]*node[K, V]), calls: make(map[K]*call[V])}
-	c.root.prev, c.root.next = &c.root, &c.root
+	c := &Cache[K, V]{max: max, calls: make(map[K]*call[V])}
+	c.entries.reset()
+	c.ghost.reset()
 	return c
 }
 
@@ -97,14 +156,14 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.m[k]
+	n, ok := c.entries.m[k]
 	if !ok {
 		c.misses++
 		var zero V
 		return zero, false
 	}
 	c.hits++
-	c.moveToFront(n)
+	c.entries.touch(n)
 	return n.val, true
 }
 
@@ -118,6 +177,26 @@ func (c *Cache[K, V]) Put(k K, v V) (evicted bool) {
 	return c.put(k, v) > 0
 }
 
+// Admit records a sighting of k and reports whether k was sighted
+// before. It is the admission rule of callers that store an entry only
+// on its key's second sighting, so a key seen once never pays for a
+// stored copy: they call Admit after a miss and Put only when it
+// reports true. The sightings live in a ghost list of keys, most recent
+// first, bounded to twice the entry bound (unbounded when the cache
+// is): a key is forgotten once that many newer distinct keys are
+// sighted. Admit neither reads nor stores an entry.
+func (c *Cache[K, V]) Admit(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.ghost.m[k]; ok {
+		c.ghost.touch(n)
+		return true
+	}
+	c.ghost.add(k, struct{}{})
+	c.ghost.trim(2 * c.max)
+	return false
+}
+
 // Do returns the value cached under k, or computes it with fn. If an
 // identical computation is already in flight, Do waits for it and
 // shares its result instead of starting a second one. Errors are
@@ -127,9 +206,9 @@ func (c *Cache[K, V]) Put(k K, v V) (evicted bool) {
 // released and its followers receive ErrPanicked.
 func (c *Cache[K, V]) Do(ctx context.Context, k K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
-	if n, ok := c.m[k]; ok {
+	if n, ok := c.entries.m[k]; ok {
 		c.hits++
-		c.moveToFront(n)
+		c.entries.touch(n)
 		v := n.val
 		c.mu.Unlock()
 		return v, Hit, nil
@@ -173,8 +252,8 @@ func (c *Cache[K, V]) finish(k K, cl *call[V]) {
 // the lock, so f may call back into the cache.
 func (c *Cache[K, V]) Range(f func(K, V) bool) {
 	c.mu.Lock()
-	snap := make([]node[K, V], 0, len(c.m))
-	for n := c.root.next; n != &c.root; n = n.next {
+	snap := make([]node[K, V], 0, len(c.entries.m))
+	for n := c.entries.root.next; n != &c.entries.root; n = n.next {
 		snap = append(snap, node[K, V]{key: n.key, val: n.val})
 	}
 	c.mu.Unlock()
@@ -185,80 +264,56 @@ func (c *Cache[K, V]) Range(f func(K, V) bool) {
 	}
 }
 
-// Reset drops every entry. Counters and in-flight computations are
-// kept.
+// Reset drops every entry and every sighting. Counters and in-flight
+// computations are kept.
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[K]*node[K, V])
-	c.root.prev, c.root.next = &c.root, &c.root
+	c.entries.reset()
+	c.ghost.reset()
 }
 
 // SetMax rebounds the cache to at most max entries (max <= 0:
 // unbounded), evicting least recently used entries down to the new
-// bound at once.
+// bound at once; the ghost list follows at twice the bound.
 func (c *Cache[K, V]) SetMax(max int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.max = max
 	c.trim()
+	c.ghost.trim(2 * max)
 }
 
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return len(c.entries.m)
 }
 
 // Stats snapshots the cache's counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Dedups: c.dedups, Evictions: c.evictions, Entries: len(c.m)}
+	return Stats{Hits: c.hits, Misses: c.misses, Dedups: c.dedups, Evictions: c.evictions, Entries: len(c.entries.m)}
 }
 
 // put stores v under k and returns how many entries it evicted. Caller
 // holds c.mu.
 func (c *Cache[K, V]) put(k K, v V) int {
-	if n, ok := c.m[k]; ok {
+	if n, ok := c.entries.m[k]; ok {
 		n.val = v
-		c.moveToFront(n)
+		c.entries.touch(n)
 		return 0
 	}
-	n := &node[K, V]{key: k, val: v}
-	c.m[k] = n
-	c.pushFront(n)
+	c.entries.add(k, v)
 	return c.trim()
 }
 
 // trim evicts least recently used entries down to the bound and returns
 // how many it evicted. Caller holds c.mu.
 func (c *Cache[K, V]) trim() int {
-	evicted := 0
-	for c.max > 0 && len(c.m) > c.max {
-		lru := c.root.prev
-		c.unlink(lru)
-		delete(c.m, lru.key)
-		evicted++
-	}
+	evicted := c.entries.trim(c.max)
 	c.evictions += int64(evicted)
 	return evicted
-}
-
-func (c *Cache[K, V]) pushFront(n *node[K, V]) {
-	n.prev, n.next = &c.root, c.root.next
-	n.prev.next, n.next.prev = n, n
-}
-
-func (c *Cache[K, V]) unlink(n *node[K, V]) {
-	n.prev.next, n.next.prev = n.next, n.prev
-}
-
-func (c *Cache[K, V]) moveToFront(n *node[K, V]) {
-	if c.root.next == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
 }

@@ -128,6 +128,105 @@ func TestResetKeepsCounters(t *testing.T) {
 	}
 }
 
+// TestAdmitSecondSighting pins the admission rule: a key's first
+// sighting is declined, every later one admitted, and Admit itself
+// neither stores nor reads an entry.
+func TestAdmitSecondSighting(t *testing.T) {
+	c := New[string, int](4)
+	if c.Admit("a") {
+		t.Fatal("first sighting of a admitted")
+	}
+	if c.Admit("b") {
+		t.Fatal("first sighting of b admitted")
+	}
+	if !c.Admit("a") || !c.Admit("a") {
+		t.Fatal("a repeat sighting of a was declined")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Admit touched the entries or their counters: %+v", st)
+	}
+	// A stored and evicted key keeps its sighting: it is admitted again
+	// at once.
+	c.Put("a", 1)
+	for i := 0; i < 4; i++ {
+		c.Put(fmt.Sprint(i), i)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a survived four newer stores into a 4-entry cache")
+	}
+	if !c.Admit("a") {
+		t.Fatal("an evicted key with a recent sighting was declined")
+	}
+}
+
+// TestAdmitGhostBound pins the ghost list's bound: a sighting survives
+// 2×max-1 newer distinct sightings and is forgotten after 2×max; a
+// repeat sighting refreshes it. An unbounded cache forgets nothing.
+func TestAdmitGhostBound(t *testing.T) {
+	const max = 4
+	sight := func(c *Cache[int, int], from, n int) {
+		for k := from; k < from+n; k++ {
+			c.Admit(k)
+		}
+	}
+	c := New[int, int](max)
+	c.Admit(-1)
+	sight(c, 0, 2*max-1)
+	if !c.Admit(-1) {
+		t.Fatalf("sighting forgotten after %d newer ones; the ghost list holds %d", 2*max-1, 2*max)
+	}
+	// The repeat above refreshed -1: it again survives 2×max-1 newer
+	// sightings, and the next one pushes it out.
+	sight(c, 100, 2*max-1)
+	if !c.Admit(-1) {
+		t.Fatal("a repeat sighting did not refresh the key")
+	}
+	sight(c, 200, 2*max)
+	if c.Admit(-1) {
+		t.Fatalf("sighting remembered after %d newer ones", 2*max)
+	}
+
+	u := New[int, int](0)
+	u.Admit(-1)
+	sight(u, 0, 10_000)
+	if !u.Admit(-1) {
+		t.Fatal("an unbounded cache forgot a sighting")
+	}
+}
+
+// TestAdmitResetAndSetMax checks that Reset forgets every sighting and
+// that SetMax rebounds the ghost list to twice the new bound at once,
+// keeping the most recent sightings.
+func TestAdmitResetAndSetMax(t *testing.T) {
+	c := New[int, int](8)
+	c.Admit(1)
+	c.Reset()
+	if c.Admit(1) {
+		t.Fatal("a sighting survived Reset")
+	}
+
+	c = New[int, int](8)
+	for k := 0; k < 16; k++ {
+		c.Admit(k)
+	}
+	c.SetMax(2) // ghost bound 16 -> 4: sightings 12..15 remain
+	for k := 15; k >= 12; k-- {
+		if !c.Admit(k) {
+			t.Fatalf("SetMax(2) forgot the recent sighting %d", k)
+		}
+	}
+	if c.Admit(11) {
+		t.Fatal("SetMax(2) kept a fifth sighting; the ghost bound is 4")
+	}
+	c.SetMax(0) // unbounded from here on
+	for k := 100; k < 200; k++ {
+		c.Admit(k)
+	}
+	if !c.Admit(100) {
+		t.Fatal("after SetMax(0) the ghost list still forgets")
+	}
+}
+
 // TestRangeOrderAndStop checks Range's most-recent-first order, early
 // stop, and that the callback may call back into the cache.
 func TestRangeOrderAndStop(t *testing.T) {
@@ -305,7 +404,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := (g*7 + i) % 40
-				switch i % 5 {
+				switch i % 6 {
 				case 0:
 					c.Put(k, k*k)
 				case 1:
@@ -329,6 +428,10 @@ func TestConcurrentUse(t *testing.T) {
 					}
 					c.SetMax(16)
 					_ = c.Stats()
+				case 5:
+					if c.Admit(k) {
+						c.Put(k, k*k)
+					}
 				}
 			}
 		}(g)
@@ -336,6 +439,32 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > 16 {
 		t.Fatalf("%d entries, bound 16", n)
+	}
+
+	// Concurrent sightings of fresh keys: exactly one Admit per key
+	// reports a first sighting, however the goroutines interleave.
+	c.Reset()
+	const fresh = 8 // fresh keys fit the ghost list (2×16) with room to spare
+	var mu sync.Mutex
+	declined := make(map[int]int)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1000; k < 1000+fresh; k++ {
+				if !c.Admit(k) {
+					mu.Lock()
+					declined[k]++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := 1000; k < 1000+fresh; k++ {
+		if declined[k] != 1 {
+			t.Errorf("key %d: %d of 8 concurrent sightings were declined, want exactly 1", k, declined[k])
+		}
 	}
 }
 

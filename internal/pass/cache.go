@@ -16,6 +16,16 @@ import (
 // is an accelerator, not a correctness mechanism: it is bounded so a
 // long-running argod cannot grow it without limit, and at capacity it
 // evicts the least recently used snapshot.
+//
+// Global stores a snapshot only on its key's second sighting
+// (memo.Cache.Admit): most of what a process-wide cache sees is models
+// compiled once, and freezing their passes costs clones, codec work and
+// heap that nothing restores. A configuration's first compile stores
+// nothing, its second stores, and from the third on every pass
+// restores. Private caches store on the first sighting, because their
+// owner (a session) revisits its own history; a session's snapshot
+// whose key Global has already sighted is stored in Global instead, so
+// configurations that recur across sessions and compiles are shared.
 
 type cacheAddr [sha256.Size]byte
 
@@ -41,12 +51,16 @@ const defaultCacheMax = 4096
 type Cache struct {
 	m *memo.Cache[cacheAddr, any]
 
+	// repeat stores a snapshot only on its key's second sighting
+	// (Global); otherwise every computed snapshot is stored.
+	repeat bool
+
 	// fallback is an optional read-through tier consulted on a local
-	// miss (session-private caches fall back to Global). Stores dedupe
-	// against it: a snapshot the fallback already holds is not stored
-	// again locally — the same content-addressed key yields the same
-	// immutable snapshot, so double-storing it only wastes memory and
-	// pressures the local bound into needless evictions.
+	// miss (session-private caches fall back to Global). A computed
+	// snapshot the fallback admits is stored there instead of locally:
+	// the same content-addressed key yields the same immutable snapshot,
+	// so a second copy would only waste memory and pressure the local
+	// bound into needless evictions.
 	fallback *Cache
 
 	deferrals atomic.Int64
@@ -54,10 +68,11 @@ type Cache struct {
 
 // Global is the process-wide pass cache shared by every pipeline
 // execution (candidates of one optimizer ladder, feedback rounds, and
-// argod requests all reuse each other's pass results). Its entry count
-// and eviction total are exported as the expvars
-// argo_pass_cache_entries and argo_pass_cache_evictions.
-var Global = NewCache(0)
+// argod requests all reuse each other's pass results). It stores a
+// snapshot on its key's second sighting. Its entry count and eviction
+// total are exported as the expvars argo_pass_cache_entries and
+// argo_pass_cache_evictions.
+var Global = &Cache{m: memo.New[cacheAddr, any](defaultCacheMax), repeat: true}
 
 // NewCache returns a private pass cache bounded to at most maxEntries
 // snapshots (maxEntries <= 0: the default bound). Interactive sessions
@@ -68,7 +83,8 @@ func NewCache(maxEntries int) *Cache {
 }
 
 // SetMax rebounds the cache to at most maxEntries snapshots
-// (maxEntries <= 0 restores the default bound).
+// (maxEntries <= 0 restores the default bound), and the sightings it
+// remembers to twice that.
 func (c *Cache) SetMax(maxEntries int) { c.m.SetMax(cacheBound(maxEntries)) }
 
 func cacheBound(maxEntries int) int {
@@ -79,14 +95,15 @@ func cacheBound(maxEntries int) int {
 }
 
 // SetFallback chains a read-through tier behind c: gets consult it on a
-// local miss, puts skip snapshots it already holds. Both are counted as
-// deferrals — requests this cache deferred to the shared tier instead
-// of holding its own copy. Safe because snapshots are immutable and
-// restores deep-clone — the tiers can share entries freely.
+// local miss, and a computed snapshot the fallback admits is stored
+// there instead of locally. Both are counted as deferrals — requests
+// this cache deferred to the shared tier instead of holding its own
+// copy. Safe because snapshots are immutable and restores deep-clone —
+// the tiers can share entries freely.
 func (c *Cache) SetFallback(f *Cache) { c.fallback = f }
 
 // Deferrals returns how many requests were deferred to the fallback
-// tier (local misses it served, plus stores it made redundant).
+// tier (local misses it served, plus snapshots stored there).
 func (c *Cache) Deferrals() int64 { return c.deferrals.Load() }
 
 func (c *Cache) get(a cacheAddr) (any, bool) {
@@ -99,20 +116,32 @@ func (c *Cache) get(a cacheAddr) (any, bool) {
 	return v, ok
 }
 
-func (c *Cache) put(a cacheAddr, v any) {
-	if c.fallback != nil {
-		if _, held := c.fallback.get(a); held {
-			c.deferrals.Add(1)
-			return
-		}
+// admit records a sighting of a key that missed every tier and returns
+// the tier its snapshot is stored in, or nil when no tier admits it and
+// the snapshot is not worth freezing.
+func (c *Cache) admit(a cacheAddr) *Cache {
+	if c.fallback != nil && c.fallback.admits(a) {
+		c.deferrals.Add(1)
+		return c.fallback
 	}
+	if c.fallback != nil || c.admits(a) {
+		return c
+	}
+	return nil
+}
+
+// admits applies c's own admission rule to a sighting of a.
+func (c *Cache) admits(a cacheAddr) bool { return !c.repeat || c.m.Admit(a) }
+
+func (c *Cache) put(a cacheAddr, v any) {
 	if c.m.Put(a, v) {
 		globalEvictions.Add(1)
 	}
 }
 
-// Reset drops every cached pass result (tests and benchmarks measuring
-// the cold path). Counters are preserved.
+// Reset drops every cached pass result and every remembered sighting
+// (tests and benchmarks measuring the cold path). Counters are
+// preserved.
 func (c *Cache) Reset() { c.m.Reset() }
 
 // Len returns the number of cached snapshots.

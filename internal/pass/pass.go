@@ -133,7 +133,8 @@ type CacheOutcome int8
 const (
 	// CacheNone: the pass is not cacheable (or caching is disabled).
 	CacheNone CacheOutcome = iota
-	// CacheMiss: the pass ran and its result was stored.
+	// CacheMiss: the pass ran; its result was stored if a cache tier
+	// admitted it.
 	CacheMiss
 	// CacheHit: the pass was skipped and its result restored.
 	CacheHit
@@ -359,10 +360,14 @@ func (m *Manager) execute(c *Context, p *Pass, tm *Timing) error {
 	if err := p.Run(c); err != nil {
 		return err
 	}
-	// A nil snapshot means the result cannot be frozen safely; the pass
-	// still ran, the result just isn't stored.
-	if snap := p.Snapshot(c); snap != nil {
-		m.Cache.put(key, snap)
+	// Admission comes before the freeze: a key no tier admits (Global's
+	// first sighting) costs no snapshot at all. A nil snapshot means the
+	// result cannot be frozen safely; the pass still ran, the result
+	// just isn't stored.
+	if dst := m.Cache.admit(key); dst != nil {
+		if snap := p.Snapshot(c); snap != nil {
+			dst.put(key, snap)
+		}
 	}
 	tm.Cache = CacheMiss
 	cacheMisses.Add(1)

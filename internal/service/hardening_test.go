@@ -275,7 +275,16 @@ func TestRetryPromotesFollowerAfterLeaderCancel(t *testing.T) {
 			return c.Do(followerCtx, "k", func() (any, error) { return 42, nil })
 		})
 	}()
-	time.Sleep(10 * time.Millisecond) // let the follower attach
+	// Cancel the leader only once the follower has attached; before that
+	// the follower would compute the value as a plain miss and check
+	// nothing about promotion.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Dedups < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never attached to the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancelLeader()
 	select {
 	case <-done:

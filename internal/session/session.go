@@ -154,11 +154,13 @@ func newSession(ctx context.Context, source string, opt core.Options, faults fau
 		cache:  pass.NewCache(sessionCacheEntries),
 		memo:   memo.New[string, memoEntry](sessionMemoEntries),
 	}
-	// Tier the private cache over the process-wide one: a configuration
-	// the global tier already analyzed (an argod compile request, another
-	// session, a prior compile of the same cell) restores read-through,
-	// and its snapshots are not double-stored into the session's bounded
-	// private cache (they'd only displace session-local history).
+	// Tier the private cache over the process-wide one: a snapshot the
+	// global tier holds (from argod compile requests, other sessions,
+	// prior compiles of the same cell) restores read-through, and one
+	// whose key the global tier has already sighted is stored there, not
+	// in the session's bounded private cache. Configurations that recur
+	// across sessions and compiles are shared; what only this session
+	// computes stays local.
 	s.cache.SetFallback(pass.Global)
 	s.opt.Platform = clonePlatform(opt.Platform)
 	res, err := s.analyzeLocked(ctx, s.source, s.opt, aopt)

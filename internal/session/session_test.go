@@ -420,10 +420,10 @@ func TestSessionSoak(t *testing.T) {
 	ctx := context.Background()
 	g := &editGen{rng: rand.New(rand.NewSource(42))}
 
-	// Warm the process-wide pass cache with this exact configuration:
-	// session compiles must then defer to the Global tier (read through
-	// it instead of holding private copies), which the Deferrals counter
-	// asserts below.
+	// Sight this exact configuration in the process-wide pass cache:
+	// session compiles must then defer to the Global tier (store there
+	// and read through it instead of holding private copies), which the
+	// Deferrals counter asserts below.
 	prog, err := scil.Parse(uc.Source)
 	if err != nil {
 		t.Fatal(err)
@@ -477,6 +477,78 @@ func TestSessionSoak(t *testing.T) {
 	}
 	if deferrals == 0 {
 		t.Error("no session deferred to the warmed Global tier (double-store dedupe broken)")
+	}
+}
+
+// TestSessionStoresGlobalSightingsInGlobal pins how a session's private
+// pass cache tiers over pass.Global. A snapshot whose key Global has
+// already sighted (here by a plain compile, which stores nothing on a
+// first sighting) is stored in Global, so a second session restores it.
+// A key only one session has computed stays in that session's private
+// cache; once a second session computes it too, it moves to Global.
+func TestSessionStoresGlobalSightingsInGlobal(t *testing.T) {
+	uc, opt := testOptions(t, "polka", "xentium4")
+	ctx := context.Background()
+	pass.Global.Reset()
+	prog, err := scil.Parse(uc.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Compile(prog, opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := pass.Global.Len(); n != 0 {
+		t.Fatalf("a first compile stored %d snapshots in Global", n)
+	}
+
+	s1, res1, err := New(ctx, uc.Source, opt, fault.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := pass.Global.Len()
+	if global == 0 {
+		t.Fatal("a session stored nothing in Global for keys a compile had sighted")
+	}
+	if n := s1.CacheStats().Entries; n != 0 {
+		t.Fatalf("the session kept %d private snapshots of keys Global had sighted", n)
+	}
+
+	s2, res2, err := New(ctx, uc.Source, opt, fault.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ag := range res2.Artifacts.PassTrace.Aggregate() {
+		if ag.CacheMisses != 0 {
+			t.Errorf("the second session re-ran pass %q instead of restoring it from Global", ag.Pass)
+		}
+	}
+	if res2.Fingerprint != res1.Fingerprint {
+		t.Fatal("the restored session diverged from the first")
+	}
+
+	edit := Edit{Op: OpSetParam, Param: "shared.access_cycles", Value: 30}
+	if _, err := s1.Apply(ctx, edit, ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	private := s1.CacheStats().Entries
+	if private == 0 {
+		t.Fatal("an edit only one session computed stored nothing privately")
+	}
+	if n := pass.Global.Len(); n != global {
+		t.Fatalf("an edit only one session computed reached Global: %d -> %d snapshots", global, n)
+	}
+	res, err := s2.Apply(ctx, edit, ApplyOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pass.Global.Len(); n != global+private {
+		t.Fatalf("the same edit in a second session left Global at %d snapshots, want %d + %d", n, global, private)
+	}
+	if n := s2.CacheStats().Entries; n != 0 {
+		t.Fatalf("the second session kept %d private snapshots of keys the first had sighted", n)
+	}
+	if !res.Verified {
+		t.Fatal("the shared edit was not verified")
 	}
 }
 

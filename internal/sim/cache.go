@@ -85,21 +85,16 @@ type traceCache struct {
 	// Variant-trace memo: functional execution is deterministic in the
 	// entry inputs, so the traces of the trace-variant tasks are a pure
 	// function of (program, schedule, inputs) — the first two are fixed
-	// per cache slot, which leaves the inputs as the key. Entries match
-	// by full input comparison (the hash is only a prefilter), so a hit
-	// replays exactly the trace a fresh metered run would record; no
-	// collision can smuggle in a wrong trace. VM-mode only: the tree
-	// walker stays the unaccelerated differential oracle.
-	memoMu sync.RWMutex
-	memo   []*memoEntry
-	memoAt int // round-robin eviction cursor
-	// Admission filter: hashes of recently metered input sets. A full
-	// entry (a deep copy of the inputs plus the traces) is only stored
-	// once an input hash repeats, so single-shot input sweeps never pay
-	// the copy or grow the heap; steady repeat workloads reach all-hits
-	// from the third occurrence on.
-	seen   [2 * memoCap]uint64
-	seenAt int
+	// per cache slot, which leaves the inputs as the key. Entries are
+	// keyed by the input hash but match only by full input comparison,
+	// so a hit replays exactly the trace a fresh metered run would
+	// record; a hash collision costs a miss, never a wrong trace. An
+	// entry (a deep copy of the inputs plus the traces) is stored only on
+	// its hash's second sighting (memo.Cache.Admit), so single-shot input
+	// sweeps never pay the copy or grow the heap; steady repeat
+	// workloads reach all-hits from the third occurrence on. VM-mode
+	// only: the tree walker stays the unaccelerated differential oracle.
+	variants *memo.Cache[uint64, *memoEntry]
 
 	// Compiled bytecode: one vm.Program with one region per task,
 	// compiled on first VM-mode run. vmProg stays nil when compilation
@@ -162,16 +157,16 @@ func (lp *loopPrefix) restore(cores []coreState, signalTime []int64, posted []bo
 // come from the trace cache, everything else from here. Immutable once
 // published.
 type memoEntry struct {
-	hash    uint64
 	args    [][]float64
 	traces  [][]segment // task id -> trace; nil for invariant tasks
 	results [][]float64
 }
 
-// memoCap bounds the per-program variant-trace memo. Sixteen entries
-// cover steady-state workloads that cycle through a bounded input set
-// (what-if sessions, benchmark frames) without letting pathological
-// input streams grow the cache without bound.
+// memoCap bounds the per-program variant-trace memo (and its ghost list
+// of sightings to twice that). Sixteen entries cover steady-state
+// workloads that cycle through a bounded input set (what-if sessions,
+// benchmark frames) without letting pathological input streams grow the
+// cache without bound.
 const memoCap = 16
 
 // cacheInitMu serializes first-time cache construction per program (the
@@ -192,6 +187,7 @@ func cacheFor(p *par.Program) *traceCache {
 	c := &traceCache{
 		invariant: make([]bool, nTasks),
 		traces:    make([][]segment, nTasks),
+		variants:  memo.New[uint64, *memoEntry](memoCap),
 	}
 	// The program is final by the time it is simulated: precompute the
 	// per-statement meter charges so re-metered (trace-variant) tasks
@@ -257,13 +253,9 @@ func (c *traceCache) lookupVariant(args [][]float64) ([][]segment, [][]float64, 
 		return nil, nil, 0
 	}
 	h := argsHash(args)
-	c.memoMu.RLock()
-	defer c.memoMu.RUnlock()
-	for _, e := range c.memo {
-		if e.hash == h && argsEqual(e.args, args) {
-			traceMemoHits.Add(1)
-			return e.traces, e.results, h
-		}
+	if e, ok := c.variants.Get(h); ok && argsEqual(e.args, args) {
+		traceMemoHits.Add(1)
+		return e.traces, e.results, h
 	}
 	traceMemoMisses.Add(1)
 	return nil, nil, h
@@ -271,38 +263,16 @@ func (c *traceCache) lookupVariant(args [][]float64) ([][]segment, [][]float64, 
 
 // storeVariant remembers the variant-task traces and entry results of a
 // completed run whose lookupVariant missed with input hash h. The first
-// sighting of an input hash only records the hash (admission filter); a
-// repeat sighting copies the inputs and results and retains the variant
-// traces into an immutable entry, replacing the oldest slot
-// (round-robin) when the memo is full.
+// sighting of an input hash stores nothing; a repeat sighting copies the
+// inputs and results and retains the variant traces into an immutable
+// entry under h, replacing whatever h held (the same inputs stored by a
+// concurrent run, or colliding ones) and evicting the least recently
+// used entry when the memo is full.
 func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment, results [][]float64) {
-	if !c.hasVariant {
+	if !c.hasVariant || !c.variants.Admit(h) {
 		return
-	}
-	c.memoMu.Lock()
-	defer c.memoMu.Unlock()
-	repeat := false
-	for _, s := range c.seen {
-		if s == h {
-			repeat = true
-			break
-		}
-	}
-	if !repeat {
-		c.seen[c.seenAt] = h
-		c.seenAt = (c.seenAt + 1) % len(c.seen)
-		return
-	}
-	// A concurrent run may have stored the same inputs already; the
-	// traces are identical either way, so a duplicate entry only wastes
-	// a slot — skip it.
-	for _, old := range c.memo {
-		if old.hash == h && argsEqual(old.args, args) {
-			return
-		}
 	}
 	e := &memoEntry{
-		hash:    h,
 		args:    make([][]float64, len(args)),
 		traces:  make([][]segment, len(traces)),
 		results: cloneResults(results),
@@ -315,12 +285,7 @@ func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment
 			e.traces[t] = tr
 		}
 	}
-	if len(c.memo) < memoCap {
-		c.memo = append(c.memo, e)
-		return
-	}
-	c.memo[c.memoAt] = e
-	c.memoAt = (c.memoAt + 1) % memoCap
+	c.variants.Put(h, e)
 }
 
 // vmShared is the process-wide compiled-code cache. CompileRegions is

@@ -55,3 +55,14 @@ func MeterTasks(p *par.Program, args [][]float64) (traces [][]Segment, invariant
 // PrefixRecorded reports whether p's discrete-event loop prefix is
 // published.
 func PrefixRecorded(p *par.Program) bool { return cacheFor(p).prefix.Load() != nil }
+
+// VariantHash is the variant-trace memo's hash of an input set.
+func VariantHash(args [][]float64) uint64 { return argsHash(args) }
+
+// StoreVariantUnder stores a variant-trace memo entry for args under the
+// caller's hash h instead of args' own, as a completed run would: a
+// forced hash collision when h belongs to other inputs. The entry is
+// admitted only if h was sighted before.
+func StoreVariantUnder(p *par.Program, h uint64, args [][]float64, traces [][]Segment, results [][]float64) {
+	cacheFor(p).storeVariant(h, args, traces, results)
+}

@@ -130,7 +130,7 @@ func TestVariantTraceMemo(t *testing.T) {
 	}
 	h0, m0 := sim.TraceMemoCounters()
 	want := make(map[int64]string)
-	// Round 1 records input hashes (admission filter), round 2 stores
+	// Round 1 sights the input hashes (no entry stored), round 2 stores
 	// full entries, rounds 3-4 hit.
 	for round := 0; round < 4; round++ {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -175,6 +175,61 @@ func TestVariantTraceMemo(t *testing.T) {
 	}
 	if a, b := fingerprint(vmRep), fingerprint(treeRep); a != b {
 		t.Errorf("faulty memo-hit run differs from oracle\n vm   %s\n tree %s", a, b)
+	}
+}
+
+// TestVariantMemoHashCollision forces two input sets onto one memo
+// hash. The entry stored for the other inputs must never serve a run: a
+// collision costs a miss, and the miss's own store then takes the slot
+// over, so the run after it hits with its own entry.
+func TestVariantMemoHashCollision(t *testing.T) {
+	u := usecases.ByName("polka")
+	if u == nil {
+		t.Fatal("polka use case missing")
+	}
+	p, err := u.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := core.Compile(p, core.DefaultOptions(u.Entry, u.Args, adl.Builtin("xentium4")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := u.Inputs(1), u.Inputs(2)
+	run := func() string {
+		t.Helper()
+		rep, err := sim.RunEngine(art.Parallel, a, onVM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(rep)
+	}
+	want := run() // first sighting of a's hash: nothing stored
+	if got := run(); got != want {
+		t.Fatalf("second run of one input drifted\n got  %s\n want %s", got, want)
+	}
+
+	// An entry for b under a's hash, with traces and results no run
+	// produces: if a lookup for a ever served it, a's report would change.
+	bogus := make([][]sim.Segment, len(art.Parallel.Input.Tasks))
+	for i := range bogus {
+		bogus[i] = []sim.Segment{{Gap: 1}}
+	}
+	sim.StoreVariantUnder(art.Parallel, sim.VariantHash(a), b, bogus, [][]float64{{42}})
+
+	h0, m0 := sim.TraceMemoCounters()
+	if got := run(); got != want {
+		t.Fatalf("a colliding entry served a run\n got  %s\n want %s", got, want)
+	}
+	h1, m1 := sim.TraceMemoCounters()
+	if h1 != h0 || m1-m0 != 1 {
+		t.Fatalf("collided lookup counted %d hits and %d misses, want 0 and 1", h1-h0, m1-m0)
+	}
+	if got := run(); got != want {
+		t.Fatalf("run after the collision drifted\n got  %s\n want %s", got, want)
+	}
+	if h2, _ := sim.TraceMemoCounters(); h2-h1 != 1 {
+		t.Fatalf("the miss did not restore a's own entry: %d hits on the next run, want 1", h2-h1)
 	}
 }
 

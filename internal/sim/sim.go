@@ -324,9 +324,13 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 		if inj.Spec().ExecInflation > 0 {
 			for t := 0; t < nTasks; t++ {
 				core := p.Schedule.Placements[t].Core
-				isolatedAccess := int64(p.Platform.SharedAccessIsolated(core))
+				// Charge each access as the analysis does: where the
+				// interconnect holds a grant longer than an access takes,
+				// the isolated latency would understate the task's
+				// isolated time and overstate its headroom.
+				access := int64(p.Platform.SharedAccessCharge(core))
 				segs := traces[t]
-				isolated := int64(len(segs)-1) * isolatedAccess
+				isolated := int64(len(segs)-1) * access
 				for _, s := range segs {
 					isolated += s.Gap
 				}

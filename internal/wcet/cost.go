@@ -30,22 +30,25 @@ type CostModel struct {
 	OpCycles int
 	// SPMLatency is the per-element scratchpad access latency.
 	SPMLatency int
-	// SharedLatency is the isolated per-element shared-memory access
-	// latency (grant assumed immediate; contention is system-level).
+	// SharedLatency is the per-element shared-memory access charge
+	// without contention (adl.SharedAccessCharge: the isolated latency,
+	// or the interconnect's hold per grant when that is longer;
+	// contention is system-level).
 	SharedLatency int
 }
 
 // ModelFor extracts the cost model of one core from a platform.
 func ModelFor(p *adl.Platform, coreID int) CostModel {
 	c := p.Cores[coreID]
+	shared := p.SharedAccessCharge(coreID)
 	spmLat := c.SPM.LatencyCycles
 	if c.SPM.SizeBytes == 0 {
-		spmLat = p.SharedAccessIsolated(coreID) // no SPM: everything is shared
+		spmLat = shared // no SPM: everything is shared
 	}
 	return CostModel{
 		OpCycles:      c.OpCycles,
 		SPMLatency:    spmLat,
-		SharedLatency: p.SharedAccessIsolated(coreID),
+		SharedLatency: shared,
 	}
 }
 
