@@ -34,6 +34,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # CPU/heap profiles of the two simulator-bound experiment benchmarks,
+# and a CPU profile of fresh-input simulation (mostly VM dispatch),
 # written under profiles/ (gitignored) for `go tool pprof`.
 profile:
 	mkdir -p profiles
@@ -41,6 +42,8 @@ profile:
 		-cpuprofile profiles/e2.cpu.prof -memprofile profiles/e2.mem.prof .
 	$(GO) test -run=^$$ -bench='BenchmarkE5NoC$$' -benchtime=10x \
 		-cpuprofile profiles/e5.cpu.prof -memprofile profiles/e5.mem.prof .
+	$(GO) test -run=^$$ -bench='BenchmarkSimulate$$' -benchtime=300x \
+		-cpuprofile profiles/simulate.cpu.prof .
 
 # One-iteration smoke run so `make check` catches bitrot in the
 # benchmarks without paying for a full measurement, plus one iteration

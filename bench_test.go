@@ -550,6 +550,14 @@ func BenchmarkSimulate(b *testing.B) {
 	benchSimulate(b)
 }
 
+// BenchmarkSimulateUseCases is BenchmarkSimulate for each use case on
+// xentium4, a fresh seed per iteration.
+func BenchmarkSimulateUseCases(b *testing.B) {
+	for _, u := range usecases.All() {
+		b.Run(u.Name, func(b *testing.B) { benchSimulateUseCase(b, u) })
+	}
+}
+
 // BenchmarkSimulateTree is BenchmarkSimulate on the tree walker, selected
 // through the process-wide switch.
 func BenchmarkSimulateTree(b *testing.B) {
@@ -561,7 +569,10 @@ func BenchmarkSimulateTree(b *testing.B) {
 }
 
 func benchSimulate(b *testing.B) {
-	u := usecases.POLKA()
+	benchSimulateUseCase(b, usecases.POLKA())
+}
+
+func benchSimulateUseCase(b *testing.B, u *usecases.UseCase) {
 	art, err := argo.CompileUseCase(u, argo.Platform("xentium4"))
 	if err != nil {
 		b.Fatal(err)

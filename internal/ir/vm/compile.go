@@ -61,10 +61,10 @@ const (
 	opIntrN
 	// opToInt: regs[a] = float64 of the validated integer index value of
 	// regs[b] (tolerant rounding, "not an integer" error) — the toInt
-	// step of the tree walker's offset resolution. Only emitted for
-	// compound subscript expressions, to keep their evaluation and
-	// conversion interleaved per subscript; simple subscripts convert
-	// inside the load/offset op itself.
+	// step of the tree walker's offset resolution. A subscript keeps its
+	// own opToInt only when a later sibling subscript can fail or fire a
+	// meter event (see index); otherwise the load, offset op or checked
+	// store converts it inline.
 	opToInt
 	// opLoad1 / opLoad2: matrix element load: tolerant integer
 	// conversion of each subscript register (in subscript order), range
@@ -90,14 +90,6 @@ const (
 	opJz
 	// opLoopPrep: iters[a] = 0 (while-loop entry).
 	opLoopPrep
-	// opForPrep: iters[a] = 0; error if regs[b] (the step) is zero.
-	opForPrep
-	// opForCond: for-loop head for loops[a] with control registers
-	// (cur, hi, step) at b, b+1, b+2: test the continuation condition
-	// (exit to c when false), burn fuel, count the iteration against the
-	// static trip bound, publish cur into the induction variable, and
-	// charge the per-iteration increment+branch units.
-	opForCond
 	// opWhileTest: while-loop check for loops[a] on condition regs[b]:
 	// exit to c on zero, else count the check against the @bound.
 	opWhileTest
@@ -105,11 +97,11 @@ const (
 	// intrinsic, bad subscript arity, unknown statement/expression).
 	opErr
 	// opForNext: fused for-loop back edge at the bottom of every for
-	// body: step the control register triple at b, then run opForCond's
-	// test for loops[a] — jump to the body start d when continuing, to
-	// the exit c when done. One dispatch per iteration instead of a
-	// separate step + jump back to the head's opForCond (which still
-	// exists to handle the first iteration, un-stepped).
+	// body: step the control register triple at b, then run the
+	// iteration test for loops[a] — jump to the body start d when
+	// continuing, to the exit c when done. One dispatch per iteration
+	// instead of a separate step + jump back to the loop entry
+	// (opForInit, which handles the first iteration, un-stepped).
 	opForNext
 	// Superinstructions (see fuseSuper): the four multiply-accumulate
 	// shapes fused from an opMul feeding an opAdd or opSub, one dispatch
@@ -126,19 +118,41 @@ const (
 	opAddMul
 	opMulSub
 	opSubMul
+	// Compare-and-branch (see branchCmps), one opcode per comparison in
+	// ir.OpEq … ir.OpGe order: jump to a unless regs[b] <cmp> regs[c].
+	// Written as "unless", a NaN operand jumps, exactly as FoldBin's 0.
+	opJnEq
+	opJnNe
+	opJnLt
+	opJnLe
+	opJnGt
+	opJnGe
+	// opForInit: for-loop entry for loops[a]: copy the bounds
+	// (regs[d], regs[hi], regs[step]) into the control triple (cur, hi,
+	// step) at b, b+1, b+2 and fail on a zero step. Then the iteration
+	// test: exit to c when cur is past hi, else burn fuel, count the
+	// iteration against the static trip bound, publish cur into the
+	// induction variable and charge the increment+branch units.
+	opForInit
+	// opStore1c / opStore2c: checked store, unmetered stream only (see
+	// store): convert and range-check the subscripts regs[b] (and
+	// regs[c]) like the loads, then mats[a][offset] = regs[d].
+	opStore1c
+	opStore2c
 )
 
-// Burn fusion: opBurn followed by a pure single-instruction operation
-// is collapsed by fuseBurns into one instruction whose opcode is the
-// base op plus burnDelta. The dispatch loop peels the fuel charge off
-// any opcode >= burnDelta before the switch, so every case body exists
-// once. All base opcodes are < burnDelta.
+// Burn fusion: opBurn followed by a fusible operation is collapsed by
+// fuseBurns into one instruction whose opcode is the base op plus
+// burnDelta. The dispatch loop peels the fuel charge off any opcode >=
+// burnDelta before the switch, so every case body exists once. All base
+// opcodes are < burnDelta.
 const burnDelta op = 64
 
 // burnFusible marks the opcodes that may absorb a preceding opBurn:
-// pure register-to-register operations whose only side effects (index
-// conversion errors, meter.Read) happen after the fuel charge in the
-// tree walker too (burn at statement entry, then evaluation).
+// operations whose side effects (index conversion and range errors,
+// meter events, jumps) happen after the fuel charge in the tree walker
+// too (burn at statement entry, then evaluation). A fused jump is still
+// a jump: jumpTargets and remapJumps see through burn twins.
 var burnFusible = [burnDelta]bool{
 	opConst: true, opMov: true,
 	opAdd: true, opSub: true, opMul: true, opDiv: true,
@@ -147,8 +161,10 @@ var burnFusible = [burnDelta]bool{
 	opNeg: true, opNot: true,
 	opIntr1: true, opIntr2: true,
 	opToInt: true, opLoad1: true, opLoad2: true, opIdx1: true, opIdx2: true,
-	opLoopPrep: true,
-	opMulAdd:   true, opAddMul: true, opMulSub: true, opSubMul: true,
+	opLoopPrep: true, opOps: true,
+	opMulAdd: true, opAddMul: true, opMulSub: true, opSubMul: true,
+	opJnEq: true, opJnNe: true, opJnLt: true, opJnLe: true, opJnGt: true, opJnGe: true,
+	opForInit: true, opStore1c: true, opStore2c: true,
 }
 
 // instr is one bytecode instruction; operand meaning depends on op.
@@ -165,6 +181,8 @@ type loopInfo struct {
 	limit int
 	// isFor selects the trip-count vs @bound error message.
 	isFor bool
+	// hi and step are the bound registers an opForInit copies.
+	hi, step int32
 }
 
 // matInfo is the static side table of one matrix variable.
@@ -183,11 +201,9 @@ type Code struct {
 	consts []float64
 	loops  []loopInfo
 	errs   []error
-	// unmetered is this stream with every opOps removed and jump
-	// targets remapped. opOps is a pure no-op when no meter is attached,
-	// so the variant is observationally identical there with fewer
-	// dispatches; exec selects it whenever m.meter == nil (the warm
-	// trace-cache path in the simulator).
+	// unmetered is the same region compiled for a machine without a
+	// meter: no opOps, and checked stores. exec selects it whenever
+	// m.meter == nil (the trace-invariant tasks in the simulator).
 	unmetered *Code
 }
 
@@ -333,7 +349,10 @@ type compiler struct {
 	constReg map[uint64]int32 // Float64bits -> constant register
 	nextReg  int32
 
-	// Per-Code state.
+	// Per-Code state. metered selects the stream being compiled: the
+	// metered one charges opOps; the unmetered one omits them and may
+	// reorder a store (see store).
+	metered  bool
 	code     *Code
 	tempBase int32 // watermark: temporaries live in [nVarRegs+?, tempBase)
 	maxTemps int
@@ -344,6 +363,10 @@ type compiler struct {
 	// signal, ending the region).
 	loopStack []*loopCtx
 	haltJumps []int
+	// raw is the instruction buffer every stream is compiled into
+	// before fuseBurns copies it out, reused so a region's two streams
+	// and the regions after them do not regrow it.
+	raw []instr
 }
 
 type loopCtx struct {
@@ -430,8 +453,18 @@ func (c *compiler) binding(v *ir.Var) binding {
 
 // --- per-Code compilation ---------------------------------------------------
 
+// compileCode compiles one region twice: the metered stream, and the
+// unmetered one a meterless machine runs.
 func (c *compiler) compileCode(stmts []ir.Stmt) *Code {
-	c.code = &Code{}
+	c.metered = true
+	code := c.compileStream(stmts)
+	c.metered = false
+	code.unmetered = c.compileStream(stmts)
+	return code
+}
+
+func (c *compiler) compileStream(stmts []ir.Stmt) *Code {
+	c.code = &Code{ins: c.raw[:0]}
 	c.tempBase = c.nextReg
 	c.nextLoop = 0
 	c.loopStack = c.loopStack[:0]
@@ -448,23 +481,34 @@ func (c *compiler) compileCode(stmts []ir.Stmt) *Code {
 	if int(c.nextLoop) > c.prog.maxLoops {
 		c.prog.maxLoops = int(c.nextLoop)
 	}
-	fused := fuseBurns(c.code)
-	fused.unmetered = stripOps(fused)
-	return fused
+	c.raw = c.code.ins
+	return fuseBurns(c.code)
+}
+
+// jumpOperands returns pointers to in's absolute jump-target operands,
+// seeing through burn twins.
+func jumpOperands(in *instr) []*int32 {
+	o := in.op
+	if o >= burnDelta {
+		o -= burnDelta
+	}
+	switch o {
+	case opJmp, opJz, opJnEq, opJnNe, opJnLt, opJnLe, opJnGt, opJnGe:
+		return []*int32{&in.a}
+	case opWhileTest, opForInit:
+		return []*int32{&in.c}
+	case opForNext:
+		return []*int32{&in.c, &in.d}
+	}
+	return nil
 }
 
 // jumpTargets marks every pc that some instruction jumps to.
 func jumpTargets(ins []instr) []bool {
 	tgt := make([]bool, len(ins)+1)
 	for i := range ins {
-		switch ins[i].op {
-		case opJmp, opJz:
-			tgt[ins[i].a] = true
-		case opForCond, opWhileTest:
-			tgt[ins[i].c] = true
-		case opForNext:
-			tgt[ins[i].c] = true
-			tgt[ins[i].d] = true
+		for _, t := range jumpOperands(&ins[i]) {
+			tgt[*t] = true
 		}
 	}
 	return tgt
@@ -473,14 +517,8 @@ func jumpTargets(ins []instr) []bool {
 // remapJumps rewrites every absolute jump target through remap.
 func remapJumps(ins []instr, remap []int32) {
 	for i := range ins {
-		switch ins[i].op {
-		case opJmp, opJz:
-			ins[i].a = remap[ins[i].a]
-		case opForCond, opWhileTest:
-			ins[i].c = remap[ins[i].c]
-		case opForNext:
-			ins[i].c = remap[ins[i].c]
-			ins[i].d = remap[ins[i].d]
+		for _, t := range jumpOperands(&ins[i]) {
+			*t = remap[*t]
 		}
 	}
 }
@@ -507,32 +545,6 @@ func fuseBurns(code *Code) *Code {
 			continue
 		}
 		ins = append(ins, in)
-	}
-	remapJumps(ins, remap)
-	return &Code{ins: ins, consts: code.consts, loops: code.loops, errs: code.errs}
-}
-
-// stripOps builds the unmetered variant of code: every opOps is dropped
-// and absolute jump targets (opJmp/opJz/opForStep destinations,
-// opForCond/opWhileTest exits) are remapped. The tables are shared with
-// the metered stream. Returns code itself when it has no opOps.
-func stripOps(code *Code) *Code {
-	n := 0
-	for i := range code.ins {
-		if code.ins[i].op == opOps {
-			n++
-		}
-	}
-	if n == 0 {
-		return code
-	}
-	remap := make([]int32, len(code.ins))
-	ins := make([]instr, 0, len(code.ins)-n)
-	for i := range code.ins {
-		remap[i] = int32(len(ins))
-		if code.ins[i].op != opOps {
-			ins = append(ins, code.ins[i])
-		}
 	}
 	remapJumps(ins, remap)
 	return &Code{ins: ins, consts: code.consts, loops: code.loops, errs: code.errs}
@@ -585,9 +597,10 @@ func (c *compiler) fn(b *scil.Builtin) int32 {
 	return id
 }
 
-// ops emits the meter charge n, mirroring Exec.ops (no-op when n <= 0).
+// ops emits the meter charge n on the metered stream, mirroring
+// Exec.ops (no-op when n <= 0).
 func (c *compiler) ops(n int) {
-	if n > 0 {
+	if n > 0 && c.metered {
 		c.emit(instr{op: opOps, a: int32(n)})
 	}
 }
@@ -607,43 +620,13 @@ func (c *compiler) stmt(s ir.Stmt) {
 		c.release(m)
 		c.ops(ir.ExprOpUnits(st.Src) + 1)
 	case *ir.Store:
-		c.emit(instr{op: opBurn})
-		units := 1 + ir.ExprOpUnits(st.Src)
-		for _, ix := range st.Idx {
-			units += ir.ExprOpUnits(ix)
-		}
-		mat, ok := c.matID[st.Dst]
-		if !ok {
-			fail("store to unregistered matrix %s", st.Dst)
-		}
-		m := c.mark()
-		off := c.storeOffset(mat, st.Dst, st.Idx)
-		src := c.temp()
-		c.expr(st.Src, src)
-		c.ops(units)
-		c.emit(instr{op: opStore, a: mat, b: off, c: src})
-		c.release(m)
+		c.store(st)
 	case *ir.For:
 		c.forLoop(st)
 	case *ir.While:
 		c.whileLoop(st)
 	case *ir.If:
-		c.emit(instr{op: opBurn})
-		m := c.mark()
-		cond := c.temp()
-		c.expr(st.Cond, cond)
-		c.release(m)
-		c.ops(ir.ExprOpUnits(st.Cond) + 1)
-		jz := c.emit(instr{op: opJz, b: cond})
-		c.block(st.Then)
-		if len(st.Else) > 0 {
-			j := c.emit(instr{op: opJmp})
-			c.code.ins[jz].a = c.here()
-			c.block(st.Else)
-			c.code.ins[j].a = c.here()
-		} else {
-			c.code.ins[jz].a = c.here()
-		}
+		c.ifStmt(st)
 	case *ir.Break:
 		c.emit(instr{op: opBurn})
 		j := c.emit(instr{op: opJmp})
@@ -668,6 +651,78 @@ func (c *compiler) stmt(s ir.Stmt) {
 	}
 }
 
+// ifStmt compiles an If. A condition that is one comparison of register
+// operands, or an & chain of them, compiles to one conditional jump per
+// comparison (compare-and-branch) instead of materializing 1/0 values:
+//
+//   - Values: a comparison yields 1 or 0, so the chain is nonzero
+//     exactly when every comparison holds, and each opJn jumps to the
+//     else branch exactly when its comparison's FoldBin value is 0 (a
+//     NaN operand included).
+//   - Side effects: a register comparison cannot fail and fires no meter
+//     event, so skipping the rest of the chain after a failed comparison
+//     is unobservable, and the If's opOps charge, which the tree walker
+//     makes after evaluating the condition, can move ahead of the first
+//     jump.
+func (c *compiler) ifStmt(st *ir.If) {
+	c.emit(instr{op: opBurn})
+	var first, n int // the jumps to the else branch
+	if cmps, ok := c.branchCmps(st.Cond, nil); ok {
+		c.ops(ir.ExprOpUnits(st.Cond) + 1)
+		first, n = len(c.code.ins), len(cmps)
+		c.code.ins = append(c.code.ins, cmps...)
+	} else {
+		m := c.mark()
+		cond := c.temp()
+		c.expr(st.Cond, cond)
+		c.release(m)
+		c.ops(ir.ExprOpUnits(st.Cond) + 1)
+		first, n = c.emit(instr{op: opJz, b: cond}), 1
+	}
+	c.block(st.Then)
+	elseAt := c.here()
+	if len(st.Else) > 0 {
+		j := c.emit(instr{op: opJmp})
+		elseAt = c.here()
+		c.block(st.Else)
+		c.code.ins[j].a = c.here()
+	}
+	for k := first; k < first+n; k++ {
+		c.code.ins[k].a = elseAt
+	}
+}
+
+// branchCmps appends to out the compare-and-branch jumps of cond, in
+// evaluation order, and reports whether cond has that shape: one
+// comparison of register operands, or an & chain of them.
+func (c *compiler) branchCmps(cond ir.Expr, out []instr) ([]instr, bool) {
+	x, ok := cond.(*ir.Bin)
+	if !ok {
+		return out, false
+	}
+	if x.Op == ir.OpAnd {
+		if out, ok = c.branchCmps(x.X, out); !ok {
+			return out, false
+		}
+		return c.branchCmps(x.Y, out)
+	}
+	if x.Op < ir.OpEq || x.Op > ir.OpGe {
+		return out, false
+	}
+	a, okA := c.reg(x.X)
+	b, okB := c.reg(x.Y)
+	if !okA || !okB {
+		return out, false
+	}
+	return append(out, instr{op: opJnEq + op(x.Op-ir.OpEq), b: a, c: b}), true
+}
+
+// forLoop compiles a For. The loop enters with one opForInit after its
+// bounds, in the tree walker's order: evaluate lo, hi and step, charge
+// their op units, then check the step and test the first iteration.
+// Register bounds forward their home registers with no instruction;
+// opForInit copies them into the control triple, because the body may
+// reassign the variables they came from.
 func (c *compiler) forLoop(st *ir.For) {
 	c.emit(instr{op: opBurn})
 	base := c.temp() // cur
@@ -676,26 +731,23 @@ func (c *compiler) forLoop(st *ir.For) {
 	if hi != base+1 || step != base+2 {
 		fail("non-contiguous loop registers")
 	}
-	m := c.mark()
-	c.expr(st.Lo, base)
-	c.expr(st.Hi, hi)
-	c.expr(st.Step, step)
-	c.release(m)
-	c.ops(ir.ExprOpUnits(st.Lo) + ir.ExprOpUnits(st.Hi) + ir.ExprOpUnits(st.Step))
 	loop := c.nextLoop
 	c.nextLoop++
-	c.code.loops = append(c.code.loops, loopInfo{ivar: c.varReg[st.IVar], limit: st.Trip, isFor: true})
-	c.emit(instr{op: opForPrep, a: loop, b: base + 2})
-	head := c.here()
-	cond := c.emit(instr{op: opForCond, a: loop, b: base})
+	m := c.mark()
+	loR, hiR, stepR := c.operand(st.Lo), c.operand(st.Hi), c.operand(st.Step)
+	c.ops(ir.ExprOpUnits(st.Lo) + ir.ExprOpUnits(st.Hi) + ir.ExprOpUnits(st.Step))
+	c.code.loops = append(c.code.loops, loopInfo{ivar: c.varReg[st.IVar], limit: st.Trip, isFor: true, hi: hiR, step: stepR})
+	entry := c.emit(instr{op: opForInit, a: loop, b: base, d: loR})
+	c.release(m)
+	body := c.here()
 	lc := &loopCtx{}
 	c.loopStack = append(c.loopStack, lc)
 	c.block(st.Body)
 	c.loopStack = c.loopStack[:len(c.loopStack)-1]
 	stepPC := c.here()
-	next := c.emit(instr{op: opForNext, a: loop, b: base, d: head + 1})
+	next := c.emit(instr{op: opForNext, a: loop, b: base, d: body})
 	exit := c.here()
-	c.code.ins[cond].c = exit
+	c.code.ins[entry].c = exit
 	c.code.ins[next].c = exit
 	for _, j := range lc.breaks {
 		c.code.ins[j].a = exit
@@ -737,19 +789,56 @@ func (c *compiler) whileLoop(st *ir.While) {
 	}
 }
 
+// store compiles a Store. The tree walker resolves the target offset
+// (subscript evaluation, conversion, range check), then evaluates the
+// source, charges the statement's units and writes. On the unmetered
+// stream a store whose source is quiet compiles to a checked store
+// instead: the source first, then the subscripts, then one opStore1c or
+// opStore2c that converts, range-checks and writes. A quiet source
+// cannot fail, fires no meter event and writes no variable register, so
+// evaluating it first is unobservable. On the metered stream the
+// statement's opOps must come after the offset's errors and before the
+// write, which the checked store cannot place.
+func (c *compiler) store(st *ir.Store) {
+	c.emit(instr{op: opBurn})
+	mat, ok := c.matID[st.Dst]
+	if !ok {
+		fail("store to unregistered matrix %s", st.Dst)
+	}
+	m := c.mark()
+	defer c.release(m)
+	if !c.metered && (len(st.Idx) == 1 || len(st.Idx) == 2) && c.quiet(st.Src) {
+		src := c.operand(st.Src)
+		if len(st.Idx) == 2 {
+			i, j := c.indices2(st.Idx)
+			c.emit(instr{op: opStore2c, a: mat, b: i, c: j, d: src})
+		} else {
+			c.emit(instr{op: opStore1c, a: mat, b: c.index(st.Idx[0], false), d: src})
+		}
+		return
+	}
+	units := 1 + ir.ExprOpUnits(st.Src)
+	for _, ix := range st.Idx {
+		units += ir.ExprOpUnits(ix)
+	}
+	off := c.storeOffset(mat, st.Idx)
+	src := c.operand(st.Src)
+	c.ops(units)
+	c.emit(instr{op: opStore, a: mat, b: off, c: src})
+}
+
 // storeOffset compiles the validated target-offset computation of a
 // store (index conversion per subscript in evaluation order, then the
 // combined range check), returning the register holding the offset.
-func (c *compiler) storeOffset(mat int32, v *ir.Var, idx []ir.Expr) int32 {
+func (c *compiler) storeOffset(mat int32, idx []ir.Expr) int32 {
 	switch len(idx) {
 	case 2:
-		i := c.index(idx[0])
-		j := c.index(idx[1])
+		i, j := c.indices2(idx)
 		off := c.temp()
 		c.emit(instr{op: opIdx2, a: off, b: mat, c: i, d: j})
 		return off
 	case 1:
-		k := c.index(idx[0])
+		k := c.index(idx[0], false)
 		off := c.temp()
 		c.emit(instr{op: opIdx1, a: off, b: mat, c: k})
 		return off
@@ -760,24 +849,72 @@ func (c *compiler) storeOffset(mat int32, v *ir.Var, idx []ir.Expr) int32 {
 	return c.temp()
 }
 
-// index compiles one subscript expression. Loads and offset ops apply
-// the tree walker's tolerant integer conversion inline, so a VarRef or
-// Const subscript forwards its home register with no instruction at all
-// — exactly the fast path Exec.offset takes (no eval step, conversion
-// only), so evaluation order and error order coincide. Any other
-// expression keeps the standalone opToInt so that its evaluation and
-// conversion stay interleaved per subscript as in the tree walker; the
-// load's own re-conversion of the already-integral result is the
-// identity and unobservable.
-func (c *compiler) index(e ir.Expr) int32 {
-	switch e.(type) {
-	case *ir.VarRef, *ir.Const:
-		return c.operand(e)
-	}
+// indices2 compiles the two subscripts of a matrix access. The first
+// is converted before the second is evaluated only when the second is
+// not quiet.
+func (c *compiler) indices2(idx []ir.Expr) (i, j int32) {
+	i = c.index(idx[0], !c.quiet(idx[1]))
+	j = c.index(idx[1], false)
+	return i, j
+}
+
+// index compiles one subscript expression. Loads, offset ops and
+// checked stores apply the tree walker's tolerant integer conversion
+// inline, in subscript order, with the same error. So the conversion
+// needs its own opToInt only when convert is set: a later sibling
+// subscript can fail or fire a meter event, and the tree walker
+// converts (and may fail) before evaluating it. Otherwise a register
+// operand forwards its home register with no instruction at all, and a
+// compound subscript leaves its value unconverted. The inline
+// re-conversion of an opToInt result is the identity.
+func (c *compiler) index(e ir.Expr, convert bool) int32 {
 	src := c.operand(e)
+	if !convert {
+		return src
+	}
 	r := c.temp()
 	c.emit(instr{op: opToInt, a: r, b: src})
 	return r
+}
+
+// reg returns the home register of a register operand: a scalar
+// variable or a constant.
+func (c *compiler) reg(e ir.Expr) (int32, bool) {
+	switch x := e.(type) {
+	case *ir.VarRef:
+		r, ok := c.varReg[x.V]
+		return r, ok
+	case *ir.Const:
+		r, ok := c.constReg[math.Float64bits(x.Val)]
+		return r, ok
+	}
+	return 0, false
+}
+
+// quiet reports whether evaluating e can neither fail nor fire a meter
+// event: register operands, operators over quiet operands, and the
+// Scalar1/Scalar2 fast paths of intrinsics.
+func (c *compiler) quiet(e ir.Expr) bool {
+	if _, ok := c.reg(e); ok {
+		return true
+	}
+	switch x := e.(type) {
+	case *ir.Bin:
+		return x.Op >= ir.OpAdd && x.Op <= ir.OpOr && c.quiet(x.X) && c.quiet(x.Y)
+	case *ir.Un:
+		return c.quiet(x.X)
+	case *ir.Intrinsic:
+		b := scil.LookupBuiltin(x.Name)
+		switch {
+		case b == nil:
+			return false
+		case len(x.Args) == 1 && b.Scalar1 != nil:
+			return c.quiet(x.Args[0])
+		case len(x.Args) == 2 && b.Scalar2 != nil:
+			return c.quiet(x.Args[0]) && c.quiet(x.Args[1])
+		}
+	}
+	return false
 }
 
 // operand compiles e as a read-only operand and returns the register
@@ -789,15 +926,8 @@ func (c *compiler) index(e ir.Expr) int32 {
 // emitted for a sibling operand can write a variable or constant
 // register.
 func (c *compiler) operand(e ir.Expr) int32 {
-	switch x := e.(type) {
-	case *ir.VarRef:
-		if r, ok := c.varReg[x.V]; ok {
-			return r
-		}
-	case *ir.Const:
-		if r, ok := c.constReg[math.Float64bits(x.Val)]; ok {
-			return r
-		}
+	if r, ok := c.reg(e); ok {
+		return r
 	}
 	r := c.temp()
 	c.expr(e, r)
@@ -820,12 +950,10 @@ func (c *compiler) expr(e ir.Expr, dst int32) {
 		m := c.mark()
 		switch len(x.Idx) {
 		case 2:
-			i := c.index(x.Idx[0])
-			j := c.index(x.Idx[1])
+			i, j := c.indices2(x.Idx)
 			c.emit(instr{op: opLoad2, a: dst, b: mat, c: i, d: j})
 		case 1:
-			k := c.index(x.Idx[0])
-			c.emit(instr{op: opLoad1, a: dst, b: mat, c: k})
+			c.emit(instr{op: opLoad1, a: dst, b: mat, c: c.index(x.Idx[0], false)})
 		default:
 			c.emit(instr{op: opErr, a: c.errIdx(fmt.Errorf("ir: %d subscripts", len(x.Idx)))})
 		}
@@ -915,7 +1043,7 @@ func (c *compiler) fuseSuper(x *ir.Bin, dst int32) bool {
 		z := c.operand(x.Y)
 		c.emit(instr{op: o, a: dst, b: p, c: q, d: z})
 		c.release(m)
-		superFused.Add(1)
+		c.countFused()
 		return true
 	}
 	if my, ok := x.Y.(*ir.Bin); ok && my.Op == ir.OpMul {
@@ -929,8 +1057,16 @@ func (c *compiler) fuseSuper(x *ir.Bin, dst int32) bool {
 		q := c.operand(my.Y)
 		c.emit(instr{op: o, a: dst, b: z, c: p, d: q})
 		c.release(m)
-		superFused.Add(1)
+		c.countFused()
 		return true
 	}
 	return false
+}
+
+// countFused counts one fused site; each region compiles twice, so only
+// the metered stream counts.
+func (c *compiler) countFused() {
+	if c.metered {
+		superFused.Add(1)
+	}
 }

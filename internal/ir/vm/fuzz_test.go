@@ -3,7 +3,6 @@ package vm_test
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"argo/internal/ir"
@@ -16,6 +15,62 @@ import (
 // stay cheap; exhaustion itself is a differential outcome (both engines
 // must run out at the same statement with the same meter prefix).
 const fuzzFuel = 100_000
+
+// streamSeeds reach the compiler's peephole shapes on both streams:
+// compare-and-branch over NaN, ±Inf and −0 operands, one-instruction
+// loop entries, and quiet-source (checked) stores whose subscripts fail.
+// For x > 0, sqrt(-x) is NaN, x / 0 is +Inf and -(x * 0) is −0. The
+// front end folds loop bounds to constants and rejects a zero step, so
+// TestVMDirectIR covers the zero step.
+var streamSeeds = []string{
+	`function r = f(x, y)
+  n = sqrt(-x)
+  p = x / 0
+  z = -(x * 0)
+  r = 0
+  if n == n & p ~= z & z < y & y <= p & p > n & z >= 0 then
+    r = r + 1
+  end
+  if x == y & n ~= p then
+    r = r + 2
+  else
+    r = r - 2
+  end
+  if z == 0 & z <= x & p >= y & n < p & y > z & x ~= n then
+    r = r + 4
+  end
+  if p < y | n >= z then
+    r = r + 8
+  end
+endfunction`,
+	`function r = f(x)
+  r = 0
+  for i = 10:-2.5:1
+    r = r + i * x
+  end
+  for j = 0.5:0.25:2
+    r = r - j
+  end
+  for k = 3:-1:1
+    for m = 1:3
+      if m >= x & m <= k & k < 3 then
+        r = r + m
+      end
+    end
+  end
+  for e = 5:1
+    r = r + 100
+  end
+endfunction`,
+	`function r = f(x, y)
+  a = zeros(2, 3)
+  a(1, x / 3 * 3) = sqrt(y)
+  a(x + 1e-10) = x * y
+  a(y, x) = max(x, y) - 1
+  a(x + 0.25) = -y
+  r = a(1, 1) + a(2, 3)
+endfunction`,
+}
 
 // FuzzVMExec is the differential fuzzer for the bytecode VM: any source
 // the front end accepts is lowered and executed through both the tree
@@ -35,6 +90,7 @@ func FuzzVMExec(f *testing.F) {
 		"function r = f(a, b)\n  if a > b then\n    r = max(a, b)\n  else\n    r = atan(a, b)\n  end\nendfunction",
 		"function r = f(x)\n  r = x / 0 + sqrt(-x)\nendfunction", // inf/nan propagation
 	}
+	seeds = append(seeds, streamSeeds...)
 	for _, u := range usecases.All() {
 		seeds = append(seeds, u.Source)
 	}
@@ -89,53 +145,12 @@ func FuzzVMExec(f *testing.F) {
 }
 
 // diffExec runs one (program, inputs) pair through both engines under
-// the fuzz fuel budget and reports any observable divergence.
+// the fuzz fuel budget, metered and unmetered, and reports any
+// observable divergence.
 func diffExec(t *testing.T, prog *ir.Program, cp *vm.Program, inputs [][]float64, src string) {
 	t.Helper()
-	tm := &recMeter{}
-	ex := ir.NewExec(prog, tm)
-	var treeOut [][]float64
-	treeErr := ex.Init(inputs)
-	if treeErr == nil {
-		ex.SetFuel(fuzzFuel)
-		treeErr = ex.ExecBlock(prog.Entry.Body)
-	}
-	if treeErr == nil {
-		treeOut = ex.Results()
-	}
-
-	vmMeter := &recMeter{}
-	m := vm.NewMachine(cp, vmMeter)
-	var vmOut [][]float64
-	vmErr := m.Init(inputs)
-	if vmErr == nil {
-		m.SetFuel(fuzzFuel)
-		vmErr = m.ExecEntry()
-	}
-	if vmErr == nil {
-		vmOut = m.Results()
-	}
-
-	if (treeErr == nil) != (vmErr == nil) ||
-		(treeErr != nil && treeErr.Error() != vmErr.Error()) {
-		t.Fatalf("error mismatch: tree=%v vm=%v\n%s", treeErr, vmErr, src)
-	}
-	if treeErr == nil {
-		if len(treeOut) != len(vmOut) {
-			t.Fatalf("result arity: tree=%d vm=%d\n%s", len(treeOut), len(vmOut), src)
-		}
-		for i := range treeOut {
-			if len(treeOut[i]) != len(vmOut[i]) {
-				t.Fatalf("result %d length: tree=%d vm=%d\n%s", i, len(treeOut[i]), len(vmOut[i]), src)
-			}
-			for j := range treeOut[i] {
-				if math.Float64bits(treeOut[i][j]) != math.Float64bits(vmOut[i][j]) {
-					t.Fatalf("result[%d][%d]: tree=%v vm=%v\n%s", i, j, treeOut[i][j], vmOut[i][j], src)
-				}
-			}
-		}
-	}
-	if strings.Join(tm.events, ";") != strings.Join(vmMeter.events, ";") {
-		t.Fatalf("meter divergence:\ntree tail: %v\nvm tail:   %v\n%s", tail(tm.events), tail(vmMeter.events), src)
+	for _, s := range streams {
+		sameOutcome(t, s.name+"\n"+src,
+			runTree(prog, inputs, s.metered, fuzzFuel), runVM(cp, inputs, s.metered, fuzzFuel))
 	}
 }

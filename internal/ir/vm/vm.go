@@ -15,7 +15,7 @@ var errFuel = errors.New("ir: execution budget exhausted")
 
 // Superinstruction observability, served by argod's /debug/vars:
 // argo_superinst_fused counts fusions emitted at compile time (one per
-// superinstruction in compiled code, cold path), and
+// fused site, although both streams fuse it; cold path), and
 // argo_superinst_dispatched counts superinstruction executions (batched
 // per Machine run and flushed at exec exit, so the hot loop pays one
 // field increment, not an atomic).
@@ -37,11 +37,64 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// toIdxSlow is the non-integral half of the tree walker's tolerant
-// subscript conversion (Exec.offset's toInt): round within 1e-9 or
-// fail. The loads inline the exactly-integral fast path and only call
-// here when it misses.
-func toIdxSlow(f float64) (int, error) {
+// offset1 resolves a linear (column-major) subscript value to a
+// row-major element offset with the tree walker's semantics
+// (Exec.offset): tolerant integer conversion — exact, or within 1e-9
+// of an integer — then the range check, each with its error.
+func (mt *matInfo) offset1(f float64) (int, error) {
+	k, err := toIdx(f)
+	if err != nil {
+		return 0, err
+	}
+	if k < 1 || k > mt.elems {
+		return 0, fmt.Errorf("ir: linear index %d out of range for %s", k, mt.v)
+	}
+	k--
+	return (k%mt.rows)*mt.cols + k/mt.rows, nil
+}
+
+// offset2 is offset1 for a (row, column) pair, converted in order.
+func (mt *matInfo) offset2(fi, fj float64) (int, error) {
+	i, err := toIdx(fi)
+	if err != nil {
+		return 0, err
+	}
+	j, err := toIdx(fj)
+	if err != nil {
+		return 0, err
+	}
+	if i < 1 || i > mt.rows || j < 1 || j > mt.cols {
+		return 0, fmt.Errorf("ir: index (%d, %d) out of range for %s", i, j, mt.v)
+	}
+	return (i-1)*mt.cols + (j - 1), nil
+}
+
+// fastOffset1 and fastOffset2 are the inlined fast paths of offset1 and
+// offset2: exactly integral, in-range subscripts. They report false for
+// anything else, which the dispatch cases hand to the full resolution.
+func (mt *matInfo) fastOffset1(f float64) (int, bool) {
+	k := int(f)
+	if float64(k) != f || k < 1 || k > mt.elems {
+		return 0, false
+	}
+	k--
+	return (k%mt.rows)*mt.cols + k/mt.rows, true
+}
+
+func (mt *matInfo) fastOffset2(fi, fj float64) (int, bool) {
+	i, j := int(fi), int(fj)
+	if float64(i) != fi || float64(j) != fj || i < 1 || i > mt.rows || j < 1 || j > mt.cols {
+		return 0, false
+	}
+	return (i-1)*mt.cols + (j - 1), true
+}
+
+// toIdx is the tree walker's tolerant subscript conversion (toInt in
+// Exec.offset).
+func toIdx(f float64) (int, error) {
+	if k := int(f); float64(k) == f {
+		return k, nil
+	}
 	k := int(math.Round(f))
 	if math.Abs(f-float64(k)) > 1e-9 {
 		return 0, fmt.Errorf("ir: index %g is not an integer", f)
@@ -232,8 +285,8 @@ func Run(prog *ir.Program, meter ir.Meter, args [][]float64) ([][]float64, error
 // sequence, fuel, error identity) is bit-identical to ir.Exec walking
 // the same statements.
 func (m *Machine) exec(code *Code) error {
-	// Without a meter every opOps is a no-op: run the stripped stream.
-	if m.meter == nil && code.unmetered != nil {
+	// Without a meter, run the stream compiled for that case.
+	if m.meter == nil {
 		code = code.unmetered
 	}
 	// Fuel lives in a local through the dispatch loop (it is decremented
@@ -331,52 +384,37 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			if k := int(f); float64(k) == f {
 				regs[in.a] = float64(k)
 			} else {
-				k := int(math.Round(f))
-				if math.Abs(f-float64(k)) > 1e-9 {
-					return fuel, fmt.Errorf("ir: index %g is not an integer", f)
+				k, err := toIdx(f)
+				if err != nil {
+					return fuel, err
 				}
 				regs[in.a] = float64(k)
 			}
 		case opLoad1:
 			mt := &m.prog.mats[in.b]
-			f := regs[in.c]
-			k := int(f)
-			if float64(k) != f {
+			off, ok := mt.fastOffset1(regs[in.c])
+			if !ok {
 				var err error
-				if k, err = toIdxSlow(f); err != nil {
+				if off, err = mt.offset1(regs[in.c]); err != nil {
 					return fuel, err
 				}
-			}
-			if k < 1 || k > mt.elems {
-				return fuel, fmt.Errorf("ir: linear index %d out of range for %s", k, mt.v)
 			}
 			if meter != nil {
 				meter.Read(mt.v)
 			}
-			k--
 			buf := mats[in.b]
 			if buf == nil {
 				buf = m.matBuf(in.b)
 			}
-			regs[in.a] = buf[(k%mt.rows)*mt.cols+k/mt.rows]
+			regs[in.a] = buf[off]
 		case opLoad2:
 			mt := &m.prog.mats[in.b]
-			fi, fj := regs[in.c], regs[in.d]
-			i, j := int(fi), int(fj)
-			if float64(i) != fi {
+			off, ok := mt.fastOffset2(regs[in.c], regs[in.d])
+			if !ok {
 				var err error
-				if i, err = toIdxSlow(fi); err != nil {
+				if off, err = mt.offset2(regs[in.c], regs[in.d]); err != nil {
 					return fuel, err
 				}
-			}
-			if float64(j) != fj {
-				var err error
-				if j, err = toIdxSlow(fj); err != nil {
-					return fuel, err
-				}
-			}
-			if i < 1 || i > mt.rows || j < 1 || j > mt.cols {
-				return fuel, fmt.Errorf("ir: index (%d, %d) out of range for %s", i, j, mt.v)
 			}
 			if meter != nil {
 				meter.Read(mt.v)
@@ -385,42 +423,27 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			if buf == nil {
 				buf = m.matBuf(in.b)
 			}
-			regs[in.a] = buf[(i-1)*mt.cols+(j-1)]
+			regs[in.a] = buf[off]
 		case opIdx1:
 			mt := &m.prog.mats[in.b]
-			f := regs[in.c]
-			k := int(f)
-			if float64(k) != f {
+			off, ok := mt.fastOffset1(regs[in.c])
+			if !ok {
 				var err error
-				if k, err = toIdxSlow(f); err != nil {
+				if off, err = mt.offset1(regs[in.c]); err != nil {
 					return fuel, err
 				}
 			}
-			if k < 1 || k > mt.elems {
-				return fuel, fmt.Errorf("ir: linear index %d out of range for %s", k, mt.v)
-			}
-			k--
-			regs[in.a] = float64((k%mt.rows)*mt.cols + k/mt.rows)
+			regs[in.a] = float64(off)
 		case opIdx2:
 			mt := &m.prog.mats[in.b]
-			fi, fj := regs[in.c], regs[in.d]
-			i, j := int(fi), int(fj)
-			if float64(i) != fi {
+			off, ok := mt.fastOffset2(regs[in.c], regs[in.d])
+			if !ok {
 				var err error
-				if i, err = toIdxSlow(fi); err != nil {
+				if off, err = mt.offset2(regs[in.c], regs[in.d]); err != nil {
 					return fuel, err
 				}
 			}
-			if float64(j) != fj {
-				var err error
-				if j, err = toIdxSlow(fj); err != nil {
-					return fuel, err
-				}
-			}
-			if i < 1 || i > mt.rows || j < 1 || j > mt.cols {
-				return fuel, fmt.Errorf("ir: index (%d, %d) out of range for %s", i, j, mt.v)
-			}
-			regs[in.a] = float64((i-1)*mt.cols + (j - 1))
+			regs[in.a] = float64(off)
 		case opStore:
 			buf := mats[in.a]
 			if buf == nil {
@@ -430,6 +453,36 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			if meter != nil {
 				meter.Write(m.prog.mats[in.a].v)
 			}
+		case opStore1c:
+			// Unmetered stream only: no meter.Write.
+			mt := &m.prog.mats[in.a]
+			off, ok := mt.fastOffset1(regs[in.b])
+			if !ok {
+				var err error
+				if off, err = mt.offset1(regs[in.b]); err != nil {
+					return fuel, err
+				}
+			}
+			buf := mats[in.a]
+			if buf == nil {
+				buf = m.matBuf(in.a)
+			}
+			buf[off] = regs[in.d]
+		case opStore2c:
+			// Unmetered stream only: no meter.Write.
+			mt := &m.prog.mats[in.a]
+			off, ok := mt.fastOffset2(regs[in.b], regs[in.c])
+			if !ok {
+				var err error
+				if off, err = mt.offset2(regs[in.b], regs[in.c]); err != nil {
+					return fuel, err
+				}
+			}
+			buf := mats[in.a]
+			if buf == nil {
+				buf = m.matBuf(in.a)
+			}
+			buf[off] = regs[in.d]
 		case opBurn:
 			fuel--
 			if fuel <= 0 {
@@ -445,15 +498,40 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			if regs[in.b] == 0 {
 				pc = int(in.a)
 			}
+		case opJnEq:
+			if regs[in.b] != regs[in.c] {
+				pc = int(in.a)
+			}
+		case opJnNe:
+			if regs[in.b] == regs[in.c] {
+				pc = int(in.a)
+			}
+		case opJnLt:
+			if !(regs[in.b] < regs[in.c]) {
+				pc = int(in.a)
+			}
+		case opJnLe:
+			if !(regs[in.b] <= regs[in.c]) {
+				pc = int(in.a)
+			}
+		case opJnGt:
+			if !(regs[in.b] > regs[in.c]) {
+				pc = int(in.a)
+			}
+		case opJnGe:
+			if !(regs[in.b] >= regs[in.c]) {
+				pc = int(in.a)
+			}
 		case opLoopPrep:
 			iters[in.a] = 0
-		case opForPrep:
+		case opForInit:
+			li := &code.loops[in.a]
+			v, hi, step := regs[in.d], regs[li.hi], regs[li.step]
+			regs[in.b], regs[in.b+1], regs[in.b+2] = v, hi, step
 			iters[in.a] = 0
-			if regs[in.b] == 0 {
+			if step == 0 {
 				return fuel, errors.New("ir: for loop with zero step")
 			}
-		case opForCond:
-			v, hi, step := regs[in.b], regs[in.b+1], regs[in.b+2]
 			if !((step > 0 && v <= hi+1e-12) || (step < 0 && v >= hi-1e-12)) {
 				pc = int(in.c)
 				continue
@@ -462,7 +540,6 @@ func (m *Machine) run(code *Code, fuel int) (int, error) {
 			if fuel <= 0 {
 				return fuel, errFuel
 			}
-			li := &code.loops[in.a]
 			iters[in.a]++
 			if iters[in.a] > li.limit {
 				return fuel, fmt.Errorf("ir: for loop exceeded its static trip count %d", li.limit)

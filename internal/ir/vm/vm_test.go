@@ -39,45 +39,105 @@ func lower(t *testing.T, src, entry string, args ...ir.ArgSpec) *ir.Program {
 	return prog
 }
 
-// assertSame runs prog under both interpreters with recording meters and
-// requires bit-identical results, identical error strings, and identical
-// meter event sequences.
+// outcome is what one engine observably did on one run: results, error
+// and, when metered, the meter event sequence.
+type outcome struct {
+	out    [][]float64
+	err    error
+	events []string
+}
+
+// runTree executes prog's entry on the tree walker, with a recording
+// meter when metered and under fuel when fuel > 0.
+func runTree(prog *ir.Program, inputs [][]float64, metered bool, fuel int) outcome {
+	rm := &recMeter{}
+	ex := ir.NewExec(prog, nil)
+	if metered {
+		ex.SetMeter(rm)
+	}
+	var o outcome
+	if o.err = ex.Init(inputs); o.err == nil {
+		if fuel > 0 {
+			ex.SetFuel(fuel)
+		}
+		if o.err = ex.ExecBlock(prog.Entry.Body); o.err == nil {
+			o.out = ex.Results()
+		}
+	}
+	o.events = rm.events
+	return o
+}
+
+// runVM is runTree on a Machine: without a meter it runs the unmetered
+// stream.
+func runVM(cp *vm.Program, inputs [][]float64, metered bool, fuel int) outcome {
+	rm := &recMeter{}
+	m := vm.NewMachine(cp, nil)
+	if metered {
+		m.SetMeter(rm)
+	}
+	var o outcome
+	if o.err = m.Init(inputs); o.err == nil {
+		if fuel > 0 {
+			m.SetFuel(fuel)
+		}
+		if o.err = m.ExecEntry(); o.err == nil {
+			o.out = m.Results()
+		}
+	}
+	o.events = rm.events
+	return o
+}
+
+// sameOutcome requires bit-identical results, identical error strings
+// and identical meter event sequences; label names the run.
+func sameOutcome(t *testing.T, label string, tree, got outcome) {
+	t.Helper()
+	if (tree.err == nil) != (got.err == nil) ||
+		(tree.err != nil && tree.err.Error() != got.err.Error()) {
+		t.Fatalf("%s: error mismatch: tree=%v vm=%v", label, tree.err, got.err)
+	}
+	if len(tree.out) != len(got.out) {
+		t.Fatalf("%s: result arity: tree=%d vm=%d", label, len(tree.out), len(got.out))
+	}
+	for i := range tree.out {
+		if len(tree.out[i]) != len(got.out[i]) {
+			t.Fatalf("%s: result %d length: tree=%d vm=%d", label, i, len(tree.out[i]), len(got.out[i]))
+		}
+		for j := range tree.out[i] {
+			if math.Float64bits(tree.out[i][j]) != math.Float64bits(got.out[i][j]) {
+				t.Fatalf("%s: result[%d][%d]: tree=%v vm=%v", label, i, j, tree.out[i][j], got.out[i][j])
+			}
+		}
+	}
+	if len(tree.events) != len(got.events) {
+		t.Fatalf("%s: meter event count: tree=%d vm=%d\ntree tail: %v\nvm tail: %v",
+			label, len(tree.events), len(got.events), tail(tree.events), tail(got.events))
+	}
+	for i := range tree.events {
+		if tree.events[i] != got.events[i] {
+			t.Fatalf("%s: meter event %d: tree=%q vm=%q", label, i, tree.events[i], got.events[i])
+		}
+	}
+}
+
+// streams names the two compiled streams by whether a meter is attached.
+var streams = []struct {
+	name    string
+	metered bool
+}{{"metered", true}, {"unmetered", false}}
+
+// assertSame runs prog on both interpreters, once with recording meters
+// (the VM's metered stream) and once without (its unmetered stream), and
+// requires the same outcome each time.
 func assertSame(t *testing.T, prog *ir.Program, inputs [][]float64) {
 	t.Helper()
-	tm := &recMeter{}
-	ex := ir.NewExec(prog, tm)
-	treeOut, treeErr := ex.Run(inputs)
-
-	vmMeter := &recMeter{}
-	vmOut, vmErr := vm.Run(prog, vmMeter, inputs)
-
-	if (treeErr == nil) != (vmErr == nil) ||
-		(treeErr != nil && treeErr.Error() != vmErr.Error()) {
-		t.Fatalf("error mismatch: tree=%v vm=%v", treeErr, vmErr)
+	cp, err := vm.Compile(prog)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
-	if treeErr == nil {
-		if len(treeOut) != len(vmOut) {
-			t.Fatalf("result arity: tree=%d vm=%d", len(treeOut), len(vmOut))
-		}
-		for i := range treeOut {
-			if len(treeOut[i]) != len(vmOut[i]) {
-				t.Fatalf("result %d length: tree=%d vm=%d", i, len(treeOut[i]), len(vmOut[i]))
-			}
-			for j := range treeOut[i] {
-				if math.Float64bits(treeOut[i][j]) != math.Float64bits(vmOut[i][j]) {
-					t.Fatalf("result[%d][%d]: tree=%v vm=%v", i, j, treeOut[i][j], vmOut[i][j])
-				}
-			}
-		}
-	}
-	if len(tm.events) != len(vmMeter.events) {
-		t.Fatalf("meter event count: tree=%d vm=%d\ntree tail: %v\nvm tail: %v",
-			len(tm.events), len(vmMeter.events), tail(tm.events), tail(vmMeter.events))
-	}
-	for i := range tm.events {
-		if tm.events[i] != vmMeter.events[i] {
-			t.Fatalf("meter event %d: tree=%q vm=%q", i, tm.events[i], vmMeter.events[i])
-		}
+	for _, s := range streams {
+		sameOutcome(t, s.name, runTree(prog, inputs, s.metered, 0), runVM(cp, inputs, s.metered, 0))
 	}
 }
 
@@ -191,6 +251,89 @@ endfunction`, "f", ir.ScalarArg())
 	assertSame(t, prog, [][]float64{{0.3}})
 }
 
+// TestVMCompareAndBranch runs If conditions that compile to
+// compare-and-branch jumps (one comparison, and & chains) on every pair
+// of NaN, ±Inf, ±1 and ±0.
+func TestVMCompareAndBranch(t *testing.T) {
+	prog := lower(t, `
+function r = f(x, y)
+  r = 0
+  if x < y & y <= 1 & x ~= y then
+    r = r + 1
+  end
+  if x == y then
+    r = r + 2
+  else
+    r = r + 4
+  end
+  if x > y & x >= 0 then
+    r = r + 8
+  end
+endfunction`, "f", ir.ScalarArg(), ir.ScalarArg())
+	vals := []float64{math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1)}
+	for _, x := range vals {
+		for _, y := range vals {
+			assertSame(t, prog, [][]float64{{x}, {y}})
+		}
+	}
+}
+
+// TestVMSubscriptConversionOrder pins the tree walker's per-subscript
+// order: a subscript is converted, and may fail, before a later sibling
+// subscript that can fail or fire a meter event is evaluated — whether
+// the first subscript is a variable or a compound expression, in loads
+// and in stores.
+func TestVMSubscriptConversionOrder(t *testing.T) {
+	for _, src := range []string{
+		"function r = f(x, m)\n  r = m(x, m(1, 1))\nendfunction",
+		"function r = f(x, m)\n  r = m(x, m(x - 1, 1))\nendfunction",
+		"function r = f(x, m)\n  r = m(x * 1, m(x - 1, 1))\nendfunction",
+		"function r = f(x, m)\n  a = zeros(2, 2)\n  a(x, m(x - 1, 1)) = 5\n  r = a(2, 1)\nendfunction",
+	} {
+		prog := lower(t, src, "f", ir.ScalarArg(), ir.MatrixArg(2, 2))
+		for _, x := range []float64{1, 1.5, 2, 2 + 1e-10, 3} {
+			assertSame(t, prog, [][]float64{{x}, {1, 2, 1, 2}})
+		}
+	}
+}
+
+// TestVMCheckedStore covers the unmetered stream's checked stores: a
+// quiet source evaluated ahead of subscripts that fail out of range or
+// off an integer (within and beyond the 1e-9 tolerance), and a source
+// that can fail, which keeps the tree walker's order.
+func TestVMCheckedStore(t *testing.T) {
+	two := lower(t, `
+function r = f(x, y)
+  a = zeros(2, 3)
+  a(x, y) = sqrt(x) * y
+  r = a(2, 3) + a(1, 1)
+endfunction`, "f", ir.ScalarArg(), ir.ScalarArg())
+	for _, in := range [][2]float64{
+		{2, 3}, {1, 1}, {3, 1}, {1, 4}, {0, 1}, {1.5, 1},
+		{2 + 1e-10, 3}, {2, 3 - 1e-10}, {2, 3 + 1e-8},
+	} {
+		assertSame(t, two, [][]float64{{in[0]}, {in[1]}})
+	}
+	one := lower(t, `
+function r = f(x, y)
+  a = zeros(2, 3)
+  a(x) = max(x, y) - 1
+  r = a(5) + a(2)
+endfunction`, "f", ir.ScalarArg(), ir.ScalarArg())
+	for _, x := range []float64{5, 2, 7, 0, 2.5, 5 + 1e-10, 5 - 1e-8} {
+		assertSame(t, one, [][]float64{{x}, {1}})
+	}
+	loud := lower(t, `
+function r = f(x, m)
+  a = zeros(2, 3)
+  a(1, x) = m(x - 1, 1)
+  r = a(1, 2) + a(1, 3)
+endfunction`, "f", ir.ScalarArg(), ir.MatrixArg(2, 2))
+	for _, x := range []float64{2, 3, 4, 1.5, 1} {
+		assertSame(t, loud, [][]float64{{x}, {1, 2, 3, 4}})
+	}
+}
+
 func TestVMWhileBoundExceeded(t *testing.T) {
 	prog := lower(t, `
 function r = f(x)
@@ -296,6 +439,28 @@ func TestVMDirectIR(t *testing.T) {
 		assertSame(t, prog, [][]float64{{0}})
 	})
 
+	t.Run("compound loop bounds", func(t *testing.T) {
+		// Compound bounds are evaluated into temporaries, charged, then
+		// copied by opForInit; x = 0 makes the step zero.
+		prog := build(func(p *ir.Program, x, r *ir.Var) []ir.Stmt {
+			i := p.FreshVar("i", 1, 1, true)
+			return []ir.Stmt{
+				&ir.For{
+					IVar: i,
+					Lo:   &ir.Const{Val: 1},
+					Hi:   &ir.Bin{Op: ir.OpAdd, X: &ir.VarRef{V: x}, Y: &ir.Const{Val: 2}},
+					Step: &ir.Bin{Op: ir.OpMul, X: &ir.VarRef{V: x}, Y: &ir.Const{Val: 0.5}},
+					Trip: 8,
+					Body: []ir.Stmt{&ir.AssignScalar{Dst: r, Src: &ir.Bin{Op: ir.OpAdd, X: &ir.VarRef{V: r}, Y: &ir.VarRef{V: i}}}},
+				},
+			}
+		})
+		assertSame(t, prog, [][]float64{{2}})
+		assertSame(t, prog, [][]float64{{0}})
+		assertSame(t, prog, [][]float64{{-1}})
+		assertSame(t, prog, [][]float64{{9}})
+	})
+
 	t.Run("trip count exceeded", func(t *testing.T) {
 		prog := build(func(p *ir.Program, x, r *ir.Var) []ir.Stmt {
 			i := p.FreshVar("i", 1, 1, true)
@@ -350,7 +515,8 @@ func TestVMDirectIR(t *testing.T) {
 }
 
 // TestVMFuelExhaustion pins the fuel semantics: both interpreters hit the
-// budget at the same statement with the same meter prefix.
+// budget at the same statement with the same meter prefix, on both
+// streams.
 func TestVMFuelExhaustion(t *testing.T) {
 	prog := lower(t, `
 function r = f(x)
@@ -360,34 +526,14 @@ function r = f(x)
   end
 endfunction`, "f", ir.ScalarArg())
 	inputs := [][]float64{{1}}
-
+	cp, err := vm.Compile(prog)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
 	for _, fuel := range []int{1, 2, 3, 50, 51, 52, 1000} {
-		tm := &recMeter{}
-		ex := ir.NewExec(prog, tm)
-		var treeErr error
-		if treeErr = ex.Init(inputs); treeErr == nil {
-			ex.SetFuel(fuel)
-			treeErr = ex.ExecBlock(prog.Entry.Body)
-		}
-
-		cp, err := vm.Compile(prog)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		vmMeter := &recMeter{}
-		m := vm.NewMachine(cp, vmMeter)
-		var vmErr error
-		if vmErr = m.Init(inputs); vmErr == nil {
-			m.SetFuel(fuel)
-			vmErr = m.ExecEntry()
-		}
-
-		if (treeErr == nil) != (vmErr == nil) ||
-			(treeErr != nil && treeErr.Error() != vmErr.Error()) {
-			t.Fatalf("fuel=%d error mismatch: tree=%v vm=%v", fuel, treeErr, vmErr)
-		}
-		if strings.Join(tm.events, ";") != strings.Join(vmMeter.events, ";") {
-			t.Fatalf("fuel=%d meter mismatch:\ntree: %v\nvm:   %v", fuel, tm.events, vmMeter.events)
+		for _, s := range streams {
+			sameOutcome(t, fmt.Sprintf("fuel=%d %s", fuel, s.name),
+				runTree(prog, inputs, s.metered, fuel), runVM(cp, inputs, s.metered, fuel))
 		}
 	}
 }

@@ -47,6 +47,8 @@ type Manager struct {
 	ttl     time.Duration
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
+	// now is the TTL clock (time.Now; tests substitute a fake clock).
+	now func() time.Time
 }
 
 type managerEntry struct {
@@ -76,6 +78,7 @@ func NewManager(max int, ttl time.Duration) *Manager {
 		ttl:     ttl,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
+		now:     time.Now,
 	}
 }
 
@@ -98,7 +101,7 @@ func (m *Manager) Create(ctx context.Context, source string, opt core.Options, f
 	m.observe(res)
 
 	m.mu.Lock()
-	now := time.Now()
+	now := m.now()
 	m.sweepLocked(now)
 	for m.lru.Len() >= m.max {
 		m.removeLocked(m.lru.Back(), sessEvicted)
@@ -123,11 +126,12 @@ func (m *Manager) Get(id string) (*Session, bool) {
 		return nil, false
 	}
 	ent := el.Value.(*managerEntry)
-	if time.Since(ent.lastUsed) > m.ttl {
+	now := m.now()
+	if now.Sub(ent.lastUsed) > m.ttl {
 		m.removeLocked(el, sessExpired)
 		return nil, false
 	}
-	ent.lastUsed = time.Now()
+	ent.lastUsed = now
 	m.lru.MoveToFront(el)
 	return ent.s, true
 }
@@ -150,7 +154,7 @@ func (m *Manager) Delete(id string) bool {
 func (m *Manager) Sweep() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sweepLocked(time.Now())
+	return m.sweepLocked(m.now())
 }
 
 func (m *Manager) sweepLocked(now time.Time) int {
@@ -221,7 +225,7 @@ type Info struct {
 func (m *Manager) List() []Info {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
+	now := m.now()
 	out := make([]Info, 0, m.lru.Len())
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*managerEntry)

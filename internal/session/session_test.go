@@ -289,6 +289,10 @@ func TestSetFaultsSkipsReanalysis(t *testing.T) {
 func TestManagerEvictionAndTTL(t *testing.T) {
 	uc, opt := testOptions(t, "polka", "xentium4")
 	m := NewManager(2, 80*time.Millisecond)
+	// A fake clock: the TTL elapses when the test says so, however long
+	// the creates take.
+	clock := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	m.now = func() time.Time { return clock }
 	ctx := context.Background()
 
 	_, evictedBefore, expiredBefore, _ := Counters()
@@ -320,7 +324,7 @@ func TestManagerEvictionAndTTL(t *testing.T) {
 	}
 
 	// Idle past the TTL: Get expires lazily.
-	time.Sleep(100 * time.Millisecond)
+	clock = clock.Add(100 * time.Millisecond)
 	if _, ok := m.Get(ids[1]); ok {
 		t.Fatal("idle session survived its TTL")
 	}
