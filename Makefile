@@ -34,8 +34,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # CPU/heap profiles of the two simulator-bound experiment benchmarks,
-# and a CPU profile of fresh-input simulation (mostly VM dispatch),
-# written under profiles/ (gitignored) for `go tool pprof`.
+# a CPU profile of fresh-input simulation (mostly VM dispatch), and CPU
+# and allocation profiles of the never-seen compile mix, written under
+# profiles/ (gitignored) for `go tool pprof`.
 profile:
 	mkdir -p profiles
 	$(GO) test -run=^$$ -bench='BenchmarkE2Tightness$$' -benchtime=10x \
@@ -44,6 +45,8 @@ profile:
 		-cpuprofile profiles/e5.cpu.prof -memprofile profiles/e5.mem.prof .
 	$(GO) test -run=^$$ -bench='BenchmarkSimulate$$' -benchtime=300x \
 		-cpuprofile profiles/simulate.cpu.prof .
+	$(GO) test -run=^$$ -bench='BenchmarkCompileNeverSeenMix$$' -benchtime=2000x \
+		-cpuprofile profiles/neverseen-mix.cpu.prof -memprofile profiles/neverseen-mix.mem.prof .
 
 # One-iteration smoke run so `make check` catches bitrot in the
 # benchmarks without paying for a full measurement, plus one iteration
@@ -70,6 +73,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzVMExec$$' -fuzztime=$(FUZZTIME) ./internal/ir/vm
 	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotRemap$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzSlice$$' -fuzztime=$(FUZZTIME) ./internal/ir/slice
+	$(GO) test -run=^$$ -fuzz='^FuzzRegionSummaries$$' -fuzztime=$(FUZZTIME) ./internal/ir
 	$(GO) test -run=^$$ -fuzz='^FuzzHashRing$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=^$$ -fuzz='^FuzzSolveMIP$$' -fuzztime=$(FUZZTIME) ./internal/lp
 

@@ -523,6 +523,33 @@ func BenchmarkVMExec(b *testing.B) {
 	}
 }
 
+// BenchmarkVMCompile measures vm.CompileRegions on each use case's
+// program compiled for xentium4, over its task regions as the simulator
+// builds them: the compile the first simulate of every edited program
+// pays.
+func BenchmarkVMCompile(b *testing.B) {
+	for _, u := range usecases.All() {
+		b.Run(u.Name, func(b *testing.B) {
+			art, err := argo.CompileUseCase(u, argo.Platform("xentium4"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := art.Parallel
+			regions := make([][]ir.Stmt, len(p.Input.Tasks))
+			for _, n := range p.Graph.Nodes {
+				regions[n.ID] = n.Stmts
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := vm.CompileRegions(p.IR, regions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTreeExec is BenchmarkVMExec through the tree-walking oracle —
 // the before/after pair quantifying the VM speedup.
 func BenchmarkTreeExec(b *testing.B) {
@@ -877,6 +904,55 @@ func BenchmarkCompileNeverSeen(b *testing.B) {
 		if _, err := core.Compile(progs[i], opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompileNeverSeenMix is BenchmarkCompileNeverSeen over
+// perfbench compile-cold's mix: it cycles through the 54 base
+// configurations (3 use cases × 9 built-in platforms × contention-aware
+// and oblivious scheduling), every iteration a model no cache has seen,
+// through pass.Global after 400 warm-up compiles have filled it.
+func BenchmarkCompileNeverSeenMix(b *testing.B) {
+	const warmup = 400
+	type config struct {
+		u   *usecases.UseCase
+		opt core.Options
+	}
+	var cfgs []config
+	for _, u := range usecases.All() {
+		for _, name := range adl.BuiltinNames() {
+			for _, pol := range []sched.Policy{sched.ListContentionAware, sched.ListOblivious} {
+				opt := core.DefaultOptions(u.Entry, u.Args, adl.Builtin(name))
+				opt.Policy = pol
+				cfgs = append(cfgs, config{u, opt})
+			}
+		}
+	}
+	// Each use case's variants, in the order the iterations take them.
+	need := map[*usecases.UseCase]int{}
+	for k := 0; k < warmup+b.N; k++ {
+		need[cfgs[k%len(cfgs)].u]++
+	}
+	progs := map[*usecases.UseCase][]*scil.Program{}
+	for u, n := range need {
+		progs[u] = neverSeen(b, u.Source, n)
+	}
+	compile := func(k int) {
+		c := cfgs[k%len(cfgs)]
+		p := progs[c.u][0]
+		progs[c.u] = progs[c.u][1:]
+		if _, err := core.Compile(p, c.opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass.Global.Reset()
+	for k := 0; k < warmup; k++ {
+		compile(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compile(warmup + i)
 	}
 }
 

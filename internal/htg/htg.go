@@ -201,14 +201,17 @@ func (g *Graph) connect() {
 }
 
 // liveOutScalars returns scalars that some node reads without defining
-// first (ir.DefinesBeforeUse) — only these carry real cross-task scalar
+// first (ir.DefinedBeforeUse) — only these carry real cross-task scalar
 // dependences.
 func (g *Graph) liveOutScalars() map[*ir.Var]bool {
 	out := map[*ir.Var]bool{}
 	for _, n := range g.Nodes {
-		for v := range n.Uses.ScalReads {
-			if !ir.DefinesBeforeUse(n.Stmts, v) {
-				out[v] = true
+		if len(n.Uses.ScalReads) > 0 {
+			defined := ir.DefinedBeforeUse(n.Stmts)
+			for v := range n.Uses.ScalReads {
+				if !defined[v] {
+					out[v] = true
+				}
 			}
 		}
 		// Entry results are read after the program ends: their final

@@ -61,79 +61,79 @@ func ComputeUses(stmts []Stmt) *UseSets {
 	return u
 }
 
-// DefinesBeforeUse reports whether the region stmts unconditionally
-// assigns the scalar v, by an AssignScalar or as a for-loop induction
-// variable, before any statement that may read it. A for loop whose
-// bounds do not read v but whose body touches it decides by its body:
-// a body that defines v before use makes v iteration-private there (the
-// temporaries and induction variables of nested loops). A region that
-// never touches v does not define it.
+// DefinedBeforeUse summarizes the region stmts for the scalar
+// privatization question of the tool-chain: for every scalar the region
+// touches, whether it unconditionally assigns the scalar, by an
+// AssignScalar or as a for-loop induction variable, before any statement
+// that may read it. A scalar the region never touches maps to false, so
+// a lookup answers for every scalar.
 //
-// This is the scalar privatization question of the tool-chain: the
-// transformations' legality checks (chunking, fission, fusion, tiling)
-// and the task graph's live-out scalars all ask it. It walks the region
-// without building use sets.
-func DefinesBeforeUse(stmts []Stmt, v *Var) bool {
-	for i, s := range stmts {
-		switch st := s.(type) {
-		case *AssignScalar:
-			if st.Dst == v {
-				return !readsScalar(st.Src, v)
-			}
-		case *For:
-			if readsScalar(st.Lo, v) || readsScalar(st.Step, v) || readsScalar(st.Hi, v) {
-				return false
-			}
-			if st.IVar == v {
-				return true
-			}
-			if touchesScalar(st.Body, v) {
-				return DefinesBeforeUse(st.Body, v)
-			}
-			continue
-		}
-		if touchesScalar(stmts[i:i+1], v) {
-			return false
-		}
-	}
-	return false
+// The scalar's first touch decides. An assignment defines it unless its
+// source reads it. A for loop whose bounds read it does not define it;
+// one whose induction variable it is does; any other for loop whose body
+// touches it decides by its body (a body that defines the scalar before
+// use makes it iteration-private there: the temporaries and induction
+// variables of nested loops). Any other statement that touches it does
+// not define it.
+//
+// The transformations' legality checks (chunking, fission, fusion,
+// tiling) and the task graph's live-out scalars compute the summary once
+// per region and look scalars up in it.
+func DefinedBeforeUse(stmts []Stmt) map[*Var]bool {
+	first := map[*Var]bool{}
+	firstTouches(stmts, first, true)
+	return first
 }
 
-// readsScalar reports whether one evaluation of e reads the scalar v,
-// matrix subscripts included.
-func readsScalar(e Expr, v *Var) bool {
-	found := false
-	WalkExprs(e, func(sub Expr) {
-		if r, ok := sub.(*VarRef); ok && r.V == v {
-			found = true
-		}
-	})
-	return found
-}
-
-// touchesScalar reports whether stmts, recursively, read or write the
-// scalar v: ComputeUses restricted to one variable.
-func touchesScalar(stmts []Stmt, v *Var) bool {
-	return !WalkStmts(stmts, func(s Stmt) bool {
+// firstTouches records in first the answer for every scalar whose first
+// touch in the region lies in stmts. Under an if or a while, defines is
+// false: the branch or body may not run, so no touch there defines. Each
+// answer depends only on its own scalar's first touch, so nested bodies
+// record into the same map.
+func firstTouches(stmts []Stmt, first map[*Var]bool, defines bool) {
+	for _, s := range stmts {
 		switch st := s.(type) {
 		case *AssignScalar:
-			return st.Dst != v && !readsScalar(st.Src, v)
+			touchReads(st.Src, first)
+			touch(first, st.Dst, defines)
 		case *Store:
 			for _, ix := range st.Idx {
-				if readsScalar(ix, v) {
-					return false
-				}
+				touchReads(ix, first)
 			}
-			return !readsScalar(st.Src, v)
+			touchReads(st.Src, first)
 		case *For:
-			return st.IVar != v && !readsScalar(st.Lo, v) && !readsScalar(st.Step, v) && !readsScalar(st.Hi, v)
+			touchReads(st.Lo, first)
+			touchReads(st.Step, first)
+			touchReads(st.Hi, first)
+			touch(first, st.IVar, defines)
+			firstTouches(st.Body, first, defines)
 		case *While:
-			return !readsScalar(st.Cond, v)
+			touchReads(st.Cond, first)
+			firstTouches(st.Body, first, false)
 		case *If:
-			return !readsScalar(st.Cond, v)
+			touchReads(st.Cond, first)
+			firstTouches(st.Then, first, false)
+			firstTouches(st.Else, first, false)
 		}
-		return true
+	}
+}
+
+// touchReads records every scalar one evaluation of e reads, matrix
+// subscripts included, as read before any definition unless an earlier
+// touch decided it.
+func touchReads(e Expr, first map[*Var]bool) {
+	WalkExprs(e, func(sub Expr) {
+		if r, ok := sub.(*VarRef); ok {
+			touch(first, r.V, false)
+		}
 	})
+}
+
+// touch records defined as v's answer if v has none yet.
+func touch(first map[*Var]bool, v *Var, defined bool) {
+	if _, ok := first[v]; !ok {
+		first[v] = defined
+	}
 }
 
 // AccessCounts is a static worst-case count of element accesses per
@@ -165,112 +165,74 @@ func (c *AccessCounts) TotalAll() int64 {
 	return n
 }
 
-func (c *AccessCounts) scale(f int64) {
-	for v := range c.Reads {
-		c.Reads[v] *= f
-	}
-	for v := range c.Writes {
-		c.Writes[v] *= f
+// CountAccesses computes worst-case element access counts for a region
+// in one walk: every access adds the product of its enclosing loops' trip
+// counts and @bounds. Only an if counts its branches apart, to take their
+// per-variable maxima.
+func CountAccesses(stmts []Stmt) *AccessCounts {
+	c := NewAccessCounts()
+	c.count(stmts, 1)
+	return c
+}
+
+// count adds the accesses of mult executions of stmts to c. Integer sums
+// and products wrap alike in any order, so the counts do not depend on
+// where the multiplier is applied, not even on overflow.
+func (c *AccessCounts) count(stmts []Stmt, mult int64) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *AssignScalar:
+			c.countExpr(st.Src, mult)
+		case *Store:
+			for _, ix := range st.Idx {
+				c.countExpr(ix, mult)
+			}
+			c.countExpr(st.Src, mult)
+			c.Writes[st.Dst] += mult
+		case *For:
+			c.countExpr(st.Lo, mult)
+			c.countExpr(st.Step, mult)
+			c.countExpr(st.Hi, mult)
+			c.count(st.Body, mult*int64(st.Trip))
+		case *While:
+			// The condition is evaluated once more on exit.
+			iter := mult * int64(st.Bound)
+			c.countExpr(st.Cond, iter)
+			c.count(st.Body, iter)
+			c.countExpr(st.Cond, mult)
+		case *If:
+			c.countExpr(st.Cond, mult)
+			then, els := CountAccesses(st.Then), CountAccesses(st.Else)
+			addMax(c.Reads, then.Reads, els.Reads, mult)
+			addMax(c.Writes, then.Writes, els.Writes, mult)
+		}
 	}
 }
 
-func (c *AccessCounts) add(other *AccessCounts) {
-	for v, k := range other.Reads {
-		c.Reads[v] += k
-	}
-	for v, k := range other.Writes {
-		c.Writes[v] += k
-	}
-}
-
-// maxInto folds other into c taking per-variable maxima.
-func (c *AccessCounts) maxInto(other *AccessCounts) *AccessCounts {
-	out := NewAccessCounts()
-	keys := map[*Var]bool{}
-	for v := range c.Reads {
-		keys[v] = true
-	}
-	for v := range other.Reads {
-		keys[v] = true
-	}
-	for v := range keys {
-		a, b := c.Reads[v], other.Reads[v]
-		if b > a {
-			a = b
-		}
-		if a > 0 {
-			out.Reads[v] = a
-		}
-	}
-	keys = map[*Var]bool{}
-	for v := range c.Writes {
-		keys[v] = true
-	}
-	for v := range other.Writes {
-		keys[v] = true
-	}
-	for v := range keys {
-		a, b := c.Writes[v], other.Writes[v]
-		if b > a {
-			a = b
-		}
-		if a > 0 {
-			out.Writes[v] = a
-		}
-	}
-	return out
-}
-
-func exprAccessCounts(e Expr, c *AccessCounts) {
+func (c *AccessCounts) countExpr(e Expr, mult int64) {
 	WalkExprs(e, func(sub Expr) {
 		if ix, ok := sub.(*Index); ok {
-			c.Reads[ix.V]++
+			c.Reads[ix.V] += mult
 		}
 	})
 }
 
-// CountAccesses computes worst-case element access counts for a region.
-func CountAccesses(stmts []Stmt) *AccessCounts {
-	total := NewAccessCounts()
-	for _, s := range stmts {
-		total.add(countStmtAccesses(s))
-	}
-	return total
-}
-
-func countStmtAccesses(s Stmt) *AccessCounts {
-	c := NewAccessCounts()
-	switch st := s.(type) {
-	case *AssignScalar:
-		exprAccessCounts(st.Src, c)
-	case *Store:
-		for _, ix := range st.Idx {
-			exprAccessCounts(ix, c)
+// addMax adds to dst mult times the per-variable maxima of the branch
+// counts a and b. A maximum that is not positive adds nothing.
+func addMax(dst, a, b map[*Var]int64, mult int64) {
+	for v, n := range a {
+		if m := b[v]; m > n {
+			n = m
 		}
-		exprAccessCounts(st.Src, c)
-		c.Writes[st.Dst]++
-	case *For:
-		exprAccessCounts(st.Lo, c)
-		exprAccessCounts(st.Step, c)
-		exprAccessCounts(st.Hi, c)
-		body := CountAccesses(st.Body)
-		body.scale(int64(st.Trip))
-		c.add(body)
-	case *While:
-		iter := NewAccessCounts()
-		exprAccessCounts(st.Cond, iter)
-		iter.add(CountAccesses(st.Body))
-		iter.scale(int64(st.Bound))
-		// The condition is evaluated once more on exit.
-		exprAccessCounts(st.Cond, iter)
-		c.add(iter)
-	case *If:
-		exprAccessCounts(st.Cond, c)
-		thenC := CountAccesses(st.Then)
-		elseC := CountAccesses(st.Else)
-		c.add(thenC.maxInto(elseC))
+		if n > 0 {
+			dst[v] += n * mult
+		}
 	}
-	return c
+	for v, n := range b {
+		if _, ok := a[v]; !ok && n > 0 {
+			dst[v] += n * mult
+		}
+	}
 }
 
 // --- trace staticity -------------------------------------------------------

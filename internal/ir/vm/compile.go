@@ -295,18 +295,18 @@ func compile(p *ir.Program, regions [][]ir.Stmt, entry bool) (prog *Program, err
 	for _, v := range p.Entry.Results {
 		c.regVar(v)
 	}
-	c.scanVars(p.Entry.Body)
+	c.scan(p.Entry.Body)
 	for _, r := range regions {
-		c.scanVars(r)
+		c.scan(r)
 	}
 	c.prog.nVarRegs = int(c.nextReg)
 	// Constant registers come after the variables and before any
 	// temporaries; they must all be assigned before the first compileCode
 	// so per-Code temporary watermarks never overlap them.
 	c.prog.constBase = c.nextReg
-	c.scanConsts(p.Entry.Body)
-	for _, r := range regions {
-		c.scanConsts(r)
+	for _, v := range c.prog.constVals {
+		c.constReg[math.Float64bits(v)] = c.nextReg
+		c.nextReg++
 	}
 
 	if entry {
@@ -392,56 +392,51 @@ func (c *compiler) regVar(v *ir.Var) {
 	}
 }
 
-// scanVars registers every variable syntactically reachable from stmts.
-func (c *compiler) scanVars(stmts []ir.Stmt) {
+// scan registers every variable syntactically reachable from stmts and
+// records every expression literal's value once (bit-exact dedup), both
+// in first-occurrence order. compile numbers the constant registers
+// after the scan, behind every variable.
+func (c *compiler) scan(stmts []ir.Stmt) {
 	ir.WalkStmts(stmts, func(s ir.Stmt) bool {
 		switch st := s.(type) {
 		case *ir.AssignScalar:
 			c.regVar(st.Dst)
+			c.scanExpr(st.Src)
 		case *ir.Store:
 			c.regVar(st.Dst)
+			for _, ix := range st.Idx {
+				c.scanExpr(ix)
+			}
+			c.scanExpr(st.Src)
 		case *ir.For:
 			c.regVar(st.IVar)
-		}
-		for _, e := range ir.StmtExprs(s) {
-			ir.WalkExprs(e, func(sub ir.Expr) {
-				switch x := sub.(type) {
-				case *ir.VarRef:
-					c.regVar(x.V)
-				case *ir.Index:
-					c.regVar(x.V)
-				}
-			})
+			c.scanExpr(st.Lo)
+			c.scanExpr(st.Step)
+			c.scanExpr(st.Hi)
+		case *ir.While:
+			c.scanExpr(st.Cond)
+		case *ir.If:
+			c.scanExpr(st.Cond)
 		}
 		return true
 	})
 }
 
-// scanConsts assigns every expression literal its constant register.
-func (c *compiler) scanConsts(stmts []ir.Stmt) {
-	ir.WalkStmts(stmts, func(s ir.Stmt) bool {
-		for _, e := range ir.StmtExprs(s) {
-			ir.WalkExprs(e, func(sub ir.Expr) {
-				if x, ok := sub.(*ir.Const); ok {
-					c.regConst(x.Val)
-				}
-			})
+func (c *compiler) scanExpr(e ir.Expr) {
+	ir.WalkExprs(e, func(sub ir.Expr) {
+		switch x := sub.(type) {
+		case *ir.VarRef:
+			c.regVar(x.V)
+		case *ir.Index:
+			c.regVar(x.V)
+		case *ir.Const:
+			bits := math.Float64bits(x.Val)
+			if _, ok := c.constReg[bits]; !ok {
+				c.constReg[bits] = -1 // numbered after the scan
+				c.prog.constVals = append(c.prog.constVals, x.Val)
+			}
 		}
-		return true
 	})
-}
-
-// regConst assigns v a preloaded constant register (bit-exact dedup).
-func (c *compiler) regConst(v float64) int32 {
-	bits := math.Float64bits(v)
-	if r, ok := c.constReg[bits]; ok {
-		return r
-	}
-	r := c.nextReg
-	c.nextReg++
-	c.constReg[bits] = r
-	c.prog.constVals = append(c.prog.constVals, v)
-	return r
 }
 
 func (c *compiler) binding(v *ir.Var) binding {

@@ -12,8 +12,8 @@
 // nest uses one fixed index vector made of the nest's induction variables
 // (full-rank, zero-offset), which makes each iteration's footprint
 // private. Scalar dependences are resolved by privatization: a scalar
-// that the reading region assigns before any read (ir.DefinesBeforeUse,
-// the predicate the task graph's scalar privatization uses too) carries
+// that the reading region assigns before any read (ir.DefinedBeforeUse,
+// the summary the task graph's scalar privatization uses too) carries
 // no value across iterations or sweeps. Fission may instead replicate the
 // scalar's defining assignment.
 package transform

@@ -90,11 +90,9 @@ func boundaryLegal(whole, prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) bool
 	}
 	// The suffix must not write scalars that the prefix reads (the prefix
 	// of a later sweep would see the final value instead of the original).
+	defined := ir.DefinedBeforeUse(prefix)
 	for v := range uB.ScalWrite {
-		if ivars[v] {
-			continue
-		}
-		if uA.ScalReads[v] && !ir.DefinesBeforeUse(prefix, v) {
+		if !ivars[v] && uA.ScalReads[v] && !defined[v] {
 			return false
 		}
 	}
@@ -106,15 +104,12 @@ func boundaryLegal(whole, prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) bool
 // before use).
 func crossScalars(prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) map[*ir.Var]bool {
 	uA := ir.ComputeUses(prefix)
+	defined := ir.DefinedBeforeUse(suffix)
 	out := map[*ir.Var]bool{}
 	for v := range ir.ComputeUses(suffix).ScalReads {
-		if ivars[v] || !uA.ScalWrite[v] {
-			continue
+		if !ivars[v] && uA.ScalWrite[v] && !defined[v] {
+			out[v] = true
 		}
-		if ir.DefinesBeforeUse(suffix, v) {
-			continue
-		}
-		out[v] = true
 	}
 	return out
 }

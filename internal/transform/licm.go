@@ -56,10 +56,6 @@ func hoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 		return nil, loop.Body
 	}
 	bodyUses := ir.ComputeUses(loop.Body)
-	writtenScalars := map[*ir.Var]bool{loop.IVar: true}
-	for v := range bodyUses.ScalWrite {
-		writtenScalars[v] = true
-	}
 	// Count scalar writes per variable to enforce single assignment.
 	writeCount := map[*ir.Var]int{}
 	ir.WalkStmts(loop.Body, func(s ir.Stmt) bool {
@@ -71,34 +67,26 @@ func hoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 		}
 		return true
 	})
-	readBefore := map[*ir.Var]bool{}
+	// With its only write here, an assignment's destination is read by
+	// no earlier statement exactly when the body defines it before use.
+	defined := ir.DefinedBeforeUse(loop.Body)
 	for _, s := range loop.Body {
-		as, isAssign := s.(*ir.AssignScalar)
-		movable := false
-		if isAssign && writeCount[as.Dst] == 1 && !readBefore[as.Dst] {
-			srcUses := ir.NewUseSets()
-			srcUses.AddExprUses(as.Src)
-			movable = true
-			for v := range srcUses.ScalReads {
-				if writtenScalars[v] {
-					movable = false
+		as, movable := s.(*ir.AssignScalar)
+		movable = movable && writeCount[as.Dst] == 1 && defined[as.Dst]
+		if movable {
+			ir.WalkExprs(as.Src, func(e ir.Expr) {
+				switch x := e.(type) {
+				case *ir.VarRef:
+					movable = movable && x.V != loop.IVar && !bodyUses.ScalWrite[x.V]
+				case *ir.Index:
+					movable = movable && !bodyUses.MatWrites[x.V]
 				}
-			}
-			for v := range srcUses.MatReads {
-				if bodyUses.MatWrites[v] {
-					movable = false
-				}
-			}
+			})
 		}
 		if movable {
 			hoisted = append(hoisted, as)
 		} else {
 			rest = append(rest, s)
-		}
-		// Track reads occurring from this statement on.
-		u := ir.ComputeUses([]ir.Stmt{s})
-		for v := range u.ScalReads {
-			readBefore[v] = true
 		}
 	}
 	return hoisted, rest

@@ -109,3 +109,124 @@ func TestHoistOnRandomPrograms(t *testing.T) {
 		assertSameBehaviour(t, orig, x, int64(seed), int64(seed+77))
 	}
 }
+
+// refHoistFromLoop is the hoistFromLoop replaced, kept as the reference
+// it must agree with: it grows a read set statement by statement from
+// fresh use sets and checks each source through its own use sets.
+func refHoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
+	if loop.Trip < 1 || hasLooseJumps(loop.Body) {
+		return nil, loop.Body
+	}
+	bodyUses := ir.ComputeUses(loop.Body)
+	writtenScalars := map[*ir.Var]bool{loop.IVar: true}
+	for v := range bodyUses.ScalWrite {
+		writtenScalars[v] = true
+	}
+	writeCount := map[*ir.Var]int{}
+	ir.WalkStmts(loop.Body, func(s ir.Stmt) bool {
+		switch st := s.(type) {
+		case *ir.AssignScalar:
+			writeCount[st.Dst]++
+		case *ir.For:
+			writeCount[st.IVar] += 2
+		}
+		return true
+	})
+	readBefore := map[*ir.Var]bool{}
+	for _, s := range loop.Body {
+		as, isAssign := s.(*ir.AssignScalar)
+		movable := false
+		if isAssign && writeCount[as.Dst] == 1 && !readBefore[as.Dst] {
+			srcUses := ir.NewUseSets()
+			srcUses.AddExprUses(as.Src)
+			movable = true
+			for v := range srcUses.ScalReads {
+				if writtenScalars[v] {
+					movable = false
+				}
+			}
+			for v := range srcUses.MatReads {
+				if bodyUses.MatWrites[v] {
+					movable = false
+				}
+			}
+		}
+		if movable {
+			hoisted = append(hoisted, as)
+		} else {
+			rest = append(rest, s)
+		}
+		for v := range ir.ComputeUses([]ir.Stmt{s}).ScalReads {
+			readBefore[v] = true
+		}
+	}
+	return hoisted, rest
+}
+
+// TestHoistMatchesReference compares hoistFromLoop with the reference on
+// every loop of generated programs, as lowered and after the structural
+// transformations, and on hand-built loops whose destinations are read
+// first, read by their own source, or read under a branch.
+func TestHoistMatchesReference(t *testing.T) {
+	var loops []*ir.For
+	collect := func(stmts []ir.Stmt) {
+		ir.WalkStmts(stmts, func(s ir.Stmt) bool {
+			if f, ok := s.(*ir.For); ok {
+				loops = append(loops, f)
+			}
+			return true
+		})
+	}
+	opt := DefaultOptions()
+	opt.Fusion, opt.ElideInits, opt.UnrollFactor, opt.ParallelChunks = true, true, 2, 4
+	cfg := scil.DefaultGenConfig()
+	for seed := int64(0); seed < 60; seed++ {
+		p := scil.Generate(rand.New(rand.NewSource(seed)), cfg)
+		prog, err := ir.Lower(p, "fuzz", []ir.ArgSpec{ir.MatrixArg(cfg.Rows, cfg.Cols)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		collect(prog.Entry.Body)
+		x := cloneProg(prog)
+		Apply(x, opt)
+		collect(x.Entry.Body)
+	}
+	scalar := func(name string) *ir.Var { return &ir.Var{Name: name, Scalar: true} }
+	i, j, k, c := scalar("i"), scalar("j"), scalar("k"), scalar("c")
+	num := func(f float64) ir.Expr { return &ir.Const{Val: f} }
+	ref := func(v *ir.Var) ir.Expr { return &ir.VarRef{V: v} }
+	set := func(v *ir.Var, e ir.Expr) ir.Stmt { return &ir.AssignScalar{Dst: v, Src: e} }
+	loop := func(body ...ir.Stmt) *ir.For {
+		return &ir.For{IVar: i, Lo: num(1), Step: num(1), Hi: num(4), Trip: 4, Body: body}
+	}
+	loops = append(loops,
+		loop(set(j, ref(k)), set(k, num(2))),
+		loop(set(k, &ir.Bin{Op: ir.OpAdd, X: ref(k), Y: num(1)})),
+		loop(&ir.If{Cond: ref(k), Then: []ir.Stmt{set(j, ref(c))}}, set(k, num(3))),
+		loop(set(k, ref(c)), set(j, ref(k))),
+	)
+	hoistedAny := 0
+	for n, l := range loops {
+		gotH, gotR := hoistFromLoop(l)
+		wantH, wantR := refHoistFromLoop(l)
+		if !sameStmts(gotH, wantH) || !sameStmts(gotR, wantR) {
+			t.Fatalf("loop %d: hoisted %d and kept %d statements, reference %d and %d", n, len(gotH), len(gotR), len(wantH), len(wantR))
+		}
+		hoistedAny += len(gotH)
+	}
+	if hoistedAny == 0 {
+		t.Fatalf("vacuous corpus: nothing hoisted from %d loops", len(loops))
+	}
+}
+
+func sameStmts(a, b []ir.Stmt) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

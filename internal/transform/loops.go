@@ -126,12 +126,13 @@ func Fuse(a, b *ir.For) (*ir.For, bool) {
 		return nil, false
 	}
 	// No scalar dataflow between the two bodies (beyond privatizable).
+	definedA, definedB := ir.DefinedBeforeUse(a.Body), ir.DefinedBeforeUse(bodyB)
 	for v := range uA.ScalWrite {
 		if ivars[v] {
 			continue
 		}
-		if (uB.ScalReads[v] && !ir.DefinesBeforeUse(bodyB, v)) || uB.ScalWrite[v] {
-			if uB.ScalWrite[v] && ir.DefinesBeforeUse(bodyB, v) && !uA.ScalReads[v] {
+		if (uB.ScalReads[v] && !definedB[v]) || uB.ScalWrite[v] {
+			if uB.ScalWrite[v] && definedB[v] && !uA.ScalReads[v] {
 				continue
 			}
 			return nil, false
@@ -141,7 +142,7 @@ func Fuse(a, b *ir.For) (*ir.For, bool) {
 		if ivars[v] {
 			continue
 		}
-		if uA.ScalReads[v] && !ir.DefinesBeforeUse(a.Body, v) {
+		if uA.ScalReads[v] && !definedA[v] {
 			return nil, false
 		}
 	}
@@ -218,11 +219,9 @@ func Tile(loop *ir.For, ti, tj int, prog *ir.Program) (*ir.For, bool) {
 		}
 	}
 	// Scalar accumulations across iterations also block tiling.
+	defined := ir.DefinedBeforeUse(body)
 	for v := range uses.ScalWrite {
-		if ivars[v] {
-			continue
-		}
-		if uses.ScalReads[v] && !ir.DefinesBeforeUse(body, v) {
+		if !ivars[v] && uses.ScalReads[v] && !defined[v] {
 			return nil, false
 		}
 	}

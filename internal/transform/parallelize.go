@@ -71,11 +71,9 @@ func chunkable(loop *ir.For, k int) bool {
 	if len(uses.MatWrites) == 0 {
 		return false
 	}
+	defined := ir.DefinedBeforeUse(loop.Body)
 	for v := range uses.ScalWrite {
-		if v == loop.IVar {
-			continue
-		}
-		if !ir.DefinesBeforeUse(loop.Body, v) {
+		if v != loop.IVar && !defined[v] {
 			return false
 		}
 	}
