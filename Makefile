@@ -69,6 +69,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseSCIL$$' -fuzztime=$(FUZZTIME) ./internal/scil
 	$(GO) test -run=^$$ -fuzz='^FuzzADLPlatform$$' -fuzztime=$(FUZZTIME) ./internal/adl
+	$(GO) test -run=^$$ -fuzz='^FuzzSharedPort$$' -fuzztime=$(FUZZTIME) ./internal/adl
 	$(GO) test -run=^$$ -fuzz='^FuzzSessionEdit$$' -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=^$$ -fuzz='^FuzzVMExec$$' -fuzztime=$(FUZZTIME) ./internal/ir/vm
 	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotRemap$$' -fuzztime=$(FUZZTIME) ./internal/core

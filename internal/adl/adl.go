@@ -198,30 +198,47 @@ func (p *Platform) SharedAccessIsolated(coreID int) int {
 	return lat
 }
 
-// SharedAccessCharge is the analysis's charge for one shared-memory
-// element access from core id, before interference
-// (AccessInterferenceDelay adds a hold per contender). A round-robin bus
-// holds the shared port for a whole slot and the mesh's memory port for
-// one WRR quantum (wrr_weight × link_cycles), while an access completes
-// after its isolated latency. Where the hold is longer, the core that
-// last held the port may have finished its access and queued its next
-// one while the port is still held: a request can wait out that
-// residual, at most hold minus the shortest isolated latency
-// (access_cycles), on top of one hold per contender. The charge is the
-// isolated latency plus that residual; on a bus, where every core's
-// isolated latency is access_cycles, that is max(isolated, hold). TDM
-// needs no such term: its interference bound already charges every
-// access a full period.
-func (p *Platform) SharedAccessCharge(coreID int) int {
-	hold := 0
+// hold is how long one grant keeps the shared port from the next
+// request: a whole slot on a round-robin bus and one WRR quantum
+// (wrr_weight × link_cycles) at the mesh's memory port. It is 0 under
+// TDM, whose grants follow the fixed slot table (tdmPeriod), not the
+// port's state. The simulated port (Port) and the analysis charges
+// (SharedAccessCharge, AccessInterferenceDelay) read the hold only here.
+func (p *Platform) hold() int {
 	switch {
 	case p.Bus != nil && p.Bus.Arbitration == ArbTDM:
+		return 0
 	case p.Bus != nil:
-		hold = p.Bus.SlotCycles
+		return p.Bus.SlotCycles
 	case p.NoC != nil:
-		hold = p.NoC.WRRWeight * p.NoC.LinkCycles
+		return p.NoC.WRRWeight * p.NoC.LinkCycles
 	}
-	return p.SharedAccessIsolated(coreID) + max(0, hold-p.Shared.AccessCycles)
+	return 0
+}
+
+// tdmPeriod is the TDM slot table's period, one slot per core, or 0 when
+// the platform is not a TDM bus.
+func (p *Platform) tdmPeriod() int {
+	if p.Bus != nil && p.Bus.Arbitration == ArbTDM {
+		return len(p.Cores) * p.Bus.SlotCycles
+	}
+	return 0
+}
+
+// SharedAccessCharge is the analysis's charge for one shared-memory
+// element access from core id, before interference
+// (AccessInterferenceDelay adds a hold per contender). The port is held
+// for hold() cycles per grant, while an access completes after its
+// isolated latency. Where the hold is longer, the core that last held
+// the port may have finished its access and queued its next one while
+// the port is still held: a request can wait out that residual, at most
+// hold minus the shortest isolated latency (access_cycles), on top of
+// one hold per contender. The charge is the isolated latency plus that
+// residual; on a bus, where every core's isolated latency is
+// access_cycles, that is max(isolated, hold). TDM has no hold: its
+// interference bound already charges every access a full period.
+func (p *Platform) SharedAccessCharge(coreID int) int {
+	return p.SharedAccessIsolated(coreID) + max(0, p.hold()-p.Shared.AccessCycles)
 }
 
 // MaxSharedAccessIsolated returns the maximum isolated shared access
@@ -241,26 +258,65 @@ func (p *Platform) MaxSharedAccessIsolated() int {
 // (paper §II-D: the number of contenders is known statically after
 // scheduling, which is what keeps this bound from being pessimistic).
 func (p *Platform) AccessInterferenceDelay(contenders int) int {
-	if p.Bus != nil && p.Bus.Arbitration == ArbTDM {
+	if period := p.tdmPeriod(); period > 0 {
 		// TDM ignores actual contention entirely: grants happen only at
 		// slot starts, so every request may wait a full period — even a
 		// core running alone (fully composable, load-independent, and
 		// correspondingly pessimistic at low contention).
-		return len(p.Cores) * p.Bus.SlotCycles
+		return period
 	}
-	if contenders <= 0 {
-		return 0
+	// Each contender holds the port (bus slot, WRR quantum at the mesh's
+	// memory port) at most once ahead of us.
+	return max(0, contenders) * p.hold()
+}
+
+// Port is the shared-memory port's arbitration state during one
+// simulated run, and the one executable definition of each policy. The
+// analysis charges above bound every access it serves when requests
+// arrive in (request time, core) order with at most one outstanding per
+// core, as the simulator's event loop issues them: each completes within
+// SharedAccessCharge(core) + AccessInterferenceDelay(other requesting
+// cores) of its request. Port is a value: copying it snapshots the state
+// (the simulator's event-loop prefix keeps one).
+type Port struct {
+	// Free is when the held port is next free for a new grant (round
+	// robin, mesh); TDM grants ignore it.
+	Free int64
+	// Waits is the total arbitration wait of the accesses served so far.
+	Waits int64
+
+	platform           *Platform
+	hold, period, slot int64
+}
+
+// NewPort returns the platform's shared port with no access served yet.
+func (p *Platform) NewPort() Port {
+	pt := Port{platform: p, hold: int64(p.hold()), period: int64(p.tdmPeriod())}
+	if pt.period > 0 {
+		pt.slot = pt.period / int64(len(p.Cores))
 	}
-	if p.Bus != nil {
-		return contenders * p.Bus.SlotCycles
+	return pt
+}
+
+// Access serves one shared-memory access requested by core at time t and
+// returns its completion time and the arbitration wait it suffered. A
+// held port grants at the later of t and Free, then stays held for
+// hold() cycles; a TDM bus grants at the start of the core's next own
+// slot. The access completes its isolated latency after the grant.
+func (pt *Port) Access(core int, t int64) (done, wait int64) {
+	var grant int64
+	if pt.period > 0 {
+		grant = t - t%pt.period + int64(core)*pt.slot
+		if grant < t {
+			grant += pt.period
+		}
+	} else {
+		grant = max(t, pt.Free)
+		pt.Free = grant + pt.hold
 	}
-	if p.NoC != nil {
-		// WRR arbitration: each contender may inject up to WRRWeight
-		// flits ahead of ours at each of the (worst-case) shared-memory
-		// router.
-		return contenders * p.NoC.WRRWeight * p.NoC.LinkCycles
-	}
-	return 0
+	wait = grant - t
+	pt.Waits += wait
+	return grant + int64(pt.platform.SharedAccessIsolated(core)), wait
 }
 
 // DMACycles bounds a DMA transfer of n bytes between shared memory and a

@@ -1,11 +1,16 @@
 // Package htg implements ARGO's Hierarchical Task Graph (paper §II-B):
-// the task-level representation extracted from the lowered IR. Loops are
-// enclosed in an additional hierarchy level, yielding a hierarchy of
-// acyclic task graphs. Task dependencies carry the variables/buffers that
-// must be communicated; task nodes carry their shared-resource access
-// bounds (list of shared variables and worst-case access counts), exactly
-// the information the scheduling/mapping and system-level WCET stages
-// need.
+// the task-level representation extracted from the lowered IR. Task
+// dependencies carry the variables/buffers that must be communicated;
+// task nodes carry their shared-resource access bounds (list of shared
+// variables and worst-case access counts), exactly the information the
+// scheduling/mapping and system-level WCET stages need.
+//
+// The paper encloses each loop in a further hierarchy level. Only the
+// top level is built here, because it is the only one the pipeline
+// reads: the scheduler maps top-level tasks, and a loop's inner
+// parallelism reaches it by transformation (data-parallel chunking and
+// fission split a loop into top-level tasks before the graph is built),
+// not through lower graph levels.
 package htg
 
 import (
@@ -25,7 +30,7 @@ const (
 	// KindRegion is a straight-line (or branchy, loop-free at top level)
 	// statement region.
 	KindRegion NodeKind = iota
-	// KindLoop is a loop nest; Children holds the next hierarchy level.
+	// KindLoop is a loop nest, kept whole as one task.
 	KindLoop
 )
 
@@ -36,9 +41,6 @@ type Node struct {
 	Kind  NodeKind
 	// Stmts is the IR region this task executes.
 	Stmts []ir.Stmt
-	// Children is the sub-graph of a loop body (hierarchy level below);
-	// nil for region nodes and for collapsed loop nodes.
-	Children *Graph
 	// Uses are the task's may-read/may-write sets.
 	Uses *ir.UseSets
 	// Ranges are per-variable subscript intervals for the interval
@@ -63,7 +65,7 @@ type Edge struct {
 	VolumeBytes int
 }
 
-// Graph is one hierarchy level: a DAG of task nodes in program order.
+// Graph is the task level: a DAG of task nodes in program order.
 type Graph struct {
 	Nodes []*Node
 	Edges []Edge
@@ -101,18 +103,10 @@ func (g *Graph) EdgeBetween(a, b int) *Edge {
 	return nil
 }
 
-// Build extracts the hierarchical task graph of a lowered program.
-// Top-level loops become loop nodes (with one hierarchy level for their
-// bodies); maximal runs of non-loop statements become region nodes.
+// Build extracts the task graph of a lowered program: top-level loops
+// become loop nodes and maximal runs of non-loop statements become
+// region nodes.
 func Build(prog *ir.Program) *Graph {
-	return buildLevel(prog.Entry.Body, 0)
-}
-
-// maxHierarchyDepth bounds the hierarchy (paper: loops get one extra
-// level each; in practice two levels suffice for scheduling).
-const maxHierarchyDepth = 3
-
-func buildLevel(stmts []ir.Stmt, depth int) *Graph {
 	g := &Graph{}
 	var pending []ir.Stmt
 	flush := func() {
@@ -122,14 +116,10 @@ func buildLevel(stmts []ir.Stmt, depth int) *Graph {
 		g.addNode(&Node{Kind: KindRegion, Stmts: pending})
 		pending = nil
 	}
-	for _, s := range stmts {
-		if loop, ok := s.(*ir.For); ok {
+	for _, s := range prog.Entry.Body {
+		if _, ok := s.(*ir.For); ok {
 			flush()
-			n := &Node{Kind: KindLoop, Stmts: []ir.Stmt{loop}}
-			if depth+1 < maxHierarchyDepth && len(loop.Body) > 1 {
-				n.Children = buildLevel(loop.Body, depth+1)
-			}
-			g.addNode(n)
+			g.addNode(&Node{Kind: KindLoop, Stmts: []ir.Stmt{s}})
 			continue
 		}
 		pending = append(pending, s)
@@ -267,9 +257,6 @@ func (g *Graph) Clone() *Graph {
 	out := &Graph{Nodes: make([]*Node, len(g.Nodes)), Edges: make([]Edge, len(g.Edges))}
 	for i, n := range g.Nodes {
 		c := *n
-		if n.Children != nil {
-			c.Children = n.Children.Clone()
-		}
 		if n.WCET != nil {
 			c.WCET = append([]int64(nil), n.WCET...)
 		}
@@ -335,11 +322,6 @@ func AnnotateWith(g *Graph, models []wcet.CostModel, sel wcet.Selection) error {
 			n.WCET[c] = rep.Cycles
 		}
 		n.SharedAccesses = rep0.SharedAccesses
-		if n.Children != nil {
-			if err := AnnotateWith(n.Children, models, sel); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -521,7 +503,6 @@ func (g *Graph) mergeInto(a, b int) {
 	na, nb := g.Nodes[a], g.Nodes[b]
 	na.Stmts = append(append([]ir.Stmt{}, na.Stmts...), nb.Stmts...)
 	na.Kind = KindRegion
-	na.Children = nil
 	na.Uses = ir.ComputeUses(na.Stmts)
 	na.Ranges = ir.CollectAccessRanges(na.Stmts)
 	if na.WCET != nil && nb.WCET != nil {

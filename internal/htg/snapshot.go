@@ -10,11 +10,10 @@ import "argo/internal/ir"
 // configuration, an argod request, another session.
 //
 // A frozen node stores its label, kind, statement traversal indices,
-// annotation results (WCET, SharedAccesses), recursively frozen
-// children, and the derived analysis state (Uses, Ranges) encoded by
-// variable registration index. Every graph produced by
-// Build/Clone/Annotate/MergeUntil maintains the invariant
-// Uses == ir.ComputeUses(Stmts) and Ranges ==
+// annotation results (WCET, SharedAccesses), and the derived analysis
+// state (Uses, Ranges) encoded by variable registration index. Every
+// graph produced by Build/Clone/Annotate/MergeUntil maintains the
+// invariant Uses == ir.ComputeUses(Stmts) and Ranges ==
 // ir.CollectAccessRanges(Stmts) (addNode and mergeInto compute exactly
 // those; Clone shares them; Annotate never touches them), so encoding
 // the maps positionally and remapping them on thaw lands on the same
@@ -32,7 +31,6 @@ type frozenNode struct {
 	Label          string
 	Kind           NodeKind
 	Stmts          []int32 // traversal indices into the source program
-	Children       *FrozenGraph
 	WCET           []int64
 	SharedAccesses int64
 	// Uses, encoded as registration-index sets (order irrelevant: the
@@ -121,13 +119,6 @@ func (g *Graph) Freeze(idx *ir.SnapshotIndex) (*FrozenGraph, bool) {
 		if n.WCET != nil {
 			fn.WCET = append([]int64(nil), n.WCET...)
 		}
-		if n.Children != nil {
-			c, ok := n.Children.Freeze(idx)
-			if !ok {
-				return nil, false
-			}
-			fn.Children = c
-		}
 		f.Nodes[i] = fn
 	}
 	for i, e := range g.Edges {
@@ -173,9 +164,6 @@ func (f *FrozenGraph) Thaw(tab *ir.SnapshotTable) *Graph {
 		}
 		if fn.WCET != nil {
 			n.WCET = append([]int64(nil), fn.WCET...)
-		}
-		if fn.Children != nil {
-			n.Children = fn.Children.Thaw(tab)
 		}
 		g.Nodes[i] = n
 	}

@@ -44,7 +44,7 @@ func Lower(prog *scil.Program, entry string, args []ArgSpec) (*Program, error) {
 		out: &Program{},
 	}
 	lo.out.Entry = &Func{Name: entry}
-	frame := lo.newFrame(entry)
+	frame := lo.newFrame()
 	for i, pname := range f.Params {
 		spec := args[i]
 		v := &Var{Name: lo.unique(pname), Scalar: spec.Scalar, Rows: spec.Rows, Cols: spec.Cols, Param: true}
@@ -92,7 +92,6 @@ type binding struct {
 
 // frame is one (inlined) function activation during lowering.
 type frame struct {
-	name string
 	vars map[string]*binding
 }
 
@@ -134,8 +133,8 @@ type lowerer struct {
 	depth  int
 }
 
-func (lo *lowerer) newFrame(name string) *frame {
-	return &frame{name: name, vars: map[string]*binding{}}
+func (lo *lowerer) newFrame() *frame {
+	return &frame{vars: map[string]*binding{}}
 }
 
 // unique produces a program-unique IR variable name from a source name.

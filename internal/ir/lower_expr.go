@@ -531,7 +531,7 @@ func (lo *lowerer) inlineCall(x *scil.CallExpr, caller *frame, nresults int) ([]
 		return nil, lowErr(x.Pos, "%q returns %d values, %d requested", x.Name, len(callee.Results), nresults)
 	}
 	written := assignedTargets(callee.Body)
-	fr := lo.newFrame(x.Name)
+	fr := lo.newFrame()
 	for i, pname := range callee.Params {
 		op, err := lo.expr(x.Args[i], caller)
 		if err != nil {

@@ -179,8 +179,6 @@ type loopInfo struct {
 	ivar int32
 	// limit is the static trip count (for) or the @bound (while).
 	limit int
-	// isFor selects the trip-count vs @bound error message.
-	isFor bool
 	// hi and step are the bound registers an opForInit copies.
 	hi, step int32
 }
@@ -731,7 +729,7 @@ func (c *compiler) forLoop(st *ir.For) {
 	m := c.mark()
 	loR, hiR, stepR := c.operand(st.Lo), c.operand(st.Hi), c.operand(st.Step)
 	c.ops(ir.ExprOpUnits(st.Lo) + ir.ExprOpUnits(st.Hi) + ir.ExprOpUnits(st.Step))
-	c.code.loops = append(c.code.loops, loopInfo{ivar: c.varReg[st.IVar], limit: st.Trip, isFor: true, hi: hiR, step: stepR})
+	c.code.loops = append(c.code.loops, loopInfo{ivar: c.varReg[st.IVar], limit: st.Trip, hi: hiR, step: stepR})
 	entry := c.emit(instr{op: opForInit, a: loop, b: base, d: loR})
 	c.release(m)
 	body := c.here()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"argo/internal/adl"
 	"argo/internal/ir"
 	"argo/internal/ir/vm"
 	"argo/internal/memo"
@@ -122,30 +123,30 @@ type loopPrefix struct {
 	cores                 []coreState
 	signalTime            []int64
 	posted                []bool
-	bus                   busState
+	port                  adl.Port
 	taskStart, taskFinish []int64
 }
 
 // recordPrefix publishes the loop's current state as the program's
 // prefix. The first recording wins; every uninjected run reaches the
 // same state, so either copy is correct.
-func (c *traceCache) recordPrefix(cores []coreState, signalTime []int64, posted []bool, bus busState, rep *Report) {
+func (c *traceCache) recordPrefix(cores []coreState, signalTime []int64, posted []bool, port adl.Port, rep *Report) {
 	c.prefix.CompareAndSwap(nil, &loopPrefix{
 		cores:      slices.Clone(cores),
 		signalTime: slices.Clone(signalTime),
 		posted:     slices.Clone(posted),
-		bus:        bus,
+		port:       port,
 		taskStart:  slices.Clone(rep.TaskStart),
 		taskFinish: slices.Clone(rep.TaskFinish),
 	})
 }
 
 // restore loads the prefix into a run's loop state.
-func (lp *loopPrefix) restore(cores []coreState, signalTime []int64, posted []bool, bus *busState, rep *Report) {
+func (lp *loopPrefix) restore(cores []coreState, signalTime []int64, posted []bool, port *adl.Port, rep *Report) {
 	copy(cores, lp.cores)
 	copy(signalTime, lp.signalTime)
 	copy(posted, lp.posted)
-	*bus = lp.bus
+	*port = lp.port
 	copy(rep.TaskStart, lp.taskStart)
 	copy(rep.TaskFinish, lp.taskFinish)
 }

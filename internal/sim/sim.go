@@ -2,8 +2,9 @@
 // discrete-event, trace-driven simulator that executes an explicitly
 // parallel program (internal/par) on an ADL platform model with
 // scratchpads, a shared-memory interconnect with round-robin/TDM/NoC-port
-// arbitration, time-triggered task release, signal/wait synchronization,
-// and serialized DMA staging phases.
+// arbitration (adl.Port, the definition the analysis charges bound),
+// time-triggered task release, signal/wait synchronization, and
+// serialized DMA staging phases.
 //
 // It substitutes for the project's FPGA-prototyped Xentium and Leon3/iNoC
 // platforms (see DESIGN.md): the machine model is exactly the one the
@@ -18,7 +19,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"argo/internal/adl"
 	"argo/internal/fault"
 	"argo/internal/ir"
 	"argo/internal/ir/vm"
@@ -74,72 +74,6 @@ type coreState struct {
 	// its current time; serving it is a separate event so the global
 	// min-time order equals the bus request order.
 	pendingAccess bool
-}
-
-// arbiter models the shared-memory interconnect's arbitration.
-type arbiter interface {
-	// access serves one access requested by core at reqTime and returns
-	// its completion time plus the arbitration wait it suffered.
-	access(core int, reqTime int64) (done, wait int64)
-}
-
-// busState is the interconnect's mutable state: when the shared port is
-// next free (round-robin bus, NoC port) and the arbitration waits so far.
-type busState struct {
-	free, waits int64
-}
-
-// rrBus is a round-robin (FIFO under conservative event order) bus.
-type rrBus struct {
-	platform *adl.Platform
-	*busState
-}
-
-func (b *rrBus) access(core int, reqTime int64) (int64, int64) {
-	grant := reqTime
-	if b.free > grant {
-		grant = b.free
-	}
-	b.waits += grant - reqTime
-	b.free = grant + int64(b.platform.Bus.SlotCycles)
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
-}
-
-// tdmBus grants each core only its own periodic slot.
-type tdmBus struct {
-	platform *adl.Platform
-	*busState
-}
-
-func (b *tdmBus) access(core int, reqTime int64) (int64, int64) {
-	slot := int64(b.platform.Bus.SlotCycles)
-	k := int64(b.platform.NumCores())
-	period := slot * k
-	// Next time >= reqTime with (t/slot) mod k == core.
-	base := (reqTime / period) * period
-	grant := base + int64(core)*slot
-	for grant < reqTime {
-		grant += period
-	}
-	b.waits += grant - reqTime
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
-}
-
-// nocPort models the shared-memory controller port of the mesh: WRR
-// service quantum per contender, like a bus with a WRR-weight slot.
-type nocPort struct {
-	platform *adl.Platform
-	*busState
-}
-
-func (b *nocPort) access(core int, reqTime int64) (int64, int64) {
-	grant := reqTime
-	if b.free > grant {
-		grant = b.free
-	}
-	b.waits += grant - reqTime
-	b.free = grant + int64(b.platform.NoC.WRRWeight*b.platform.NoC.LinkCycles)
-	return grant + int64(b.platform.SharedAccessIsolated(core)), grant - reqTime
 }
 
 // Report is the outcome of one simulation run.
@@ -363,16 +297,7 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 
 	// Phase 2: conservative discrete-event execution of the core
 	// programs (times relative to the end of the prologue).
-	var bus busState
-	var arb arbiter
-	switch {
-	case p.Platform.Bus != nil && p.Platform.Bus.Arbitration == adl.ArbTDM:
-		arb = &tdmBus{p.Platform, &bus}
-	case p.Platform.Bus != nil:
-		arb = &rrBus{p.Platform, &bus}
-	default:
-		arb = &nocPort{p.Platform, &bus}
-	}
+	port := p.Platform.NewPort()
 	cores := rs.cores
 	signalTime := rs.signalTime
 	posted := rs.posted
@@ -386,7 +311,7 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	}
 	record := resume && prefix == nil
 	if prefix != nil {
-		prefix.restore(cores, signalTime, posted, &bus, rep)
+		prefix.restore(cores, signalTime, posted, &port, rep)
 	} else {
 		for c := range cores {
 			cores[c] = coreState{entries: p.CoreEntries[c], inTask: -1}
@@ -451,12 +376,12 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 			if cs.inTask >= 0 {
 				if cs.pendingAccess {
 					// Serve the previously issued bus request.
-					done, wait := arb.access(best, cs.time)
+					done, wait := port.Access(best, cs.time)
 					if inj != nil {
 						// Jitter the access within its remaining modeled
 						// interference budget. Only this core's completion
-						// moves — arbiter state is untouched — so other cores
-						// never see interference beyond the model.
+						// moves — the port's state is untouched — so other
+						// cores never see interference beyond the model.
 						t := cs.inTask
 						done += inj.AccessDelay(t, accessIdx[t], perAccessBudget[t]-wait)
 						accessIdx[t]++
@@ -505,7 +430,7 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 					break step // may wake an earlier-time core
 				case par.EntryCompute:
 					if record && !cache.invariant[e.Task] {
-						cache.recordPrefix(cores, signalTime, posted, bus, rep)
+						cache.recordPrefix(cores, signalTime, posted, port, rep)
 						record = false
 					}
 					if e.Release > cs.time {
@@ -524,14 +449,14 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 		}
 	}
 	if record {
-		cache.recordPrefix(cores, signalTime, posted, bus, rep)
+		cache.recordPrefix(cores, signalTime, posted, port, rep)
 	}
 	for c := range cores {
 		if cores[c].time > rep.ExecSpan {
 			rep.ExecSpan = cores[c].time
 		}
 	}
-	rep.BusWaitCycles = bus.waits
+	rep.BusWaitCycles = port.Waits
 
 	// Phase 3: DMA epilogue.
 	var epi int64

@@ -20,8 +20,8 @@ import (
 	"argo/internal/usecases"
 )
 
-// diffPlatforms cover the three arbiters: round-robin bus, TDM bus and
-// NoC memory port.
+// diffPlatforms cover the three policies of the shared port (adl.Port):
+// round-robin bus, TDM bus and NoC memory port.
 var diffPlatforms = []string{"xentium4", "xentium4-tdm", "leon3-2x2"}
 
 // simConfig is one program × platform configuration.

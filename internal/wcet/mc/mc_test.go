@@ -32,11 +32,12 @@ func lower(t *testing.T, src, entry string, args ...ir.ArgSpec) *ir.Program {
 
 // TestExactLEIPET is the engine-ordering property over the full golden
 // matrix: for every task region of every use case compiled for every
-// built-in platform, and every distinct core cost model, the exact
-// engine's bound never exceeds the IPET engine's, and both engines
-// report identical access counts (the interference analysis must see
-// one traffic model).
+// built-in platform, every loop-body region below it (taskRegions), and
+// every distinct core cost model, the exact engine's bound never exceeds
+// the IPET engine's, and both engines report identical access counts
+// (the interference analysis must see one traffic model).
 func TestExactLEIPET(t *testing.T) {
+	regions := 0
 	for _, u := range usecases.All() {
 		for _, pname := range adl.BuiltinNames() {
 			plat := adl.Builtin(pname)
@@ -48,27 +49,64 @@ func TestExactLEIPET(t *testing.T) {
 			for i := range models {
 				models[i] = wcet.ModelFor(plat, i)
 			}
-			var walk func(g *htg.Graph)
-			walk = func(g *htg.Graph) {
-				for _, n := range g.Nodes {
-					for _, m := range models {
-						ipet := wcet.Analyze(n.Stmts, m)
-						exact := mc.Default.Analyze(n.Stmts, m)
-						if exact.Cycles > ipet.Cycles {
-							t.Fatalf("%s/%s task %q: exact %d > ipet %d", u.Name, pname, n.Label, exact.Cycles, ipet.Cycles)
-						}
-						if exact.SharedAccesses != ipet.SharedAccesses || exact.SPMAccesses != ipet.SPMAccesses {
-							t.Fatalf("%s/%s task %q: access counts diverge: exact %+v ipet %+v", u.Name, pname, n.Label, exact, ipet)
-						}
+			for i, stmts := range taskRegions(art.Graph) {
+				for _, m := range models {
+					ipet := wcet.Analyze(stmts, m)
+					exact := mc.Default.Analyze(stmts, m)
+					if exact.Cycles > ipet.Cycles {
+						t.Fatalf("%s/%s region %d: exact %d > ipet %d", u.Name, pname, i, exact.Cycles, ipet.Cycles)
 					}
-					if n.Children != nil {
-						walk(n.Children)
+					if exact.SharedAccesses != ipet.SharedAccesses || exact.SPMAccesses != ipet.SPMAccesses {
+						t.Fatalf("%s/%s region %d: access counts diverge: exact %+v ipet %+v", u.Name, pname, i, exact, ipet)
 					}
 				}
+				regions++
 			}
-			walk(art.Graph)
 		}
 	}
+	t.Logf("%d regions", regions)
+}
+
+// taskRegions returns the task graph's regions and, below each loop task,
+// the regions a hierarchy level of its body would hold: a loop whose body
+// has more than one statement yields the body's maximal non-loop runs
+// and its loops, recursively down to the third level. These are the
+// regions the task graph's lower levels held when it built them.
+func taskRegions(g *htg.Graph) [][]ir.Stmt {
+	var out [][]ir.Stmt
+	for _, n := range g.Nodes {
+		out = append(out, n.Stmts)
+		if n.Kind == htg.KindLoop {
+			out = levelRegions(out, n.Stmts[0].(*ir.For).Body, 1)
+		}
+	}
+	return out
+}
+
+// levelRegions appends the regions of the hierarchy level at depth built
+// from one loop body, and the levels below its loops.
+func levelRegions(out [][]ir.Stmt, body []ir.Stmt, depth int) [][]ir.Stmt {
+	if depth >= 3 || len(body) <= 1 {
+		return out
+	}
+	var run []ir.Stmt
+	for _, s := range body {
+		loop, ok := s.(*ir.For)
+		if !ok {
+			run = append(run, s)
+			continue
+		}
+		if len(run) > 0 {
+			out = append(out, run)
+			run = nil
+		}
+		out = append(out, []ir.Stmt{s})
+		out = levelRegions(out, loop.Body, depth+1)
+	}
+	if len(run) > 0 {
+		out = append(out, run)
+	}
+	return out
 }
 
 // TestExactStrictlyTighter pins a fixture where the exact engine is
