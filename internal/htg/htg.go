@@ -15,6 +15,7 @@ package htg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,11 +43,11 @@ type Node struct {
 	// Stmts is the IR region this task executes.
 	Stmts []ir.Stmt
 	// Uses are the task's may-read/may-write sets.
-	Uses *ir.UseSets
+	Uses ir.UseSets
 	// Ranges are per-variable subscript intervals for the interval
 	// dependence test (chunked loops over disjoint regions of one array
 	// are recognized as independent).
-	Ranges map[*ir.Var]ir.AccessRange
+	Ranges ir.AccessRanges
 	// WCET is the isolated code-level bound per core id (filled by
 	// Annotate).
 	WCET []int64
@@ -125,7 +126,7 @@ func Build(prog *ir.Program) *Graph {
 		pending = append(pending, s)
 	}
 	flush()
-	g.connect()
+	g.connect(prog)
 	return g
 }
 
@@ -155,96 +156,57 @@ func (g *Graph) addNode(n *Node) {
 // induction variables, iteration-local temporaries) are privatizable: they
 // carry no real dependence and are excluded, which is what exposes the
 // task-level parallelism between independent loop nests.
-func (g *Graph) connect() {
-	liveScalars := g.liveOutScalars()
-	// Flatten each node's write sets once: dependsOn runs for every node
-	// pair, and starting map iterators per pair dominates graph
-	// construction on larger regions. Iteration order does not matter —
-	// dependsOn is a pure predicate and edge Vars are sorted below.
-	matW := make([][]*ir.Var, len(g.Nodes))
-	scalW := make([][]*ir.Var, len(g.Nodes))
-	for i, n := range g.Nodes {
-		for v := range n.Uses.MatWrites {
-			matW[i] = append(matW[i], v)
-		}
-		for v := range n.Uses.ScalWrite {
-			scalW[i] = append(scalW[i], v)
-		}
-	}
+func (g *Graph) connect(prog *ir.Program) {
+	live := g.liveOutScalars(prog)
 	for i := 0; i < len(g.Nodes); i++ {
 		for j := i + 1; j < len(g.Nodes); j++ {
 			a, b := g.Nodes[i], g.Nodes[j]
-			if !dependsOn(a, b, matW[i], matW[j], scalW[i], scalW[j], liveScalars) {
+			if !dependsOn(a, b, live) {
 				continue
 			}
 			e := Edge{From: a.ID, To: b.ID}
-			for _, v := range matW[i] {
-				if b.Uses.MatReads[v] || b.Uses.MatWrites[v] {
-					e.Vars = append(e.Vars, v)
-					e.VolumeBytes += v.SizeBytes()
-				}
+			carry := func(v *ir.Var) bool {
+				e.Vars = append(e.Vars, v)
+				e.VolumeBytes += v.SizeBytes()
+				return true
 			}
-			sort.Slice(e.Vars, func(x, y int) bool { return e.Vars[x].Name < e.Vars[y].Name })
+			a.Uses.MatWrites().EachCommon(b.Uses.MatReads(), carry)
+			a.Uses.MatWrites().EachCommon(b.Uses.MatWrites(), func(v *ir.Var) bool {
+				return b.Uses.MatReads().Has(v) || carry(v)
+			})
+			slices.SortFunc(e.Vars, func(x, y *ir.Var) int { return strings.Compare(x.Name, y.Name) })
 			g.Edges = append(g.Edges, e)
 		}
 	}
 }
 
-// liveOutScalars returns scalars that some node reads without defining
-// first (ir.DefinedBeforeUse) — only these carry real cross-task scalar
-// dependences.
-func (g *Graph) liveOutScalars() map[*ir.Var]bool {
-	out := map[*ir.Var]bool{}
+// liveOutScalars returns the scalars that some node reads without
+// defining first (ir.DefinedBeforeUse) — only these carry real
+// cross-task scalar dependences.
+func (g *Graph) liveOutScalars(prog *ir.Program) ir.VarSet {
+	live := ir.NewVarSet(prog)
+	add := func(v *ir.Var) bool {
+		live.Add(v)
+		return true
+	}
 	for _, n := range g.Nodes {
-		if len(n.Uses.ScalReads) > 0 {
+		if !n.Uses.ScalReads().Empty() {
 			defined := ir.DefinedBeforeUse(n.Stmts)
-			for v := range n.Uses.ScalReads {
-				if !defined[v] {
-					out[v] = true
-				}
-			}
+			n.Uses.ScalReads().Each(func(v *ir.Var) bool { return defined.Has(v) || add(v) })
 		}
 		// Entry results are read after the program ends: their final
 		// value matters, so writes to them must stay ordered.
-		for v := range n.Uses.ScalWrite {
-			if v.Result {
-				out[v] = true
-			}
-		}
+		n.Uses.ScalWrite().Each(func(v *ir.Var) bool { return !v.Result || add(v) })
 	}
-	return out
+	return live
 }
 
 // dependsOn reports a real dependence a -> b (a precedes b in program
 // order): any matrix conflict, or a conflict on a live-out scalar.
-// aMatW/bMatW and aScalW/bScalW are the flattened write sets of a and b.
-func dependsOn(a, b *Node, aMatW, bMatW, aScalW, bScalW []*ir.Var, live map[*ir.Var]bool) bool {
-	matConflict := func(v *ir.Var) bool {
-		// Interval dependence test: disjoint subscript ranges on some
-		// dimension prove independence (e.g. parallelized loop chunks).
-		return !a.Ranges[v].DisjointFrom(b.Ranges[v])
-	}
-	for _, v := range aMatW {
-		if (b.Uses.MatReads[v] || b.Uses.MatWrites[v]) && matConflict(v) {
-			return true
-		}
-	}
-	for _, v := range bMatW {
-		if a.Uses.MatReads[v] && matConflict(v) {
-			return true
-		}
-	}
-	for _, v := range aScalW {
-		if live[v] && (b.Uses.ScalReads[v] || b.Uses.ScalWrite[v]) {
-			return true
-		}
-	}
-	for _, v := range bScalW {
-		if live[v] && a.Uses.ScalReads[v] {
-			return true
-		}
-	}
-	return false
+func dependsOn(a, b *Node, live ir.VarSet) bool {
+	// Interval dependence test: disjoint subscript ranges on some
+	// dimension prove independence (e.g. parallelized loop chunks).
+	return a.Uses.Precedes(b.Uses, live, func(v *ir.Var) bool { return !a.Ranges.Get(v).DisjointFrom(b.Ranges.Get(v)) })
 }
 
 // Clone returns a copy of the graph that shares the immutable per-node
@@ -503,8 +465,10 @@ func (g *Graph) mergeInto(a, b int) {
 	na, nb := g.Nodes[a], g.Nodes[b]
 	na.Stmts = append(append([]ir.Stmt{}, na.Stmts...), nb.Stmts...)
 	na.Kind = KindRegion
-	na.Uses = ir.ComputeUses(na.Stmts)
-	na.Ranges = ir.CollectAccessRanges(na.Stmts)
+	// The summaries of a concatenation are the unions of its parts'.
+	// Union builds new sets: clones of the graph share the old ones.
+	na.Uses = na.Uses.Union(nb.Uses)
+	na.Ranges = na.Ranges.Union(nb.Ranges)
 	if na.WCET != nil && nb.WCET != nil {
 		for c := range na.WCET {
 			na.WCET[c] += nb.WCET[c]

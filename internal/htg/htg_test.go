@@ -1,6 +1,8 @@
 package htg
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"argo/internal/ir"
 	"argo/internal/scil"
 	"argo/internal/transform"
+	"argo/internal/usecases"
 	"argo/internal/wcet"
 )
 
@@ -73,8 +76,7 @@ func TestBuildProducerConsumers(t *testing.T) {
 	// each other.
 	var producer, consA, consB *Node
 	for _, n := range g.Nodes {
-		u := n.Uses
-		for v := range u.MatWrites {
+		n.Uses.MatWrites().Each(func(v *ir.Var) bool {
 			switch {
 			case strings.HasPrefix(v.Name, "tmp"):
 				producer = n
@@ -83,7 +85,8 @@ func TestBuildProducerConsumers(t *testing.T) {
 			case strings.HasPrefix(v.Name, "outb") && n.Kind == KindLoop:
 				consB = n
 			}
-		}
+			return true
+		})
 	}
 	if producer == nil || consA == nil || consB == nil {
 		t.Fatalf("missing tasks:\n%s", g.Dump())
@@ -309,11 +312,12 @@ endfunction`, "f", ir.MatrixArg(8, 8))
 		if nd.Kind != KindLoop {
 			continue
 		}
-		for v := range nd.Uses.MatWrites {
-			if strings.HasPrefix(v.Name, "out") && nd.Uses.MatReads[prog.Entry.Params[0]] {
+		nd.Uses.MatWrites().Each(func(v *ir.Var) bool {
+			if strings.HasPrefix(v.Name, "out") && nd.Uses.MatReads().Has(prog.Entry.Params[0]) {
 				chunks = append(chunks, nd.ID)
 			}
-		}
+			return true
+		})
 	}
 	if len(chunks) < 4 {
 		t.Fatalf("chunk tasks: %v\n%s", chunks, g.Dump())
@@ -355,20 +359,124 @@ endfunction`, "f", ir.MatrixArg(12, 6))
 	}
 	// Every stencil chunk must depend on at least one producer chunk.
 	for _, nd := range g.Nodes {
-		reads := false
-		for v := range nd.Uses.MatReads {
-			if strings.HasPrefix(v.Name, "tmp") {
-				reads = true
-			}
+		named := func(s ir.VarSet, prefix string) bool {
+			return !s.Each(func(v *ir.Var) bool { return !strings.HasPrefix(v.Name, prefix) })
 		}
-		writesOut := false
-		for v := range nd.Uses.MatWrites {
-			if strings.HasPrefix(v.Name, "out") {
-				writesOut = true
-			}
-		}
+		reads := named(nd.Uses.MatReads(), "tmp")
+		writesOut := named(nd.Uses.MatWrites(), "out")
 		if reads && writesOut && len(g.Preds(nd.ID)) == 0 {
 			t.Fatalf("stencil chunk %d has no producers:\n%s", nd.ID, g.Dump())
 		}
+	}
+}
+
+// pipelineProgram lowers a use case and applies the pipeline's
+// transformations for a cores-core platform (scratchpad promotion
+// aside: it changes storage, which no summary reads).
+func pipelineProgram(t *testing.T, u *usecases.UseCase, cores int) *ir.Program {
+	t.Helper()
+	src, err := u.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.Lower(src, u.Entry, u.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transform.Apply(prog, transform.Options{Fold: true, Hoist: true, ElideInits: true, Fission: true, ParallelChunks: cores})
+	return prog
+}
+
+// sameSummary reports how a node's summaries differ from a fresh
+// ComputeUses/CollectAccessRanges of its statements, if they do.
+func sameSummary(n *Node) error {
+	fresh := ir.ComputeUses(n.Stmts)
+	for _, c := range []struct {
+		name      string
+		got, want ir.VarSet
+	}{
+		{"MatReads", n.Uses.MatReads(), fresh.MatReads()},
+		{"MatWrites", n.Uses.MatWrites(), fresh.MatWrites()},
+		{"ScalReads", n.Uses.ScalReads(), fresh.ScalReads()},
+		{"ScalWrite", n.Uses.ScalWrite(), fresh.ScalWrite()},
+	} {
+		if c.got.Len() != c.want.Len() || !c.want.Each(c.got.Has) {
+			return fmt.Errorf("%s: %d members, fresh %d", c.name, c.got.Len(), c.want.Len())
+		}
+	}
+	ranges := ir.CollectAccessRanges(n.Stmts)
+	if len(n.Ranges) != len(ranges) {
+		return fmt.Errorf("%d ranges, fresh %d", len(n.Ranges), len(ranges))
+	}
+	same := func(a, b ir.Interval) bool {
+		return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+	}
+	for i, r := range ranges {
+		g := n.Ranges[i]
+		if g.V != r.V || g.Any != r.Any || !same(g.Row, r.Row) || !same(g.Col, r.Col) {
+			return fmt.Errorf("range %d of %s: %+v, fresh %+v of %s", i, g.V.Name, g.AccessRange, r.AccessRange, r.V.Name)
+		}
+	}
+	return nil
+}
+
+// TestMergedSummariesMatchRecomputation merges the use cases' task
+// graphs on the 16-core built-in platforms down to one node, one
+// MergeUntil step at a time, and checks after every step that each
+// node's summaries equal a fresh summary of its statements — mergeInto
+// unites the operands' summaries instead of re-walking them — and that
+// the graph the merged one was cloned from kept its own.
+func TestMergedSummariesMatchRecomputation(t *testing.T) {
+	for _, name := range []string{"xentium16", "leon3-4x4"} {
+		platform := adl.Builtin(name)
+		ms := make([]wcet.CostModel, platform.NumCores())
+		for i := range ms {
+			ms[i] = wcet.ModelFor(platform, i)
+		}
+		for _, u := range usecases.All() {
+			checkMerges(t, name+" "+u.Name, pipelineProgram(t, u, len(ms)), ms)
+		}
+	}
+}
+
+// checkMerges runs the merge check on one program and platform.
+func checkMerges(t *testing.T, label string, prog *ir.Program, ms []wcet.CostModel) {
+	t.Helper()
+	base := Build(prog)
+	Annotate(base, ms)
+	g := base.Clone()
+	merged := 0
+	for target := len(g.Nodes) - 1; target >= 1; target-- {
+		before := len(g.Nodes)
+		g.MergeUntil(target)
+		merged += before - len(g.Nodes)
+		for _, n := range g.Nodes {
+			if err := sameSummary(n); err != nil {
+				t.Fatalf("%s, %d nodes, %s: %v", label, len(g.Nodes), n.Label, err)
+			}
+		}
+	}
+	if merged < 5 {
+		t.Fatalf("%s: only %d merges", label, merged)
+	}
+	for _, n := range base.Nodes {
+		if err := sameSummary(n); err != nil {
+			t.Fatalf("%s: base graph changed by merging its clone: %s: %v", label, n.Label, err)
+		}
+	}
+}
+
+// TestBuildAllocations pins htg.Build's allocations on POLKA chunked
+// for 16 cores, 114 nodes and 353 edges (counted by the runtime, no
+// clock involved): the use sets take one allocation per node, and the
+// dependence test walks their words and allocates nothing per node
+// pair.
+func TestBuildAllocations(t *testing.T) {
+	prog := pipelineProgram(t, usecases.POLKA(), 16)
+	const limit = 1450
+	if n := testing.AllocsPerRun(20, func() { Build(prog) }); n > limit {
+		t.Fatalf("htg.Build allocates %v times, limit %d", n, limit)
+	} else {
+		t.Logf("htg.Build: %v allocations, %d nodes", n, len(Build(prog).Nodes))
 	}
 }

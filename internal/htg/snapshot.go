@@ -14,12 +14,14 @@ import "argo/internal/ir"
 // state (Uses, Ranges) encoded by variable registration index. Every
 // graph produced by Build/Clone/Annotate/MergeUntil maintains the
 // invariant Uses == ir.ComputeUses(Stmts) and Ranges ==
-// ir.CollectAccessRanges(Stmts) (addNode and mergeInto compute exactly
-// those; Clone shares them; Annotate never touches them), so encoding
-// the maps positionally and remapping them on thaw lands on the same
-// analysis state a recomputation would — without paying the
+// ir.CollectAccessRanges(Stmts) (addNode computes exactly those,
+// mergeInto unites its operands' summaries, which is the summary of
+// the concatenation; Clone shares them; Annotate never touches them),
+// so encoding them positionally and remapping them on thaw lands on the
+// same analysis state a recomputation would — without paying the
 // ComputeUses/CollectAccessRanges IR walks on every warm-compile
-// restore, where they dominated the thaw cost.
+// restore, where they dominated the thaw cost. The use sets are bitsets
+// over registration slots, so their frozen form is their words.
 
 // FrozenGraph is the pointer-free form of a Graph.
 type FrozenGraph struct {
@@ -33,9 +35,9 @@ type frozenNode struct {
 	Stmts          []int32 // traversal indices into the source program
 	WCET           []int64
 	SharedAccesses int64
-	// Uses, encoded as registration-index sets (order irrelevant: the
-	// thaw side rebuilds the maps).
-	MatReads, MatWrites, ScalReads, ScalWrite []int32
+	// Uses, as the four bitsets' words over the registration slots
+	// (ir.UseSets.Words). Every thaw aliases them.
+	UseWords []uint64
 	// Ranges, encoded as parallel (variable index, range) lists.
 	RangeVars []int32
 	RangeVals []ir.AccessRange
@@ -45,29 +47,6 @@ type frozenEdge struct {
 	From, To    int
 	Vars        []int32 // registration indices into Program.Vars
 	VolumeBytes int
-}
-
-// freezeVarSet encodes one use set; ok is false if any member variable
-// is unregistered.
-func freezeVarSet(idx *ir.SnapshotIndex, set map[*ir.Var]bool) ([]int32, bool) {
-	out := make([]int32, 0, len(set))
-	for v := range set {
-		i, ok := idx.Var(v)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, i)
-	}
-	return out, true
-}
-
-// thawVarSet rebuilds one use set from its index encoding.
-func thawVarSet(tab *ir.SnapshotTable, idx []int32) map[*ir.Var]bool {
-	m := make(map[*ir.Var]bool, len(idx))
-	for _, i := range idx {
-		m[tab.Var(i)] = true
-	}
-	return m
 }
 
 // Freeze encodes the graph against idx. ok is false when any statement
@@ -84,37 +63,22 @@ func (g *Graph) Freeze(idx *ir.SnapshotIndex) (*FrozenGraph, bool) {
 		if !ok {
 			return nil, false
 		}
-		if n.Uses == nil || n.Ranges == nil {
-			// Violates the constructor invariant; decline to cache.
-			return nil, false
-		}
 		fn := frozenNode{
 			Label:          n.Label,
 			Kind:           n.Kind,
 			Stmts:          stmts,
 			SharedAccesses: n.SharedAccesses,
 		}
-		if fn.MatReads, ok = freezeVarSet(idx, n.Uses.MatReads); !ok {
+		if fn.UseWords, ok = n.Uses.Words(idx.Program()); !ok {
 			return nil, false
 		}
-		if fn.MatWrites, ok = freezeVarSet(idx, n.Uses.MatWrites); !ok {
-			return nil, false
-		}
-		if fn.ScalReads, ok = freezeVarSet(idx, n.Uses.ScalReads); !ok {
-			return nil, false
-		}
-		if fn.ScalWrite, ok = freezeVarSet(idx, n.Uses.ScalWrite); !ok {
-			return nil, false
-		}
-		fn.RangeVars = make([]int32, 0, len(n.Ranges))
-		fn.RangeVals = make([]ir.AccessRange, 0, len(n.Ranges))
-		for v, r := range n.Ranges {
-			vi, ok := idx.Var(v)
-			if !ok {
+		fn.RangeVars = make([]int32, len(n.Ranges))
+		fn.RangeVals = make([]ir.AccessRange, len(n.Ranges))
+		for j, r := range n.Ranges {
+			if fn.RangeVars[j], ok = idx.Var(r.V); !ok {
 				return nil, false
 			}
-			fn.RangeVars = append(fn.RangeVars, vi)
-			fn.RangeVals = append(fn.RangeVals, r)
+			fn.RangeVals[j] = r.AccessRange
 		}
 		if n.WCET != nil {
 			fn.WCET = append([]int64(nil), n.WCET...)
@@ -135,8 +99,9 @@ func (g *Graph) Freeze(idx *ir.SnapshotIndex) (*FrozenGraph, bool) {
 // invariant every Graph constructor maintains); Uses and Ranges are
 // remapped from their index encodings, which reproduces the frozen
 // graph's analysis state exactly (see the package comment above — the
-// encoded maps are the ones ComputeUses/CollectAccessRanges produced on
-// the freeze side, and remapping preserves contents).
+// encoded summaries are the ones ComputeUses/CollectAccessRanges
+// produced on the freeze side, and remapping preserves contents and the
+// slot order of the ranges).
 func (f *FrozenGraph) Thaw(tab *ir.SnapshotTable) *Graph {
 	g := &Graph{
 		Nodes: make([]*Node, len(f.Nodes)),
@@ -144,21 +109,16 @@ func (f *FrozenGraph) Thaw(tab *ir.SnapshotTable) *Graph {
 	}
 	for i := range f.Nodes {
 		fn := &f.Nodes[i]
-		rng := make(map[*ir.Var]ir.AccessRange, len(fn.RangeVars))
+		var rng ir.AccessRanges // nil when empty, as CollectAccessRanges
 		for j, vi := range fn.RangeVars {
-			rng[tab.Var(vi)] = fn.RangeVals[j]
+			rng = append(rng, ir.VarRange{V: tab.Var(vi), AccessRange: fn.RangeVals[j]})
 		}
 		n := &Node{
-			ID:    i,
-			Label: fn.Label,
-			Kind:  fn.Kind,
-			Stmts: tab.Stmts(fn.Stmts),
-			Uses: &ir.UseSets{
-				MatReads:  thawVarSet(tab, fn.MatReads),
-				MatWrites: thawVarSet(tab, fn.MatWrites),
-				ScalReads: thawVarSet(tab, fn.ScalReads),
-				ScalWrite: thawVarSet(tab, fn.ScalWrite),
-			},
+			ID:             i,
+			Label:          fn.Label,
+			Kind:           fn.Kind,
+			Stmts:          tab.Stmts(fn.Stmts),
+			Uses:           ir.UseSetsFromWords(tab.Program(), fn.UseWords),
 			Ranges:         rng,
 			SharedAccesses: fn.SharedAccesses,
 		}

@@ -1,72 +1,284 @@
 package ir
 
+import "math/bits"
+
 // UseSets summarizes which variables a statement region may read and
 // write. Matrix accesses are element accesses to the variable's buffer;
 // scalar accesses are register reads/writes.
+//
+// The four sets are bitsets over the slots of one program's table (see
+// VarSet), held in one allocation of words: MatReads, MatWrites,
+// ScalReads and ScalWrite in turn, a quarter each. Members the bits
+// cannot hold sit in per-set lists, allocated only when one occurs.
 type UseSets struct {
-	MatReads  map[*Var]bool
-	MatWrites map[*Var]bool
-	ScalReads map[*Var]bool
-	ScalWrite map[*Var]bool
+	prog  *Program
+	bits  []uint64
+	extra *[4][]*Var
 }
 
-// NewUseSets returns empty use sets.
-func NewUseSets() *UseSets {
-	return &UseSets{
-		MatReads:  map[*Var]bool{},
-		MatWrites: map[*Var]bool{},
-		ScalReads: map[*Var]bool{},
-		ScalWrite: map[*Var]bool{},
+// The four sets, in the order of their words.
+const (
+	matReads = iota
+	matWrites
+	scalReads
+	scalWrite
+)
+
+// newUseSets returns empty use sets sized to p's table.
+func newUseSets(p *Program) UseSets {
+	return UseSets{prog: p, bits: make([]uint64, 4*wordsFor(p))}
+}
+
+func (u *UseSets) set(k int) VarSet {
+	w := len(u.bits) / 4
+	s := VarSet{prog: u.prog, bits: u.bits[k*w : (k+1)*w : (k+1)*w]}
+	if u.extra != nil {
+		s.extra = u.extra[k]
+	}
+	return s
+}
+
+// add inserts v into set k of use sets under construction.
+func (u *UseSets) add(k int, v *Var) {
+	s := u.set(k)
+	if i := s.index(v); i >= 0 {
+		s.bits[i>>6] |= 1 << (uint(i) & 63)
+		return
+	}
+	if s.hasExtra(v) {
+		return
+	}
+	if u.extra == nil {
+		u.extra = new([4][]*Var)
+	}
+	u.extra[k] = append(u.extra[k], v)
+}
+
+// MatReads is the set of matrices the region may read.
+func (u UseSets) MatReads() VarSet { return u.set(matReads) }
+
+// MatWrites is the set of matrices the region may write.
+func (u UseSets) MatWrites() VarSet { return u.set(matWrites) }
+
+// ScalReads is the set of scalars the region may read.
+func (u UseSets) ScalReads() VarSet { return u.set(scalReads) }
+
+// ScalWrite is the set of scalars the region may write.
+func (u UseSets) ScalWrite() VarSet { return u.set(scalWrite) }
+
+// Union returns new use sets holding u's and o's members: the summary
+// of the two regions run one after the other. Neither operand changes.
+func (u UseSets) Union(o UseSets) UseSets {
+	out := UseSets{prog: u.prog}
+	if out.prog == nil {
+		out.prog = o.prog
+	}
+	w := max(len(u.bits), len(o.bits)) / 4
+	out.bits = make([]uint64, 4*w)
+	for k := 0; k < 4; k++ {
+		part := out.set(k)
+		unionInto(&part, u.set(k), o.set(k))
+		if len(part.extra) > 0 {
+			if out.extra == nil {
+				out.extra = new([4][]*Var)
+			}
+			out.extra[k] = part.extra
+		}
+	}
+	return out
+}
+
+// Precedes reports whether the region u summarizes must stay before
+// the later region o: a matrix one writes and the other accesses, for
+// which meet reports that the two regions' accesses may meet, or a
+// scalar in live that u writes and o accesses, or that o writes and u
+// reads. When the sets and live are bitsets over one program with
+// every member in the bits, that is one pass over their words.
+func (u UseSets) Precedes(o UseSets, live VarSet, meet func(*Var) bool) bool {
+	if u.prog != o.prog || u.extra != nil || o.extra != nil || len(live.extra) > 0 ||
+		(live.prog != u.prog && len(live.bits) > 0) {
+		return !u.MatWrites().EachCommon(o.MatReads(), func(v *Var) bool { return !meet(v) }) ||
+			!u.MatWrites().EachCommon(o.MatWrites(), func(v *Var) bool { return !meet(v) }) ||
+			!o.MatWrites().EachCommon(u.MatReads(), func(v *Var) bool { return !meet(v) }) ||
+			!u.ScalWrite().EachCommon(live, func(v *Var) bool { return !o.ScalReads().Has(v) && !o.ScalWrite().Has(v) }) ||
+			!o.ScalWrite().EachCommon(live, func(v *Var) bool { return !u.ScalReads().Has(v) })
+	}
+	wu, wo := len(u.bits)/4, len(o.bits)/4
+	for k := 0; k < min(wu, wo); k++ {
+		uMR, uMW, uSR, uSW := u.bits[k], u.bits[wu+k], u.bits[2*wu+k], u.bits[3*wu+k]
+		oMR, oMW, oSR, oSW := o.bits[k], o.bits[wo+k], o.bits[2*wo+k], o.bits[3*wo+k]
+		if k < len(live.bits) && live.bits[k]&(uSW&(oSR|oSW)|oSW&uSR) != 0 {
+			return true
+		}
+		for m := uMW&(oMR|oMW) | oMW&uMR; m != 0; m &= m - 1 {
+			if meet(u.prog.Vars[k<<6|bits.TrailingZeros64(m)]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Words returns the sets' words over p's table, the pointer-free form a
+// snapshot stores (it aliases them; use sets never change once built).
+// ok is false when a member has no slot in p.
+func (u UseSets) Words(p *Program) (words []uint64, ok bool) {
+	if u.extra != nil || (u.prog != p && len(u.bits) > 0) {
+		return nil, false
+	}
+	return u.bits, true
+}
+
+// UseSetsFromWords rebuilds use sets over p from Words' encoding. The
+// sets alias words, which must not change afterwards.
+func UseSetsFromWords(p *Program, words []uint64) UseSets {
+	return UseSets{prog: p, bits: words}
+}
+
+// addExpr records the variables read by one evaluation of e.
+func (u *UseSets) addExpr(e Expr) {
+	switch x := e.(type) {
+	case *VarRef:
+		u.add(scalReads, x.V)
+	case *Index:
+		u.add(matReads, x.V)
+		for _, ix := range x.Idx {
+			u.addExpr(ix)
+		}
+	case *Bin:
+		u.addExpr(x.X)
+		u.addExpr(x.Y)
+	case *Un:
+		u.addExpr(x.X)
+	case *Intrinsic:
+		for _, a := range x.Args {
+			u.addExpr(a)
+		}
 	}
 }
 
-// AddExprUses records the variables read by one evaluation of e.
-func (u *UseSets) AddExprUses(e Expr) {
-	WalkExprs(e, func(sub Expr) {
-		switch x := sub.(type) {
-		case *VarRef:
-			u.ScalReads[x.V] = true
-		case *Index:
-			u.MatReads[x.V] = true
-		}
-	})
-}
-
-// ComputeUses returns the may-read / may-write sets of a statement region.
-func ComputeUses(stmts []Stmt) *UseSets {
-	u := NewUseSets()
-	WalkStmts(stmts, func(s Stmt) bool {
-		switch st := s.(type) {
-		case *AssignScalar:
-			u.AddExprUses(st.Src)
-			u.ScalWrite[st.Dst] = true
-		case *Store:
-			for _, ix := range st.Idx {
-				u.AddExprUses(ix)
-			}
-			u.AddExprUses(st.Src)
-			u.MatWrites[st.Dst] = true
-		case *For:
-			u.AddExprUses(st.Lo)
-			u.AddExprUses(st.Step)
-			u.AddExprUses(st.Hi)
-			u.ScalWrite[st.IVar] = true
-		case *While:
-			u.AddExprUses(st.Cond)
-		case *If:
-			u.AddExprUses(st.Cond)
-		}
-		return true
-	})
+// ExprUses returns the use sets of one evaluation of e.
+func ExprUses(e Expr) UseSets {
+	u := newUseSets(exprHome(e))
+	u.addExpr(e)
 	return u
 }
 
+// ComputeUses returns the may-read / may-write sets of a statement
+// region, sized to the table of the program that registers its first
+// variable.
+func ComputeUses(stmts []Stmt) UseSets {
+	u := newUseSets(regionHome(stmts))
+	u.addStmts(stmts)
+	return u
+}
+
+func (u *UseSets) addStmts(stmts []Stmt) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *AssignScalar:
+			u.addExpr(st.Src)
+			u.add(scalWrite, st.Dst)
+		case *Store:
+			for _, ix := range st.Idx {
+				u.addExpr(ix)
+			}
+			u.addExpr(st.Src)
+			u.add(matWrites, st.Dst)
+		case *For:
+			u.addExpr(st.Lo)
+			u.addExpr(st.Step)
+			u.addExpr(st.Hi)
+			u.add(scalWrite, st.IVar)
+			u.addStmts(st.Body)
+		case *While:
+			u.addExpr(st.Cond)
+			u.addStmts(st.Body)
+		case *If:
+			u.addExpr(st.Cond)
+			u.addStmts(st.Then)
+			u.addStmts(st.Else)
+		}
+	}
+}
+
+// regionHome returns the program that registers the first registered
+// variable of stmts, in program order, or nil.
+func regionHome(stmts []Stmt) *Program {
+	for _, s := range stmts {
+		var p *Program
+		switch st := s.(type) {
+		case *AssignScalar:
+			if p = st.Dst.owner; p == nil {
+				p = exprHome(st.Src)
+			}
+		case *Store:
+			if p = st.Dst.owner; p == nil {
+				p = exprHome(st.Src)
+			}
+			for _, ix := range st.Idx {
+				if p == nil {
+					p = exprHome(ix)
+				}
+			}
+		case *For:
+			if p = st.IVar.owner; p == nil {
+				p = regionHome(st.Body)
+			}
+		case *While:
+			if p = exprHome(st.Cond); p == nil {
+				p = regionHome(st.Body)
+			}
+		case *If:
+			if p = exprHome(st.Cond); p == nil {
+				if p = regionHome(st.Then); p == nil {
+					p = regionHome(st.Else)
+				}
+			}
+		}
+		if p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// exprHome is regionHome for one expression.
+func exprHome(e Expr) *Program {
+	switch x := e.(type) {
+	case *VarRef:
+		return x.V.owner
+	case *Index:
+		if x.V.owner != nil {
+			return x.V.owner
+		}
+		for _, ix := range x.Idx {
+			if p := exprHome(ix); p != nil {
+				return p
+			}
+		}
+	case *Bin:
+		if p := exprHome(x.X); p != nil {
+			return p
+		}
+		return exprHome(x.Y)
+	case *Un:
+		return exprHome(x.X)
+	case *Intrinsic:
+		for _, a := range x.Args {
+			if p := exprHome(a); p != nil {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
 // DefinedBeforeUse summarizes the region stmts for the scalar
-// privatization question of the tool-chain: for every scalar the region
-// touches, whether it unconditionally assigns the scalar, by an
-// AssignScalar or as a for-loop induction variable, before any statement
-// that may read it. A scalar the region never touches maps to false, so
-// a lookup answers for every scalar.
+// privatization question of the tool-chain: the set of scalars the
+// region unconditionally assigns, by an AssignScalar or as a for-loop
+// induction variable, before any statement that may read them. A scalar
+// the region never touches is not in the set.
 //
 // The scalar's first touch decides. An assignment defines it unless its
 // source reads it. A for loop whose bounds read it does not define it;
@@ -79,60 +291,72 @@ func ComputeUses(stmts []Stmt) *UseSets {
 // The transformations' legality checks (chunking, fission, fusion,
 // tiling) and the task graph's live-out scalars compute the summary once
 // per region and look scalars up in it.
-func DefinedBeforeUse(stmts []Stmt) map[*Var]bool {
-	first := map[*Var]bool{}
-	firstTouches(stmts, first, true)
-	return first
+func DefinedBeforeUse(stmts []Stmt) VarSet {
+	p := regionHome(stmts)
+	w := wordsFor(p)
+	words := make([]uint64, 2*w)
+	ft := firstTouch{touched: VarSet{prog: p, bits: words[:w:w]}, defined: VarSet{prog: p, bits: words[w:]}}
+	ft.stmts(stmts, true)
+	return ft.defined
 }
 
-// firstTouches records in first the answer for every scalar whose first
-// touch in the region lies in stmts. Under an if or a while, defines is
-// false: the branch or body may not run, so no touch there defines. Each
-// answer depends only on its own scalar's first touch, so nested bodies
-// record into the same map.
-func firstTouches(stmts []Stmt, first map[*Var]bool, defines bool) {
+// firstTouch records, for every scalar whose first touch it has seen,
+// that it was touched and whether that touch defined it.
+type firstTouch struct {
+	touched, defined VarSet
+}
+
+// stmts records the first touches in stmts. Under an if or a while,
+// defines is false: the branch or body may not run, so no touch there
+// defines. Each answer depends only on its own scalar's first touch, so
+// nested bodies record into the same sets.
+func (ft *firstTouch) stmts(stmts []Stmt, defines bool) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *AssignScalar:
-			touchReads(st.Src, first)
-			touch(first, st.Dst, defines)
+			ft.reads(st.Src)
+			ft.touch(st.Dst, defines)
 		case *Store:
 			for _, ix := range st.Idx {
-				touchReads(ix, first)
+				ft.reads(ix)
 			}
-			touchReads(st.Src, first)
+			ft.reads(st.Src)
 		case *For:
-			touchReads(st.Lo, first)
-			touchReads(st.Step, first)
-			touchReads(st.Hi, first)
-			touch(first, st.IVar, defines)
-			firstTouches(st.Body, first, defines)
+			ft.reads(st.Lo)
+			ft.reads(st.Step)
+			ft.reads(st.Hi)
+			ft.touch(st.IVar, defines)
+			ft.stmts(st.Body, defines)
 		case *While:
-			touchReads(st.Cond, first)
-			firstTouches(st.Body, first, false)
+			ft.reads(st.Cond)
+			ft.stmts(st.Body, false)
 		case *If:
-			touchReads(st.Cond, first)
-			firstTouches(st.Then, first, false)
-			firstTouches(st.Else, first, false)
+			ft.reads(st.Cond)
+			ft.stmts(st.Then, false)
+			ft.stmts(st.Else, false)
 		}
 	}
 }
 
-// touchReads records every scalar one evaluation of e reads, matrix
+// reads records every scalar one evaluation of e reads, matrix
 // subscripts included, as read before any definition unless an earlier
 // touch decided it.
-func touchReads(e Expr, first map[*Var]bool) {
+func (ft *firstTouch) reads(e Expr) {
 	WalkExprs(e, func(sub Expr) {
 		if r, ok := sub.(*VarRef); ok {
-			touch(first, r.V, false)
+			ft.touch(r.V, false)
 		}
 	})
 }
 
 // touch records defined as v's answer if v has none yet.
-func touch(first map[*Var]bool, v *Var, defined bool) {
-	if _, ok := first[v]; !ok {
-		first[v] = defined
+func (ft *firstTouch) touch(v *Var, defined bool) {
+	if ft.touched.Has(v) {
+		return
+	}
+	ft.touched.add(v)
+	if defined {
+		ft.defined.add(v)
 	}
 }
 
@@ -300,9 +524,10 @@ func (env *TraceEnv) staticExpr(e Expr) bool {
 // the catch-all effect summary for regions whose execution is
 // data-dependent (while loops, ifs on varying conditions).
 func (env *TraceEnv) poison(stmts []Stmt) {
-	for v := range ComputeUses(stmts).ScalWrite {
+	ComputeUses(stmts).ScalWrite().Each(func(v *Var) bool {
 		env.nonstatic[v] = true
-	}
+		return true
+	})
 }
 
 // AdvanceRegion reports whether executing stmts from the current program

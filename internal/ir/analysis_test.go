@@ -34,11 +34,11 @@ function r = f(m)
   end
 endfunction`, "f", ir.MatrixArg(3, 3))
 	u := ir.ComputeUses(prog.Entry.Body)
-	if len(u.MatReads) != 1 || len(u.MatWrites) != 0 {
-		t.Fatalf("matrix uses: reads %d writes %d", len(u.MatReads), len(u.MatWrites))
+	if u.MatReads().Len() != 1 || u.MatWrites().Len() != 0 {
+		t.Fatalf("matrix uses: reads %d writes %d", u.MatReads().Len(), u.MatWrites().Len())
 	}
-	if len(u.ScalWrite) < 3 { // s, r, i
-		t.Fatalf("scalar writes: %d", len(u.ScalWrite))
+	if u.ScalWrite().Len() < 3 { // s, r, i
+		t.Fatalf("scalar writes: %d", u.ScalWrite().Len())
 	}
 }
 
@@ -48,28 +48,26 @@ endfunction`, "f", ir.MatrixArg(3, 3))
 func refDefinesBeforeUse(stmts []ir.Stmt, v *ir.Var) bool {
 	for _, s := range stmts {
 		if as, ok := s.(*ir.AssignScalar); ok && as.Dst == v {
-			u := ir.NewUseSets()
-			u.AddExprUses(as.Src)
-			return !u.ScalReads[v]
+			return !refExprUses(as.Src).ScalReads[v]
 		}
 		if f, ok := s.(*ir.For); ok {
-			u := ir.NewUseSets()
-			u.AddExprUses(f.Lo)
-			u.AddExprUses(f.Step)
-			u.AddExprUses(f.Hi)
+			u := newRefUses()
+			u.addExpr(f.Lo)
+			u.addExpr(f.Step)
+			u.addExpr(f.Hi)
 			if u.ScalReads[v] {
 				return false
 			}
 			if f.IVar == v {
 				return true
 			}
-			whole := ir.ComputeUses(f.Body)
+			whole := refComputeUses(f.Body)
 			if !whole.ScalReads[v] && !whole.ScalWrite[v] {
 				continue
 			}
 			return refDefinesBeforeUse(f.Body, v)
 		}
-		u := ir.ComputeUses([]ir.Stmt{s})
+		u := refComputeUses([]ir.Stmt{s})
 		if u.ScalReads[v] || u.ScalWrite[v] {
 			return false
 		}
@@ -199,7 +197,7 @@ func checkDefinesBeforeUse(t *testing.T, label string, prog *ir.Program) (yes, n
 		for from := range list {
 			defined := ir.DefinedBeforeUse(list[from:])
 			for _, v := range prog.Vars {
-				got := defined[v]
+				got := defined.Has(v)
 				if want := refDefinesBeforeUse(list[from:], v); got != want {
 					t.Errorf("%s: list %d from statement %d, %s: DefinedBeforeUse %v, reference %v\n%s",
 						label, li, from, v.Name, got, want, prog.Dump())
@@ -320,11 +318,11 @@ func TestDefinesBeforeUseCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		defined := ir.DefinedBeforeUse(tc.region)
-		if got := defined[tc.v]; got != tc.want {
+		if got := defined.Has(tc.v); got != tc.want {
 			t.Errorf("%s: DefinedBeforeUse[%s] = %v, want %v", tc.name, tc.v.Name, got, tc.want)
 		}
 		for _, v := range []*ir.Var{x, y, c, i, j, m} {
-			if got, want := defined[v], refDefinesBeforeUse(tc.region, v); got != want {
+			if got, want := defined.Has(v), refDefinesBeforeUse(tc.region, v); got != want {
 				t.Errorf("%s: DefinedBeforeUse[%s] = %v, reference %v", tc.name, v.Name, got, want)
 			}
 		}

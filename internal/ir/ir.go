@@ -68,14 +68,21 @@ type Var struct {
 	tempOwner bool
 
 	// slot is the 1-based index of the variable in its program's Vars
-	// table (0 = unregistered) and owner is that program. The
-	// interpreter uses them for dense, map-free storage: a slot is
-	// trusted exactly when owner matches the executing program (one
-	// pointer compare), falling back to a map for foreign variables.
-	// Clone re-owns the copied variables, which keep the Vars order.
+	// table (0 = unregistered) and owner is that program, so
+	// owner.Vars[slot-1] is the variable itself. The interpreter, the
+	// use sets and the fingerprints use them for dense, map-free
+	// indexing: a slot is trusted exactly when owner matches the
+	// program at hand (one pointer compare), falling back to a map or a
+	// list for foreign variables. Clone re-owns the copied variables,
+	// which keep the Vars order.
 	slot  int
 	owner *Program
 }
+
+// Slot returns the program whose Vars table registers v and v's 1-based
+// index in it: owner.Vars[slot-1] == v. An unregistered variable
+// returns nil, 0.
+func (v *Var) Slot() (owner *Program, slot int) { return v.owner, v.slot }
 
 // Elems returns the number of float64 elements the variable holds.
 func (v *Var) Elems() int {
@@ -729,10 +736,11 @@ func (p *Program) Clone() *Program {
 		if c, ok := vmap[v]; ok {
 			return c
 		}
-		// A variable referenced by the body but absent from Vars (the
-		// original was equally unregistered): copy it once so aliasing
-		// inside the clone mirrors the original.
+		// A variable referenced by the body but absent from Vars: copy
+		// it once so aliasing inside the clone mirrors the original.
+		// No table holds the copy, so it keeps no slot.
 		c := *v
+		c.slot, c.owner = 0, nil
 		vmap[v] = &c
 		return &c
 	}

@@ -31,8 +31,6 @@ func (iv Interval) union(other Interval) Interval {
 
 var fullInterval = Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 
-var emptyInterval = Interval{Lo: 1, Hi: 0}
-
 // AccessRange summarizes, per subscript dimension, the value range of all
 // element accesses a region makes to one matrix variable. It is the basis
 // of the interval dependence test: two regions are independent on v when
@@ -55,19 +53,94 @@ func (a AccessRange) DisjointFrom(b AccessRange) bool {
 	return a.Row.Disjoint(b.Row) || a.Col.Disjoint(b.Col)
 }
 
-// ivarBounds tracks the constant value range of induction variables in
-// scope.
-type ivarBounds map[*Var]Interval
+// VarRange is one variable's access range in a region.
+type VarRange struct {
+	V *Var
+	AccessRange
+}
+
+// AccessRanges lists a region's per-variable access ranges sorted by
+// the variables' slots. Variables with equal slots (slot 0 for
+// unregistered ones) keep their first-occurrence order.
+type AccessRanges []VarRange
+
+// find returns the position of v in rs, or where v would be inserted
+// and false.
+func (rs AccessRanges) find(v *Var) (int, bool) {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rs[m].V.slot < v.slot {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for ; lo < len(rs) && rs[lo].V.slot == v.slot; lo++ {
+		if rs[lo].V == v {
+			return lo, true
+		}
+	}
+	return lo, false
+}
+
+// Get returns v's access range; the zero range (Any false) when the
+// region does not access v.
+func (rs AccessRanges) Get(v *Var) AccessRange {
+	if i, ok := rs.find(v); ok {
+		return rs[i].AccessRange
+	}
+	return AccessRange{}
+}
+
+// Union returns the ranges of the two regions run one after the other,
+// as a new slice: per variable, the union of its ranges.
+func (rs AccessRanges) Union(o AccessRanges) AccessRanges {
+	if len(rs)+len(o) == 0 {
+		return nil
+	}
+	out := make(AccessRanges, len(rs), len(rs)+len(o))
+	copy(out, rs)
+	for _, r := range o {
+		out.add(r.V, r.AccessRange)
+	}
+	return out
+}
+
+// add unites r into v's range, inserting v in slot order if it is new.
+func (rs *AccessRanges) add(v *Var, r AccessRange) {
+	i, ok := rs.find(v)
+	if ok {
+		(*rs)[i].AccessRange = (*rs)[i].union(r)
+		return
+	}
+	*rs = append(*rs, VarRange{})
+	copy((*rs)[i+1:], (*rs)[i:])
+	(*rs)[i] = VarRange{V: v, AccessRange: r}
+}
+
+func (a AccessRange) union(b AccessRange) AccessRange {
+	return AccessRange{Row: a.Row.union(b.Row), Col: a.Col.union(b.Col), Any: a.Any || b.Any}
+}
+
+// ivarBound is the constant value range of an induction variable in
+// scope; a scope is a stack of them, innermost last.
+type ivarBound struct {
+	v  *Var
+	iv Interval
+}
 
 // exprInterval evaluates a conservative value range of an index
 // expression given the loop bounds in scope.
-func exprInterval(e Expr, scope ivarBounds) Interval {
+func exprInterval(e Expr, scope []ivarBound) Interval {
 	switch x := e.(type) {
 	case *Const:
 		return Interval{Lo: x.Val, Hi: x.Val}
 	case *VarRef:
-		if iv, ok := scope[x.V]; ok {
-			return iv
+		for i := len(scope) - 1; i >= 0; i-- {
+			if scope[i].v == x.V {
+				return scope[i].iv
+			}
 		}
 		return fullInterval
 	case *Bin:
@@ -94,65 +167,62 @@ func exprInterval(e Expr, scope ivarBounds) Interval {
 }
 
 // CollectAccessRanges computes per-variable access ranges of a region.
-func CollectAccessRanges(stmts []Stmt) map[*Var]AccessRange {
-	out := map[*Var]AccessRange{}
-	collectRanges(stmts, ivarBounds{}, out)
-	return out
+// Every access widens its variable's range by union, so the ranges of a
+// concatenation are the Union of its parts' ranges.
+func CollectAccessRanges(stmts []Stmt) AccessRanges {
+	c := rangeCollector{}
+	c.stmts(stmts)
+	return c.out
 }
 
-func record(out map[*Var]AccessRange, v *Var, idx []Expr, scope ivarBounds) {
-	ar, ok := out[v]
-	if !ok {
-		ar = AccessRange{Row: emptyInterval, Col: emptyInterval}
-	}
-	ar.Any = true
+type rangeCollector struct {
+	out   AccessRanges
+	scope []ivarBound
+}
+
+func (c *rangeCollector) record(v *Var, idx []Expr) {
+	r := AccessRange{Row: fullInterval, Col: fullInterval, Any: true}
 	if len(idx) == 2 {
-		ar.Row = ar.Row.union(exprInterval(idx[0], scope))
-		ar.Col = ar.Col.union(exprInterval(idx[1], scope))
-	} else {
-		ar.Row = fullInterval
-		ar.Col = fullInterval
+		r.Row = exprInterval(idx[0], c.scope)
+		r.Col = exprInterval(idx[1], c.scope)
 	}
-	out[v] = ar
+	c.out.add(v, r)
 }
 
-func rangesInExpr(e Expr, scope ivarBounds, out map[*Var]AccessRange) {
+func (c *rangeCollector) expr(e Expr) {
 	WalkExprs(e, func(sub Expr) {
 		if ix, ok := sub.(*Index); ok {
-			record(out, ix.V, ix.Idx, scope)
+			c.record(ix.V, ix.Idx)
 		}
 	})
 }
 
-func collectRanges(stmts []Stmt, scope ivarBounds, out map[*Var]AccessRange) {
+func (c *rangeCollector) stmts(stmts []Stmt) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *AssignScalar:
-			rangesInExpr(st.Src, scope, out)
+			c.expr(st.Src)
 		case *Store:
 			for _, ix := range st.Idx {
-				rangesInExpr(ix, scope, out)
+				c.expr(ix)
 			}
-			rangesInExpr(st.Src, scope, out)
-			record(out, st.Dst, st.Idx, scope)
+			c.expr(st.Src)
+			c.record(st.Dst, st.Idx)
 		case *If:
-			rangesInExpr(st.Cond, scope, out)
-			collectRanges(st.Then, scope, out)
-			collectRanges(st.Else, scope, out)
+			c.expr(st.Cond)
+			c.stmts(st.Then)
+			c.stmts(st.Else)
 		case *While:
-			rangesInExpr(st.Cond, scope, out)
-			collectRanges(st.Body, scope, out)
+			c.expr(st.Cond)
+			c.stmts(st.Body)
 		case *For:
-			rangesInExpr(st.Lo, scope, out)
-			rangesInExpr(st.Step, scope, out)
-			rangesInExpr(st.Hi, scope, out)
-			iv := exprInterval(st.Lo, scope).union(exprInterval(st.Hi, scope))
-			inner := ivarBounds{}
-			for k, v := range scope {
-				inner[k] = v
-			}
-			inner[st.IVar] = iv
-			collectRanges(st.Body, inner, out)
+			c.expr(st.Lo)
+			c.expr(st.Step)
+			c.expr(st.Hi)
+			iv := exprInterval(st.Lo, c.scope).union(exprInterval(st.Hi, c.scope))
+			c.scope = append(c.scope, ivarBound{v: st.IVar, iv: iv})
+			c.stmts(st.Body)
+			c.scope = c.scope[:len(c.scope)-1]
 		}
 	}
 }

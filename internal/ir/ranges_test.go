@@ -15,7 +15,7 @@ func TestIntervalBasics(t *testing.T) {
 	if a.Disjoint(c) {
 		t.Fatal("1..8 and 8..12 overlap at 8")
 	}
-	if !emptyInterval.Disjoint(a) {
+	if !(Interval{Lo: 1, Hi: 0}).Disjoint(a) {
 		t.Fatal("empty is disjoint from everything")
 	}
 	u := a.union(b)
@@ -26,7 +26,7 @@ func TestIntervalBasics(t *testing.T) {
 
 func TestExprIntervalArithmetic(t *testing.T) {
 	iv := &Var{Name: "i", Scalar: true, Rows: 1, Cols: 1}
-	scope := ivarBounds{iv: Interval{Lo: 2, Hi: 9}}
+	scope := []ivarBound{{v: iv, iv: Interval{Lo: 2, Hi: 9}}}
 	cases := []struct {
 		e      Expr
 		lo, hi float64
@@ -71,9 +71,8 @@ func TestCollectAccessRangesOnChunks(t *testing.T) {
 	jv := &Var{Name: "j", Scalar: true, Rows: 1, Cols: 1}
 	chunk1 := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 1, 8)})
 	chunk2 := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 9, 16)})
-	r1, ok1 := chunk1[m]
-	r2, ok2 := chunk2[m]
-	if !ok1 || !ok2 {
+	r1, r2 := chunk1.Get(m), chunk2.Get(m)
+	if !r1.Any || !r2.Any {
 		t.Fatal("accesses not recorded")
 	}
 	if r1.Row.Lo != 1 || r1.Row.Hi != 8 || r2.Row.Lo != 9 || r2.Row.Hi != 16 {
@@ -84,7 +83,7 @@ func TestCollectAccessRangesOnChunks(t *testing.T) {
 	}
 	// Overlapping chunks (halo) must NOT be disjoint.
 	chunk3 := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 8, 12)})
-	if chunk1[m].DisjointFrom(chunk3[m]) {
+	if chunk1.Get(m).DisjointFrom(chunk3.Get(m)) {
 		t.Fatal("overlapping chunks wrongly disjoint")
 	}
 }
@@ -92,7 +91,7 @@ func TestCollectAccessRangesOnChunks(t *testing.T) {
 func TestAccessRangeLinearIndexWidens(t *testing.T) {
 	m := &Var{Name: "m", Rows: 4, Cols: 4}
 	st := &Store{Dst: m, Idx: []Expr{&Const{Val: 3}}, Src: &Const{Val: 1}}
-	r := CollectAccessRanges([]Stmt{st})[m]
+	r := CollectAccessRanges([]Stmt{st}).Get(m)
 	if !math.IsInf(r.Row.Hi, 1) || !math.IsInf(r.Col.Hi, 1) {
 		t.Fatalf("linear access must widen: %+v", r)
 	}
@@ -110,17 +109,17 @@ func TestAccessRangeOffsetIndices(t *testing.T) {
 	}}}
 	inner := &For{IVar: jv, Lo: &Const{Val: 1}, Step: &Const{Val: 1}, Hi: &Const{Val: 8}, Trip: 8, Body: []Stmt{read}}
 	outer := &For{IVar: iv, Lo: &Const{Val: 2}, Step: &Const{Val: 1}, Hi: &Const{Val: 8}, Trip: 7, Body: []Stmt{inner}}
-	r := CollectAccessRanges([]Stmt{outer})[m]
+	r := CollectAccessRanges([]Stmt{outer}).Get(m)
 	if r.Row.Lo != 1 || r.Row.Hi != 7 {
 		t.Fatalf("stencil rows: %+v", r.Row)
 	}
 	// Disjoint from a writer covering rows 9..16.
-	w := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 9, 16)})[m]
+	w := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 9, 16)}).Get(m)
 	if !r.DisjointFrom(w) {
 		t.Fatal("stencil rows 1..7 vs writes 9..16 should be disjoint")
 	}
 	// Not disjoint from a writer covering rows 7..8.
-	w2 := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 7, 8)})[m]
+	w2 := CollectAccessRanges([]Stmt{buildChunk(m, iv, jv, 7, 8)}).Get(m)
 	if r.DisjointFrom(w2) {
 		t.Fatal("halo overlap missed")
 	}

@@ -26,6 +26,7 @@ package ir
 // SnapshotIndex maps one program's variables and statements to their
 // positional encodings.
 type SnapshotIndex struct {
+	prog  *Program
 	vars  map[*Var]int32
 	stmts map[Stmt]int32
 }
@@ -35,6 +36,7 @@ type SnapshotIndex struct {
 // entry body.
 func NewSnapshotIndex(p *Program) *SnapshotIndex {
 	si := &SnapshotIndex{
+		prog:  p,
 		vars:  make(map[*Var]int32, len(p.Vars)),
 		stmts: make(map[Stmt]int32, 64),
 	}
@@ -49,6 +51,9 @@ func NewSnapshotIndex(p *Program) *SnapshotIndex {
 	})
 	return si
 }
+
+// Program returns the indexed program.
+func (si *SnapshotIndex) Program() *Program { return si.prog }
 
 // Var returns v's registration index; ok is false for variables not in
 // the program's Vars table.
@@ -101,6 +106,7 @@ func (si *SnapshotIndex) Stmts(ss []Stmt) ([]int32, bool) {
 // SnapshotTable resolves positional encodings against one program's
 // variables and statements (the thaw side of the codec).
 type SnapshotTable struct {
+	prog  *Program
 	vars  []*Var
 	stmts []Stmt
 }
@@ -108,7 +114,7 @@ type SnapshotTable struct {
 // NewSnapshotTable builds the thaw-side table of p, in the same orders
 // NewSnapshotIndex encodes against.
 func NewSnapshotTable(p *Program) *SnapshotTable {
-	t := &SnapshotTable{vars: p.Vars}
+	t := &SnapshotTable{prog: p, vars: p.Vars}
 	t.stmts = make([]Stmt, 0, 64)
 	WalkStmts(p.Entry.Body, func(s Stmt) bool {
 		t.stmts = append(t.stmts, s)
@@ -116,6 +122,9 @@ func NewSnapshotTable(p *Program) *SnapshotTable {
 	})
 	return t
 }
+
+// Program returns the program the table resolves against.
+func (t *SnapshotTable) Program() *Program { return t.prog }
 
 // Var resolves a registration index.
 func (t *SnapshotTable) Var(i int32) *Var { return t.vars[i] }

@@ -135,7 +135,7 @@ func Build(irProg *ir.Program, g *htg.Graph, in *sched.Input, s *sched.Schedule,
 func (p *Program) accessingCores(v *ir.Var) map[int]bool {
 	cores := map[int]bool{}
 	for _, n := range p.Graph.Nodes {
-		if n.Uses.MatReads[v] || n.Uses.MatWrites[v] {
+		if n.Uses.MatReads().Has(v) || n.Uses.MatWrites().Has(v) {
 			cores[p.Schedule.Placements[n.ID].Core] = true
 		}
 	}
@@ -218,7 +218,7 @@ func (p *Program) placeBuffers() error {
 // readOnly reports whether no task writes v.
 func (p *Program) readOnly(v *ir.Var) bool {
 	for _, n := range p.Graph.Nodes {
-		if n.Uses.MatWrites[v] {
+		if n.Uses.MatWrites().Has(v) {
 			return false
 		}
 	}
@@ -244,16 +244,26 @@ func (p *Program) buildEntries() {
 		d   sched.Dep
 		sig int
 	}
-	var depSigs []depSig
+	depSigs := make([]depSig, 0, len(p.Input.Deps))
+	// Each core's entries: its tasks, a wait per incoming and a signal
+	// per outgoing cross-core dependence, carved from one allocation.
+	size := make([]int, p.Platform.NumCores())
+	for _, pl := range p.Schedule.Placements {
+		size[pl.Core]++
+	}
 	for _, d := range p.Input.Deps {
-		if p.Schedule.Placements[d.From].Core != p.Schedule.Placements[d.To].Core {
+		from, to := p.Schedule.Placements[d.From].Core, p.Schedule.Placements[d.To].Core
+		if from != to {
 			depSigs = append(depSigs, depSig{d: d, sig: sig})
 			sig++
+			size[from]++
+			size[to]++
 		}
 	}
 	p.Signals = sig
+	all := make([]Entry, 0, len(p.Schedule.Placements)+2*sig)
 	for c := 0; c < p.Platform.NumCores(); c++ {
-		var entries []Entry
+		entries := all[len(all) : len(all) : len(all)+size[c]]
 		for _, t := range p.Schedule.CoreOrder(c) {
 			for _, ds := range depSigs {
 				if ds.d.To == t {
@@ -267,7 +277,10 @@ func (p *Program) buildEntries() {
 				}
 			}
 		}
-		p.CoreEntries[c] = entries
+		if len(entries) > 0 {
+			p.CoreEntries[c] = entries
+			all = all[:len(all)+len(entries)]
+		}
 	}
 }
 

@@ -36,17 +36,16 @@ func ElideDeadInits(prog *ir.Program) int {
 // leaves no live scalars behind.
 func fillTarget(s ir.Stmt) (*ir.Var, bool) {
 	uses := ir.ComputeUses([]ir.Stmt{s})
-	if len(uses.MatWrites) != 1 || len(uses.MatReads) != 0 {
+	if uses.MatWrites().Len() != 1 || !uses.MatReads().Empty() {
 		return nil, false
 	}
 	var v *ir.Var
-	for w := range uses.MatWrites {
+	uses.MatWrites().Each(func(w *ir.Var) bool {
 		v = w
-	}
-	for sc := range uses.ScalWrite {
-		if sc.Result {
-			return nil, false
-		}
+		return false
+	})
+	if !uses.ScalWrite().Each(func(sc *ir.Var) bool { return !sc.Result }) {
+		return nil, false
 	}
 	if !fullCoverWriter(s, v) {
 		return nil, false
@@ -106,10 +105,10 @@ func topLevelFors(stmts []ir.Stmt) []*ir.For {
 func deadBeforeRewrite(rest []ir.Stmt, v *ir.Var) bool {
 	for _, s := range rest {
 		uses := ir.ComputeUses([]ir.Stmt{s})
-		if uses.MatReads[v] {
+		if uses.MatReads().Has(v) {
 			return false
 		}
-		if uses.MatWrites[v] {
+		if uses.MatWrites().Has(v) {
 			// A full-cover rewrite kills the init; any other writer may
 			// leave init values live for later readers.
 			return fullCoverWriter(s, v)

@@ -121,18 +121,13 @@ func fullRankPrivate(stmts []ir.Stmt, v *ir.Var, ivars map[*ir.Var]bool) bool {
 // conflicts must be resolved by the caller (replication or
 // privatization).
 func reorderLegal(whole []ir.Stmt, a, b *ir.UseSets, ivars map[*ir.Var]bool) bool {
-	for v := range a.MatWrites {
-		if (b.MatReads[v] || b.MatWrites[v]) && !fullRankPrivate(whole, v, ivars) {
-			return false
-		}
-	}
-	for v := range b.MatWrites {
-		// Variables both regions write were checked above.
-		if a.MatReads[v] && !a.MatWrites[v] && !fullRankPrivate(whole, v, ivars) {
-			return false
-		}
-	}
-	return true
+	private := func(v *ir.Var) bool { return fullRankPrivate(whole, v, ivars) }
+	return a.MatWrites().EachCommon(b.MatReads(), private) &&
+		a.MatWrites().EachCommon(b.MatWrites(), private) &&
+		b.MatWrites().EachCommon(a.MatReads(), func(v *ir.Var) bool {
+			// Variables both regions write were checked above.
+			return a.MatWrites().Has(v) || private(v)
+		})
 }
 
 // writesVar reports whether stmts may write scalar v.

@@ -60,7 +60,7 @@ func FissionNest(loop *ir.For) ([]*ir.For, bool) {
 
 // productive reports whether a region performs any matrix writes.
 func productive(stmts []ir.Stmt) bool {
-	return len(ir.ComputeUses(stmts).MatWrites) > 0
+	return !ir.ComputeUses(stmts).MatWrites().Empty()
 }
 
 // boundaryLegal checks whether the nest may be distributed between prefix
@@ -68,13 +68,13 @@ func productive(stmts []ir.Stmt) bool {
 func boundaryLegal(whole, prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) bool {
 	uA := ir.ComputeUses(prefix)
 	uB := ir.ComputeUses(suffix)
-	if !reorderLegal(whole, uA, uB, ivars) {
+	if !reorderLegal(whole, &uA, &uB, ivars) {
 		return false
 	}
 	// Replicated defs for cross-boundary scalars must exist and be pure.
 	needed := crossScalars(prefix, suffix, ivars)
 	defs := scalarDefs(prefix)
-	for v := range needed {
+	for _, v := range needed {
 		idx, ok := defs[v]
 		if !ok {
 			return false
@@ -84,33 +84,29 @@ func boundaryLegal(whole, prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) bool
 		// below via closure over defs) and whose matrix reads are
 		// iteration-private or read-only in the nest.
 		as := prefix[idx].(*ir.AssignScalar)
-		if !replicableExpr(as.Src, whole, uA, uB, ivars, defs, prefix, map[*ir.Var]bool{}) {
+		if !replicableExpr(as.Src, whole, &uA, &uB, ivars, defs, prefix, map[*ir.Var]bool{}) {
 			return false
 		}
 	}
 	// The suffix must not write scalars that the prefix reads (the prefix
 	// of a later sweep would see the final value instead of the original).
 	defined := ir.DefinedBeforeUse(prefix)
-	for v := range uB.ScalWrite {
-		if !ivars[v] && uA.ScalReads[v] && !defined[v] {
-			return false
-		}
-	}
-	return true
+	return uB.ScalWrite().EachCommon(uA.ScalReads(), func(v *ir.Var) bool { return ivars[v] || defined.Has(v) })
 }
 
 // crossScalars returns scalars read by the suffix that the prefix writes
 // (excluding induction variables and scalars the suffix itself defines
 // before use).
-func crossScalars(prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) map[*ir.Var]bool {
-	uA := ir.ComputeUses(prefix)
+func crossScalars(prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) []*ir.Var {
+	writes := ir.ComputeUses(prefix).ScalWrite()
 	defined := ir.DefinedBeforeUse(suffix)
-	out := map[*ir.Var]bool{}
-	for v := range ir.ComputeUses(suffix).ScalReads {
-		if !ivars[v] && uA.ScalWrite[v] && !defined[v] {
-			out[v] = true
+	var out []*ir.Var
+	ir.ComputeUses(suffix).ScalReads().EachCommon(writes, func(v *ir.Var) bool {
+		if !ivars[v] && !defined.Has(v) {
+			out = append(out, v)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -125,9 +121,10 @@ func scalarDefs(stmts []ir.Stmt) map[*ir.Var]int {
 		case *ir.AssignScalar:
 			defs[st.Dst] = i
 		default:
-			for v := range ir.ComputeUses([]ir.Stmt{st}).ScalWrite {
+			ir.ComputeUses([]ir.Stmt{st}).ScalWrite().Each(func(v *ir.Var) bool {
 				bad[v] = true
-			}
+				return true
+			})
 		}
 	}
 	for v := range bad {
@@ -148,7 +145,7 @@ func replicableExpr(e ir.Expr, whole []ir.Stmt, uA, uB *ir.UseSets, ivars map[*i
 		}
 		switch x := sub.(type) {
 		case *ir.Index:
-			if uA.MatWrites[x.V] || uB.MatWrites[x.V] {
+			if uA.MatWrites().Has(x.V) || uB.MatWrites().Has(x.V) {
 				if !fullRankPrivate(whole, x.V, ivars) {
 					ok = false
 				}
@@ -161,7 +158,7 @@ func replicableExpr(e ir.Expr, whole []ir.Stmt, uA, uB *ir.UseSets, ivars map[*i
 				}
 				return
 			}
-			if uA.ScalWrite[v] {
+			if uA.ScalWrite().Has(v) {
 				idx, has := defs[v]
 				if !has {
 					ok = false
@@ -198,13 +195,12 @@ func replicatedDefs(prefix, suffix []ir.Stmt, ivars map[*ir.Var]bool) []ir.Stmt 
 			return
 		}
 		include[idx] = true
-		u := ir.NewUseSets()
-		u.AddExprUses(prefix[idx].(*ir.AssignScalar).Src)
-		for dep := range u.ScalReads {
+		ir.ExprUses(prefix[idx].(*ir.AssignScalar).Src).ScalReads().Each(func(dep *ir.Var) bool {
 			pull(dep)
-		}
+			return true
+		})
 	}
-	for v := range needed {
+	for _, v := range needed {
 		pull(v)
 	}
 	var out []ir.Stmt

@@ -72,14 +72,14 @@ func hoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 	defined := ir.DefinedBeforeUse(loop.Body)
 	for _, s := range loop.Body {
 		as, movable := s.(*ir.AssignScalar)
-		movable = movable && writeCount[as.Dst] == 1 && defined[as.Dst]
+		movable = movable && writeCount[as.Dst] == 1 && defined.Has(as.Dst)
 		if movable {
 			ir.WalkExprs(as.Src, func(e ir.Expr) {
 				switch x := e.(type) {
 				case *ir.VarRef:
-					movable = movable && x.V != loop.IVar && !bodyUses.ScalWrite[x.V]
+					movable = movable && x.V != loop.IVar && !bodyUses.ScalWrite().Has(x.V)
 				case *ir.Index:
-					movable = movable && !bodyUses.MatWrites[x.V]
+					movable = movable && !bodyUses.MatWrites().Has(x.V)
 				}
 			})
 		}

@@ -119,9 +119,10 @@ func refHoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 	}
 	bodyUses := ir.ComputeUses(loop.Body)
 	writtenScalars := map[*ir.Var]bool{loop.IVar: true}
-	for v := range bodyUses.ScalWrite {
+	bodyUses.ScalWrite().Each(func(v *ir.Var) bool {
 		writtenScalars[v] = true
-	}
+		return true
+	})
 	writeCount := map[*ir.Var]int{}
 	ir.WalkStmts(loop.Body, func(s ir.Stmt) bool {
 		switch st := s.(type) {
@@ -137,28 +138,19 @@ func refHoistFromLoop(loop *ir.For) (hoisted, rest []ir.Stmt) {
 		as, isAssign := s.(*ir.AssignScalar)
 		movable := false
 		if isAssign && writeCount[as.Dst] == 1 && !readBefore[as.Dst] {
-			srcUses := ir.NewUseSets()
-			srcUses.AddExprUses(as.Src)
-			movable = true
-			for v := range srcUses.ScalReads {
-				if writtenScalars[v] {
-					movable = false
-				}
-			}
-			for v := range srcUses.MatReads {
-				if bodyUses.MatWrites[v] {
-					movable = false
-				}
-			}
+			srcUses := ir.ExprUses(as.Src)
+			movable = srcUses.ScalReads().Each(func(v *ir.Var) bool { return !writtenScalars[v] }) &&
+				srcUses.MatReads().EachCommon(bodyUses.MatWrites(), func(*ir.Var) bool { return false })
 		}
 		if movable {
 			hoisted = append(hoisted, as)
 		} else {
 			rest = append(rest, s)
 		}
-		for v := range ir.ComputeUses([]ir.Stmt{s}).ScalReads {
+		ir.ComputeUses([]ir.Stmt{s}).ScalReads().Each(func(v *ir.Var) bool {
 			readBefore[v] = true
-		}
+			return true
+		})
 	}
 	return hoisted, rest
 }

@@ -122,29 +122,21 @@ func Fuse(a, b *ir.For) (*ir.For, bool) {
 	}
 	uA := ir.ComputeUses(a.Body)
 	uB := ir.ComputeUses(bodyB)
-	if !reorderLegal(whole, uA, uB, ivars) {
+	if !reorderLegal(whole, &uA, &uB, ivars) {
 		return nil, false
 	}
 	// No scalar dataflow between the two bodies (beyond privatizable).
 	definedA, definedB := ir.DefinedBeforeUse(a.Body), ir.DefinedBeforeUse(bodyB)
-	for v := range uA.ScalWrite {
-		if ivars[v] {
-			continue
+	flowFree := uA.ScalWrite().Each(func(v *ir.Var) bool {
+		if ivars[v] || !(uB.ScalReads().Has(v) && !definedB.Has(v)) && !uB.ScalWrite().Has(v) {
+			return true
 		}
-		if (uB.ScalReads[v] && !definedB[v]) || uB.ScalWrite[v] {
-			if uB.ScalWrite[v] && definedB[v] && !uA.ScalReads[v] {
-				continue
-			}
-			return nil, false
-		}
-	}
-	for v := range uB.ScalWrite {
-		if ivars[v] {
-			continue
-		}
-		if uA.ScalReads[v] && !definedA[v] {
-			return nil, false
-		}
+		return uB.ScalWrite().Has(v) && definedB.Has(v) && !uA.ScalReads().Has(v)
+	}) && uB.ScalWrite().EachCommon(uA.ScalReads(), func(v *ir.Var) bool {
+		return ivars[v] || definedA.Has(v)
+	})
+	if !flowFree {
+		return nil, false
 	}
 	return &ir.For{
 		IVar: a.IVar, Lo: ir.CloneExpr(a.Lo), Step: ir.CloneExpr(a.Step),
@@ -213,17 +205,13 @@ func Tile(loop *ir.For, ti, tj int, prog *ir.Program) (*ir.For, bool) {
 		ivars[l.IVar] = true
 	}
 	uses := ir.ComputeUses(body)
-	for v := range uses.MatWrites {
-		if !fullRankPrivate(body, v, ivars) {
-			return nil, false
-		}
+	if !uses.MatWrites().Each(func(v *ir.Var) bool { return fullRankPrivate(body, v, ivars) }) {
+		return nil, false
 	}
 	// Scalar accumulations across iterations also block tiling.
 	defined := ir.DefinedBeforeUse(body)
-	for v := range uses.ScalWrite {
-		if !ivars[v] && uses.ScalReads[v] && !defined[v] {
-			return nil, false
-		}
+	if !uses.ScalWrite().EachCommon(uses.ScalReads(), func(v *ir.Var) bool { return ivars[v] || defined.Has(v) }) {
+		return nil, false
 	}
 	iiV := prog.FreshVar("%ii", 1, 1, true)
 	jjV := prog.FreshVar("%jj", 1, 1, true)

@@ -68,37 +68,57 @@ func chunkable(loop *ir.For, k int) bool {
 	uses := ir.ComputeUses(loop.Body)
 	// The body must write at least one matrix (otherwise it is a pure
 	// scalar reduction; chunks would serialize on the accumulator).
-	if len(uses.MatWrites) == 0 {
+	if uses.MatWrites().Empty() {
 		return false
 	}
 	defined := ir.DefinedBeforeUse(loop.Body)
-	for v := range uses.ScalWrite {
-		if v != loop.IVar && !defined[v] {
-			return false
-		}
-	}
-	return true
+	return uses.ScalWrite().Each(func(v *ir.Var) bool { return v == loop.IVar || defined.Has(v) })
 }
 
-// chunkLoop splits loop into up to k nearly equal index-set pieces.
+// chunkLoop splits loop into up to k nearly equal index-set pieces: it
+// halves the largest remaining piece (the first of equal ones) until
+// there are k, as k−1 IndexSetSplit calls would, but replays the
+// halving on trip counts and bounds only and clones the body once per
+// final piece. Each piece's bounds come from the same expressions
+// IndexSetSplit evaluates, and only the first piece keeps the loop's
+// label. Loops that cannot be split come back as the loop itself.
 func chunkLoop(loop *ir.For, k int) []*ir.For {
-	chunks := []*ir.For{loop}
-	for len(chunks) < k {
-		// Split the largest remaining chunk.
+	lo, step, hi, ok := constBounds(loop)
+	if !ok || step == 0 {
+		return []*ir.For{loop}
+	}
+	type piece struct {
+		lo, hi float64
+		trip   int
+	}
+	pieces := make([]piece, 1, max(k, 1))
+	pieces[0] = piece{lo, hi, loop.Trip}
+	for len(pieces) < k {
 		bi, bt := -1, 0
-		for i, c := range chunks {
-			if c.Trip > bt {
-				bi, bt = i, c.Trip
+		for i, c := range pieces {
+			if c.trip > bt {
+				bi, bt = i, c.trip
 			}
 		}
 		if bt < 2 {
 			break
 		}
-		parts, ok := IndexSetSplit(chunks[bi], chunks[bi].Trip/2)
-		if !ok {
-			break
-		}
-		chunks = append(chunks[:bi], append([]*ir.For{parts[0], parts[1]}, chunks[bi+1:]...)...)
+		c, m := pieces[bi], bt/2
+		pieces = append(pieces, piece{})
+		copy(pieces[bi+2:], pieces[bi+1:])
+		pieces[bi] = piece{c.lo, c.lo + float64(m-1)*step, m}
+		pieces[bi+1] = piece{c.lo + float64(m)*step, c.hi, c.trip - m}
 	}
+	if len(pieces) == 1 {
+		return []*ir.For{loop}
+	}
+	chunks := make([]*ir.For, len(pieces))
+	for i, c := range pieces {
+		chunks[i] = &ir.For{
+			IVar: loop.IVar, Lo: &ir.Const{Val: c.lo}, Step: &ir.Const{Val: step},
+			Hi: &ir.Const{Val: c.hi}, Trip: c.trip, Body: ir.CloneStmts(loop.Body),
+		}
+	}
+	chunks[0].Label = loop.Label
 	return chunks
 }

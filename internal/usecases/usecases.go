@@ -215,10 +215,19 @@ func EGPWS() *UseCase {
 			p1 := rng.next() * 6
 			p2 := rng.next() * 6
 			amp := 120 + rng.next()*120
+			// The first ridge term separates: one sine per column, one
+			// cosine per row.
+			var colSin [egpwsGrid]float64
+			for j := range colSin {
+				x := float64(j) / float64(g)
+				colSin[j] = math.Sin(4*x*math.Pi + p1)
+			}
 			for i := 0; i < g; i++ {
+				y := float64(i) / float64(g)
+				rowCos := math.Cos(3*y*math.Pi + p2)
 				for j := 0; j < g; j++ {
-					x, y := float64(j)/float64(g), float64(i)/float64(g)
-					h := amp * (0.5*math.Sin(4*x*math.Pi+p1)*math.Cos(3*y*math.Pi+p2) +
+					x := float64(j) / float64(g)
+					h := amp * (0.5*colSin[j]*rowCos +
 						0.3*math.Sin(9*(x+y)*math.Pi+p1))
 					h += 250 + 60*rng.next()
 					if h < 0 {
@@ -474,6 +483,8 @@ func POLKA() *UseCase {
 			cy := 0.3 + 0.4*rng.next()
 			strength := 0.04 + 0.55*rng.next() // some containers are clean, some defective
 			angle := rng.next() * math.Pi
+			cos2, sin2 := math.Cos(2*angle), math.Sin(2*angle)
+			noise := func() float64 { return rng.next()*4 - 2 }
 			for i := 0; i < n/2; i++ {
 				for j := 0; j < n/2; j++ {
 					x := float64(j) / float64(n/2)
@@ -481,9 +492,8 @@ func POLKA() *UseCase {
 					d := math.Hypot((x-cx)*1.3, y-cy)
 					pol := strength * math.Exp(-d*d*18)
 					s0 := 120 + 30*rng.next()
-					s1 := pol * s0 * math.Cos(2*angle)
-					s2 := pol * s0 * math.Sin(2*angle)
-					noise := func() float64 { return rng.next()*4 - 2 }
+					s1 := pol * s0 * cos2
+					s2 := pol * s0 * sin2
 					// Inverse of the Stokes extraction above.
 					frame[(2*i)*n+(2*j)] = (s0+s1)/2 + noise()     // I0
 					frame[(2*i)*n+(2*j+1)] = (s0+s2)/2 + noise()   // I45

@@ -57,13 +57,53 @@ func ResetCache() { boundCache.Reset() }
 
 // --- region serialization ---------------------------------------------------
 
-type fpWriter struct{ buf []byte }
+// The fingerprints write a variable's descriptor (name, storage, shape)
+// once and refer to it by a number after that, so the hashed bytes stay
+// close to the statement structure. The numbering keeps the equality
+// relation of writing the full descriptor at every reference: each
+// number stands for exactly one descriptor, given unique names in a
+// Vars table (NewVar's contract), and a variable without a slot is
+// matched to an earlier one by its descriptor.
+//
+//   - FingerprintProgram writes the table, then every reference as the
+//     variable's slot: equal tables give equal slots the same
+//     descriptors.
+//   - FingerprintRegion has no table. It numbers variables by first
+//     occurrence in the region: the first reference writes 0 and the
+//     descriptor, later ones the local number. Two regions that write
+//     the same descriptor sequence number it alike, so the bound cache
+//     hits exactly when it did.
+
+type fpWriter struct {
+	buf []byte
+
+	// prog is the program FingerprintProgram encodes (nil for a region).
+	prog *ir.Program
+
+	// The region numbering. seen[slot-1] holds gen<<32 | local number
+	// for the variables of home numbered in the current region; a new
+	// generation per region empties it without clearing. order lists the
+	// numbered variables by local number. unslotted records that a
+	// variable without a slot in home was numbered, after which a first
+	// reference may share an earlier variable's descriptor.
+	home      *ir.Program
+	gen       uint32
+	seen      []uint64
+	order     []*ir.Var
+	unslotted bool
+}
 
 var fpPool = sync.Pool{New: func() any { return &fpWriter{buf: make([]byte, 0, 1024)} }}
 
-func (w *fpWriter) byte(b byte)  { w.buf = append(w.buf, b) }
-func (w *fpWriter) str(s string) { w.buf = append(w.buf, s...); w.byte(0) }
-func (w *fpWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *fpWriter) byte(b byte)      { w.buf = append(w.buf, b) }
+func (w *fpWriter) str(s string)     { w.buf = append(w.buf, s...); w.byte(0) }
+func (w *fpWriter) u64(v uint64)     { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *fpWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+// sameDescriptor reports whether variable writes a and b alike.
+func sameDescriptor(a, b *ir.Var) bool {
+	return a.Name == b.Name && a.Storage == b.Storage && a.Scalar == b.Scalar && a.Rows == b.Rows && a.Cols == b.Cols
+}
 
 func (w *fpWriter) variable(v *ir.Var) {
 	w.str(v.Name)
@@ -77,6 +117,87 @@ func (w *fpWriter) variable(v *ir.Var) {
 	w.u64(uint64(v.Cols))
 }
 
+// ref writes one reference to v.
+func (w *fpWriter) ref(v *ir.Var) {
+	if w.prog != nil {
+		w.programRef(v)
+		return
+	}
+	owner, slot := v.Slot()
+	if owner != nil && w.home == nil {
+		w.setHome(owner)
+	}
+	if owner == nil || owner != w.home || slot > len(w.seen) {
+		w.first(v, true)
+		return
+	}
+	if e := w.seen[slot-1]; uint32(e>>32) == w.gen {
+		w.uvarint(uint64(uint32(e)))
+		return
+	}
+	w.seen[slot-1] = uint64(w.gen)<<32 | uint64(w.first(v, w.unslotted))
+}
+
+// programRef writes v as its slot in w.prog. A variable without one is
+// written as the slot of the first table entry with its descriptor, or
+// as 0 and the descriptor when there is none.
+func (w *fpWriter) programRef(v *ir.Var) {
+	owner, slot := v.Slot()
+	if owner != w.prog {
+		slot = 0
+		for i, u := range w.prog.Vars {
+			if sameDescriptor(u, v) {
+				slot = i + 1
+				break
+			}
+		}
+	}
+	w.uvarint(uint64(slot))
+	if slot == 0 {
+		w.variable(v)
+	}
+}
+
+// first writes the first reference to v in a region and returns its
+// local number: with match set, that of an earlier variable with v's
+// descriptor if there is one, else a new number written as 0 and the
+// descriptor.
+func (w *fpWriter) first(v *ir.Var, match bool) uint32 {
+	if match {
+		for i, u := range w.order {
+			if u == v || sameDescriptor(u, v) {
+				w.uvarint(uint64(i + 1))
+				return uint32(i + 1)
+			}
+		}
+	}
+	if owner, _ := v.Slot(); owner == nil || owner != w.home {
+		w.unslotted = true
+	}
+	w.order = append(w.order, v)
+	w.uvarint(0)
+	w.variable(v)
+	return uint32(len(w.order))
+}
+
+// setHome makes p the program whose slots index the region numbering.
+func (w *fpWriter) setHome(p *ir.Program) {
+	w.home = p
+	if n := len(p.Vars); n > len(w.seen) {
+		w.seen = append(w.seen, make([]uint64, n-len(w.seen))...)
+	}
+}
+
+// region starts a region numbering: a new generation (clearing the
+// table when the counter wraps around), no home, nothing numbered.
+func (w *fpWriter) region() {
+	if w.gen++; w.gen == 0 {
+		clear(w.seen)
+		w.gen = 1
+	}
+	w.home, w.order, w.unslotted = nil, w.order[:0], false
+}
+
 func (w *fpWriter) expr(e ir.Expr) {
 	switch ex := e.(type) {
 	case *ir.Const:
@@ -84,10 +205,10 @@ func (w *fpWriter) expr(e ir.Expr) {
 		w.u64(math.Float64bits(ex.Val))
 	case *ir.VarRef:
 		w.byte(11)
-		w.variable(ex.V)
+		w.ref(ex.V)
 	case *ir.Index:
 		w.byte(12)
-		w.variable(ex.V)
+		w.ref(ex.V)
 		w.byte(byte(len(ex.Idx)))
 		for _, ix := range ex.Idx {
 			w.expr(ix)
@@ -116,11 +237,11 @@ func (w *fpWriter) block(stmts []ir.Stmt) {
 		switch st := s.(type) {
 		case *ir.AssignScalar:
 			w.byte(1)
-			w.variable(st.Dst)
+			w.ref(st.Dst)
 			w.expr(st.Src)
 		case *ir.Store:
 			w.byte(2)
-			w.variable(st.Dst)
+			w.ref(st.Dst)
 			w.byte(byte(len(st.Idx)))
 			for _, ix := range st.Idx {
 				w.expr(ix)
@@ -128,7 +249,7 @@ func (w *fpWriter) block(stmts []ir.Stmt) {
 			w.expr(st.Src)
 		case *ir.For:
 			w.byte(3)
-			w.variable(st.IVar)
+			w.ref(st.IVar)
 			w.expr(st.Lo)
 			w.expr(st.Step)
 			w.expr(st.Hi)
@@ -159,11 +280,18 @@ func (w *fpWriter) block(stmts []ir.Stmt) {
 // the fingerprint once and pass it to AnalyzeFP.
 func FingerprintRegion(stmts []ir.Stmt) Fingerprint {
 	w := fpPool.Get().(*fpWriter)
-	w.buf = w.buf[:0]
-	w.block(stmts)
-	fp := sha256.Sum256(w.buf)
+	fp := w.fingerprintRegion(stmts)
 	fpPool.Put(w)
 	return fp
+}
+
+func (w *fpWriter) fingerprintRegion(stmts []ir.Stmt) Fingerprint {
+	w.buf = w.buf[:0]
+	w.region()
+	w.block(stmts)
+	w.home = nil
+	clear(w.order) // drop the references for the pool's sake
+	return sha256.Sum256(w.buf)
 }
 
 // FingerprintProgram computes the content address of a whole lowered
@@ -200,7 +328,9 @@ func FingerprintProgram(prog *ir.Program) Fingerprint {
 	for _, v := range prog.Entry.Results {
 		w.str(v.Name)
 	}
+	w.prog = prog
 	w.block(prog.Entry.Body)
+	w.prog = nil
 	fp := sha256.Sum256(w.buf)
 	fpPool.Put(w)
 	return fp

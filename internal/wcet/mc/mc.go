@@ -490,11 +490,12 @@ func (ex *explorer) forget(sa *state, writes []*ir.Var) {
 // scalarWrites lists the tracked scalars a region may write.
 func scalarWrites(ex *explorer, stmts []ir.Stmt) []*ir.Var {
 	var out []*ir.Var
-	for v := range ir.ComputeUses(stmts).ScalWrite {
+	ir.ComputeUses(stmts).ScalWrite().Each(func(v *ir.Var) bool {
 		if _, ok := ex.idx[v]; ok {
 			out = append(out, v)
 		}
-	}
+		return true
+	})
 	return out
 }
 
