@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 
@@ -289,9 +290,12 @@ func backEnd(ctx context.Context, mgr *pass.Manager, prog *ir.Program, opt Optio
 	pass.Put(c, keyIR, liveIR(prog))
 	rep := &transform.Report{}
 	pass.Put(c, keyReport, rep)
-	canon := ""
+	// Every structural and schedule key takes the platform by the digest
+	// of its canonical encoding, taken once per compile.
+	var canon []byte
 	if data, err := adl.Encode(opt.Platform); err == nil {
-		canon = string(data)
+		d := sha256.Sum256(data)
+		canon = d[:]
 	}
 	pass.Put(c, keyCanon, canon)
 	models := make([]wcet.CostModel, opt.Platform.NumCores())

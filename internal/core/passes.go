@@ -70,9 +70,10 @@ var (
 	keyReport = pass.NewKey[*transform.Report]("transform-report")
 	keyDelta  = pass.NewKey[*transform.Report]("transform-delta")
 	keyModels = pass.NewKey[[]wcet.CostModel]("cost-models")
-	// keyCanon is the canonical ADL encoding of the target platform
-	// (part of the schedule pass's cache key).
-	keyCanon = pass.NewKey[string]("platform-canon")
+	// keyCanon is the SHA-256 of the target platform's canonical ADL
+	// encoding (part of the structural and schedule passes' cache keys),
+	// nil when the platform has no canonical encoding.
+	keyCanon = pass.NewKey[[]byte]("platform-canon")
 	keyBase  = pass.NewKey[*graphCell]("htg")
 	keyGraph = pass.NewKey[*graphCell]("htg-annotated")
 	keyInput = pass.NewKey[*sched.Input]("sched-input")
@@ -335,12 +336,13 @@ func irFingerprint(c *pass.Context) ([]byte, bool) {
 }
 
 // structuralFingerprint content-addresses the structural ladder's input
-// chain: the live IR, the canonical platform encoding, the WCET engine
-// selection, and any pass-specific tuning values (coarsening bound,
-// policy). ok is false when the platform has no canonical encoding.
+// chain: the live IR, the canonical platform encoding's digest, the WCET
+// engine selection, and any pass-specific tuning values (coarsening
+// bound, policy). ok is false when the platform has no canonical
+// encoding.
 func structuralFingerprint(c *pass.Context, extras ...uint64) ([]byte, bool) {
 	canon := pass.Need(c, keyCanon)
-	if canon == "" {
+	if canon == nil {
 		return nil, false
 	}
 	spec := pass.Need(c, keyEngine).Spec
@@ -513,17 +515,17 @@ func cloneSysResult(r *syswcet.Result) *syswcet.Result {
 }
 
 // fingerprintScheduleInput content-addresses everything the schedule
-// pass reads: the canonical platform encoding, the policy, and the full
-// task/dependence tables (per-core WCET vectors, shared-access bounds,
-// communication volumes).
-func fingerprintScheduleInput(in *sched.Input, pol sched.Policy, canon string) ([]byte, bool) {
-	if canon == "" {
+// pass reads: the canonical platform encoding's digest, the policy, and
+// the full task/dependence tables (per-core WCET vectors, shared-access
+// bounds, communication volumes).
+func fingerprintScheduleInput(in *sched.Input, pol sched.Policy, canon []byte) ([]byte, bool) {
+	if canon == nil {
 		return nil, false
 	}
 	h := sha256.New()
 	var b [8]byte
 	w64 := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	io.WriteString(h, canon)
+	h.Write(canon)
 	h.Write([]byte{0})
 	w64(uint64(pol))
 	w64(uint64(len(in.Tasks)))

@@ -217,15 +217,36 @@ func dependsOn(a, b *Node, live ir.VarSet) bool {
 // candidate and re-derive a fresh schedulable graph per feedback round.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{Nodes: make([]*Node, len(g.Nodes)), Edges: make([]Edge, len(g.Edges))}
-	for i, n := range g.Nodes {
-		c := *n
-		if n.WCET != nil {
-			c.WCET = append([]int64(nil), n.WCET...)
-		}
-		out.Nodes[i] = &c
+	// The node copies, their WCET slices and the edges' variable lists
+	// are each carved from one allocation.
+	nodes := make([]Node, len(g.Nodes))
+	words, vars := 0, 0
+	for _, n := range g.Nodes {
+		words += len(n.WCET)
 	}
+	for _, e := range g.Edges {
+		vars += len(e.Vars)
+	}
+	wcets := make([]int64, words)
+	for i, n := range g.Nodes {
+		c := &nodes[i]
+		*c = *n
+		if k := len(n.WCET); k > 0 {
+			copy(wcets, n.WCET)
+			c.WCET, wcets = wcets[:k:k], wcets[k:]
+		} else {
+			c.WCET = nil
+		}
+		out.Nodes[i] = c
+	}
+	vs := make([]*ir.Var, vars)
 	for i, e := range g.Edges {
-		e.Vars = append([]*ir.Var(nil), e.Vars...)
+		if k := len(e.Vars); k > 0 {
+			copy(vs, e.Vars)
+			e.Vars, vs = vs[:k:k], vs[k:]
+		} else {
+			e.Vars = nil
+		}
 		out.Edges[i] = e
 	}
 	return out

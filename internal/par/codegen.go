@@ -42,21 +42,23 @@ func (p *Program) EmitC() string {
 		fmt.Fprintf(&sb, "static double %s[%d][%d]; /* %s, %d bytes */\n",
 			cName(b.V.Name), b.V.Rows, b.V.Cols, loc, b.V.SizeBytes())
 	}
+	statics, locals := p.scalarHomes()
 	sb.WriteString("\n/* ---- scalar registers ---- */\n")
-	for _, v := range p.IR.Vars {
-		if v.Scalar {
-			fmt.Fprintf(&sb, "static double %s;\n", cName(v.Name))
-		}
+	for _, v := range statics {
+		fmt.Fprintf(&sb, "static double %s;\n", cName(v.Name))
 	}
 	sb.WriteString("\n")
 
 	// Task bodies.
-	for _, n := range p.Graph.Nodes {
+	for i, n := range p.Graph.Nodes {
 		pl := p.Schedule.Placements[n.ID]
 		fmt.Fprintf(&sb, "/* task %d (%s): core %d, window [%d, %d), wcet %d, interference %d */\n",
 			n.ID, n.Label, pl.Core, p.System.Start[n.ID], p.System.Finish[n.ID],
 			n.WCET[pl.Core], p.System.InterferencePerTask[n.ID])
 		fmt.Fprintf(&sb, "static void task_%d(void) {\n", n.ID)
+		for _, v := range locals[i] {
+			fmt.Fprintf(&sb, "  double %s;\n", cName(v.Name))
+		}
 		emitStmts(&sb, n.Stmts, 1)
 		sb.WriteString("}\n\n")
 	}
@@ -89,6 +91,49 @@ func (p *Program) EmitC() string {
 		sb.WriteString("}\n\n")
 	}
 	return sb.String()
+}
+
+// scalarHomes decides where each scalar is declared. A scalar carries a
+// value between tasks when it is an entry parameter or result, or when
+// some task may read it before defining it; such scalars, and those no
+// task touches, are file-scope statics. Every other scalar is private:
+// each task that touches it defines it before any read, so it becomes a
+// local of each such task. Unordered tasks on different cores may write
+// a private scalar at the same time, which a shared static would turn
+// into a data race. locals[i] lists the private scalars of graph node i;
+// both lists are in Vars order.
+func (p *Program) scalarHomes() (statics []*ir.Var, locals [][]*ir.Var) {
+	flows := map[*ir.Var]bool{}
+	for _, n := range p.Graph.Nodes {
+		defined := ir.DefinedBeforeUse(n.Stmts)
+		n.Uses.ScalReads().Each(func(v *ir.Var) bool {
+			if !defined.Has(v) {
+				flows[v] = true
+			}
+			return true
+		})
+	}
+	locals = make([][]*ir.Var, len(p.Graph.Nodes))
+	for _, v := range p.IR.Vars {
+		if !v.Scalar {
+			continue
+		}
+		if v.Param || v.Result || flows[v] {
+			statics = append(statics, v)
+			continue
+		}
+		touched := false
+		for i, n := range p.Graph.Nodes {
+			if n.Uses.ScalReads().Has(v) || n.Uses.ScalWrite().Has(v) {
+				locals[i] = append(locals[i], v)
+				touched = true
+			}
+		}
+		if !touched {
+			statics = append(statics, v)
+		}
+	}
+	return statics, locals
 }
 
 // cName sanitizes an IR variable name into a C identifier.

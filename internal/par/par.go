@@ -14,6 +14,7 @@ package par
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -131,15 +132,32 @@ func Build(irProg *ir.Program, g *htg.Graph, in *sched.Input, s *sched.Schedule,
 	return p, nil
 }
 
-// accessingCores returns the set of cores whose tasks access v.
-func (p *Program) accessingCores(v *ir.Var) map[int]bool {
-	cores := map[int]bool{}
+// access is what the tasks do with one matrix variable.
+type access struct {
+	cores   []int // the cores whose tasks access it, ascending
+	written bool  // some task writes it
+}
+
+// accesses summarizes, in one walk over the tasks, which cores access
+// each matrix variable and whether any task writes it. A variable no
+// task touches reads as the zero access: no cores, no writer.
+func (p *Program) accesses() map[*ir.Var]access {
+	out := map[*ir.Var]access{}
 	for _, n := range p.Graph.Nodes {
-		if n.Uses.MatReads().Has(v) || n.Uses.MatWrites().Has(v) {
-			cores[p.Schedule.Placements[n.ID].Core] = true
+		core := p.Schedule.Placements[n.ID].Core
+		note := func(v *ir.Var, write bool) bool {
+			a := out[v]
+			if i, found := slices.BinarySearch(a.cores, core); !found {
+				a.cores = slices.Insert(a.cores, i, core)
+			}
+			a.written = a.written || write
+			out[v] = a
+			return true
 		}
+		n.Uses.MatReads().Each(func(v *ir.Var) bool { return note(v, false) })
+		n.Uses.MatWrites().Each(func(v *ir.Var) bool { return note(v, true) })
 	}
-	return cores
+	return out
 }
 
 // placeBuffers assigns every matrix variable an address in shared memory
@@ -150,17 +168,17 @@ func (p *Program) placeBuffers() error {
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
 	spmUsed := make([]int, p.Platform.NumCores())
 	sharedUsed := 0
+	acc := p.accesses()
 	for _, v := range vars {
-		cores := p.accessingCores(v)
+		a := acc[v]
+		cores := a.cores
 		place := v.Storage
 		owner := -1
 		replicate := false
 		if place == ir.StorageSPM {
 			switch {
 			case len(cores) == 1:
-				for c := range cores {
-					owner = c
-				}
+				owner = cores[0]
 				if spmUsed[owner]+v.SizeBytes() > p.Platform.Cores[owner].SPM.SizeBytes {
 					place = ir.StorageShared
 					p.Demoted = append(p.Demoted, v)
@@ -170,12 +188,12 @@ func (p *Program) placeBuffers() error {
 				// keep it in shared memory.
 				place = ir.StorageShared
 				p.Demoted = append(p.Demoted, v)
-			case p.readOnly(v):
+			case !a.written:
 				// Read-only data needed on several cores: replicate one
 				// scratchpad copy per accessing core (classic constant /
 				// input-table replication) — if every replica fits.
 				replicate = true
-				for c := range cores {
+				for _, c := range cores {
 					if spmUsed[c]+v.SizeBytes() > p.Platform.Cores[c].SPM.SizeBytes {
 						replicate = false
 					}
@@ -191,12 +209,7 @@ func (p *Program) placeBuffers() error {
 		}
 		switch {
 		case replicate:
-			var cs []int
-			for c := range cores {
-				cs = append(cs, c)
-			}
-			sort.Ints(cs)
-			for _, c := range cs {
+			for _, c := range cores {
 				p.Buffers = append(p.Buffers, Buffer{V: v, Spc: SpaceSPM, Core: c, Addr: spmUsed[c], Replica: true})
 				spmUsed[c] += v.SizeBytes()
 			}
@@ -215,16 +228,6 @@ func (p *Program) placeBuffers() error {
 	return nil
 }
 
-// readOnly reports whether no task writes v.
-func (p *Program) readOnly(v *ir.Var) bool {
-	for _, n := range p.Graph.Nodes {
-		if n.Uses.MatWrites().Has(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // BufferFor returns the placement of v, or nil.
 func (p *Program) BufferFor(v *ir.Var) *Buffer {
 	for i := range p.Buffers {
@@ -238,43 +241,57 @@ func (p *Program) BufferFor(v *ir.Var) *Buffer {
 // buildEntries lays out each core's static program with explicit
 // synchronization for every cross-core dependence.
 func (p *Program) buildEntries() {
-	sig := 0
-	// Allocate one signal per cross-core dependence.
-	type depSig struct {
-		d   sched.Dep
-		sig int
-	}
-	depSigs := make([]depSig, 0, len(p.Input.Deps))
+	// Signal s synchronizes the s-th cross-core dependence. The signals
+	// are bucketed once, in Deps order, by the task that waits for them
+	// (bucket t) and by the task that posts them (bucket n+t): bucket b
+	// is sigs[off[b]:off[b+1]].
+	n := len(p.Schedule.Placements)
+	off := make([]int, 2*n+1)
 	// Each core's entries: its tasks, a wait per incoming and a signal
 	// per outgoing cross-core dependence, carved from one allocation.
 	size := make([]int, p.Platform.NumCores())
 	for _, pl := range p.Schedule.Placements {
 		size[pl.Core]++
 	}
+	crosses := func(d sched.Dep) bool {
+		return p.Schedule.Placements[d.From].Core != p.Schedule.Placements[d.To].Core
+	}
+	sig := 0
 	for _, d := range p.Input.Deps {
-		from, to := p.Schedule.Placements[d.From].Core, p.Schedule.Placements[d.To].Core
-		if from != to {
-			depSigs = append(depSigs, depSig{d: d, sig: sig})
+		if crosses(d) {
+			off[d.To+1]++
+			off[n+d.From+1]++
+			size[p.Schedule.Placements[d.From].Core]++
+			size[p.Schedule.Placements[d.To].Core]++
 			sig++
-			size[from]++
-			size[to]++
 		}
 	}
 	p.Signals = sig
-	all := make([]Entry, 0, len(p.Schedule.Placements)+2*sig)
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+	sigs := make([]int, 2*sig)
+	next := append([]int(nil), off[:2*n]...)
+	sig = 0
+	for _, d := range p.Input.Deps {
+		if crosses(d) {
+			sigs[next[d.To]] = sig
+			next[d.To]++
+			sigs[next[n+d.From]] = sig
+			next[n+d.From]++
+			sig++
+		}
+	}
+	all := make([]Entry, 0, n+2*sig)
 	for c := 0; c < p.Platform.NumCores(); c++ {
 		entries := all[len(all) : len(all) : len(all)+size[c]]
 		for _, t := range p.Schedule.CoreOrder(c) {
-			for _, ds := range depSigs {
-				if ds.d.To == t {
-					entries = append(entries, Entry{Kind: EntryWait, Sig: ds.sig})
-				}
+			for _, s := range sigs[off[t]:off[t+1]] {
+				entries = append(entries, Entry{Kind: EntryWait, Sig: s})
 			}
 			entries = append(entries, Entry{Kind: EntryCompute, Task: t, Release: p.System.Start[t]})
-			for _, ds := range depSigs {
-				if ds.d.From == t {
-					entries = append(entries, Entry{Kind: EntrySignal, Sig: ds.sig})
-				}
+			for _, s := range sigs[off[n+t]:off[n+t+1]] {
+				entries = append(entries, Entry{Kind: EntrySignal, Sig: s})
 			}
 		}
 		if len(entries) > 0 {
@@ -353,13 +370,15 @@ func (p *Program) Validate() error {
 		}
 	}
 	// SPM buffers must be single-core unless they are read-only replicas.
+	acc := p.accesses()
 	for _, b := range p.Buffers {
+		a := acc[b.V]
 		if b.Spc == SpaceSPM && !b.Replica {
-			if cores := p.accessingCores(b.V); len(cores) > 1 {
-				return fmt.Errorf("par: SPM buffer %s accessed by %d cores", b.V.Name, len(cores))
+			if len(a.cores) > 1 {
+				return fmt.Errorf("par: SPM buffer %s accessed by %d cores", b.V.Name, len(a.cores))
 			}
 		}
-		if b.Replica && !p.readOnly(b.V) {
+		if b.Replica && a.written {
 			return fmt.Errorf("par: replicated SPM buffer %s is written", b.V.Name)
 		}
 	}

@@ -157,7 +157,7 @@ func TestSPMDemotionWhenShared(t *testing.T) {
 	}
 	for _, b := range pp.Buffers {
 		if b.Spc == SpaceSPM {
-			if len(pp.accessingCores(b.V)) != 1 {
+			if len(pp.accesses()[b.V].cores) != 1 {
 				t.Fatalf("SPM buffer %s not single-core", b.V.Name)
 			}
 		}

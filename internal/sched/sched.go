@@ -43,13 +43,17 @@ type Input struct {
 // FromHTG converts an annotated task graph into a scheduling problem.
 func FromHTG(g *htg.Graph, p *adl.Platform) *Input {
 	in := &Input{Platform: p}
-	for _, n := range g.Nodes {
-		in.Tasks = append(in.Tasks, Task{
-			ID: n.ID, Label: n.Label, WCET: n.WCET, SharedAccesses: n.SharedAccesses,
-		})
+	if len(g.Nodes) > 0 {
+		in.Tasks = make([]Task, len(g.Nodes))
 	}
-	for _, e := range g.Edges {
-		in.Deps = append(in.Deps, Dep{From: e.From, To: e.To, VolumeBytes: e.VolumeBytes})
+	for i, n := range g.Nodes {
+		in.Tasks[i] = Task{ID: n.ID, Label: n.Label, WCET: n.WCET, SharedAccesses: n.SharedAccesses}
+	}
+	if len(g.Edges) > 0 {
+		in.Deps = make([]Dep, len(g.Edges))
+	}
+	for i, e := range g.Edges {
+		in.Deps[i] = Dep{From: e.From, To: e.To, VolumeBytes: e.VolumeBytes}
 	}
 	return in
 }

@@ -1,8 +1,9 @@
 package scil
 
 import (
-	"fmt"
-	"strings"
+	"crypto/sha256"
+	"hash"
+	"strconv"
 )
 
 // Format renders a program back to canonical scil source. The output
@@ -11,141 +12,273 @@ import (
 // users the model the compiler actually sees) and tested as a
 // parser/printer consistency property.
 func Format(p *Program) string {
-	var sb strings.Builder
-	for i, f := range p.Funcs {
-		if i > 0 {
-			sb.WriteString("\n")
-		}
-		formatFunc(&sb, f)
-	}
-	return sb.String()
+	var pr printer
+	pr.program(p)
+	return string(pr.buf)
 }
 
-func formatFunc(sb *strings.Builder, f *FuncDecl) {
-	for _, pr := range f.Pragmas {
-		fmt.Fprintf(sb, "//%s\n", pr)
+// Digest is the SHA-256 of Format(p), streamed into the hash without
+// building the text. Comments and layout leave no trace in the AST, so
+// sources that differ only in them share one digest: it content-addresses
+// the program a source denotes, not the source.
+func Digest(p *Program) [sha256.Size]byte {
+	h := sha256.New()
+	pr := printer{w: h, buf: make([]byte, 0, printerFlushAt+256)}
+	pr.program(p)
+	pr.flush()
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// printerFlushAt is the buffered length past which a streaming printer
+// hands its text to the hash, at the end of a line.
+const printerFlushAt = 2048
+
+// printer appends canonical source to buf. With a hash set it hands buf
+// to the hash at line ends once it has grown past printerFlushAt;
+// without one, buf collects the whole text.
+type printer struct {
+	w   hash.Hash
+	buf []byte
+}
+
+func (pr *printer) str(s string) { pr.buf = append(pr.buf, s...) }
+
+func (pr *printer) indent(depth int) {
+	for i := 0; i < depth; i++ {
+		pr.buf = append(pr.buf, "  "...)
 	}
-	sb.WriteString("function ")
+}
+
+// endLine terminates a line and flushes a streaming printer that has
+// buffered enough.
+func (pr *printer) endLine() {
+	pr.buf = append(pr.buf, '\n')
+	if pr.w != nil && len(pr.buf) >= printerFlushAt {
+		pr.flush()
+	}
+}
+
+func (pr *printer) flush() {
+	if pr.w != nil && len(pr.buf) > 0 {
+		pr.w.Write(pr.buf) // a hash's Write never returns an error
+		pr.buf = pr.buf[:0]
+	}
+}
+
+func (pr *printer) program(p *Program) {
+	for i, f := range p.Funcs {
+		if i > 0 {
+			pr.endLine()
+		}
+		pr.funcDecl(f)
+	}
+}
+
+// names writes names separated by ", ".
+func (pr *printer) names(names []string) {
+	for i, n := range names {
+		if i > 0 {
+			pr.str(", ")
+		}
+		pr.str(n)
+	}
+}
+
+func (pr *printer) funcDecl(f *FuncDecl) {
+	for _, prag := range f.Pragmas {
+		pr.str("//")
+		pr.str(prag)
+		pr.endLine()
+	}
+	pr.str("function ")
 	switch len(f.Results) {
 	case 0:
 	case 1:
-		fmt.Fprintf(sb, "%s = ", f.Results[0])
+		pr.str(f.Results[0])
+		pr.str(" = ")
 	default:
-		fmt.Fprintf(sb, "[%s] = ", strings.Join(f.Results, ", "))
+		pr.str("[")
+		pr.names(f.Results)
+		pr.str("] = ")
 	}
-	fmt.Fprintf(sb, "%s(%s)\n", f.Name, strings.Join(f.Params, ", "))
-	formatBlock(sb, f.Body, 1)
-	sb.WriteString("endfunction\n")
+	pr.str(f.Name)
+	pr.str("(")
+	pr.names(f.Params)
+	pr.str(")")
+	pr.endLine()
+	pr.block(f.Body, 1)
+	pr.str("endfunction")
+	pr.endLine()
 }
 
-func formatBlock(sb *strings.Builder, stmts []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
+func (pr *printer) block(stmts []Stmt, depth int) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *AssignStmt:
+			pr.indent(depth)
 			if len(st.LHS) > 1 {
-				names := make([]string, len(st.LHS))
+				pr.str("[")
 				for i, lv := range st.LHS {
-					names[i] = lv.Name
+					if i > 0 {
+						pr.str(", ")
+					}
+					pr.str(lv.Name)
 				}
-				fmt.Fprintf(sb, "%s[%s] = %s\n", ind, strings.Join(names, ", "), formatExpr(st.RHS))
-				continue
-			}
-			lv := st.LHS[0]
-			if lv.Index == nil {
-				fmt.Fprintf(sb, "%s%s = %s\n", ind, lv.Name, formatExpr(st.RHS))
+				pr.str("]")
 			} else {
-				idx := make([]string, len(lv.Index))
-				for i, e := range lv.Index {
-					idx[i] = formatExpr(e)
+				lv := st.LHS[0]
+				pr.str(lv.Name)
+				if lv.Index != nil {
+					pr.str("(")
+					pr.exprs(lv.Index)
+					pr.str(")")
 				}
-				fmt.Fprintf(sb, "%s%s(%s) = %s\n", ind, lv.Name, strings.Join(idx, ", "), formatExpr(st.RHS))
 			}
+			pr.str(" = ")
+			pr.expr(st.RHS)
+			pr.endLine()
 		case *ForStmt:
-			if st.Step == nil {
-				fmt.Fprintf(sb, "%sfor %s = %s:%s\n", ind, st.Var, formatExpr(st.Lo), formatExpr(st.Hi))
-			} else {
-				fmt.Fprintf(sb, "%sfor %s = %s:%s:%s\n", ind, st.Var, formatExpr(st.Lo), formatExpr(st.Step), formatExpr(st.Hi))
+			pr.indent(depth)
+			pr.str("for ")
+			pr.str(st.Var)
+			pr.str(" = ")
+			pr.expr(st.Lo)
+			pr.str(":")
+			if st.Step != nil {
+				pr.expr(st.Step)
+				pr.str(":")
 			}
-			formatBlock(sb, st.Body, depth+1)
-			fmt.Fprintf(sb, "%send\n", ind)
+			pr.expr(st.Hi)
+			pr.endLine()
+			pr.block(st.Body, depth+1)
+			pr.end(depth)
 		case *WhileStmt:
 			if st.Bound > 0 {
-				fmt.Fprintf(sb, "%s//@bound %d\n", ind, st.Bound)
+				pr.indent(depth)
+				pr.str("//@bound ")
+				pr.buf = strconv.AppendInt(pr.buf, int64(st.Bound), 10)
+				pr.endLine()
 			}
-			fmt.Fprintf(sb, "%swhile %s\n", ind, formatExpr(st.Cond))
-			formatBlock(sb, st.Body, depth+1)
-			fmt.Fprintf(sb, "%send\n", ind)
+			pr.indent(depth)
+			pr.str("while ")
+			pr.expr(st.Cond)
+			pr.endLine()
+			pr.block(st.Body, depth+1)
+			pr.end(depth)
 		case *IfStmt:
-			fmt.Fprintf(sb, "%sif %s then\n", ind, formatExpr(st.Cond))
-			formatBlock(sb, st.Then, depth+1)
-			formatElse(sb, st.Else, depth)
-			fmt.Fprintf(sb, "%send\n", ind)
+			pr.indent(depth)
+			pr.str("if ")
+			pr.expr(st.Cond)
+			pr.str(" then")
+			pr.endLine()
+			pr.block(st.Then, depth+1)
+			pr.elseChain(st.Else, depth)
+			pr.end(depth)
 		case *ExprStmt:
-			fmt.Fprintf(sb, "%s%s\n", ind, formatExpr(st.X))
+			pr.indent(depth)
+			pr.expr(st.X)
+			pr.endLine()
 		case *BreakStmt:
-			fmt.Fprintf(sb, "%sbreak\n", ind)
+			pr.keyword("break", depth)
 		case *ContinueStmt:
-			fmt.Fprintf(sb, "%scontinue\n", ind)
+			pr.keyword("continue", depth)
 		case *ReturnStmt:
-			fmt.Fprintf(sb, "%sreturn\n", ind)
+			pr.keyword("return", depth)
 		}
 	}
 }
 
-// formatElse renders else / elseif chains without extra nesting.
-func formatElse(sb *strings.Builder, els []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
+// keyword writes a line holding one keyword.
+func (pr *printer) keyword(kw string, depth int) {
+	pr.indent(depth)
+	pr.str(kw)
+	pr.endLine()
+}
+
+func (pr *printer) end(depth int) { pr.keyword("end", depth) }
+
+// elseChain renders else / elseif chains without extra nesting.
+func (pr *printer) elseChain(els []Stmt, depth int) {
 	if len(els) == 0 {
 		return
 	}
 	if len(els) == 1 {
 		if inner, ok := els[0].(*IfStmt); ok {
-			fmt.Fprintf(sb, "%selseif %s then\n", ind, formatExpr(inner.Cond))
-			formatBlock(sb, inner.Then, depth+1)
-			formatElse(sb, inner.Else, depth)
+			pr.indent(depth)
+			pr.str("elseif ")
+			pr.expr(inner.Cond)
+			pr.str(" then")
+			pr.endLine()
+			pr.block(inner.Then, depth+1)
+			pr.elseChain(inner.Else, depth)
 			return
 		}
 	}
-	fmt.Fprintf(sb, "%selse\n", ind)
-	formatBlock(sb, els, depth+1)
+	pr.keyword("else", depth)
+	pr.block(els, depth+1)
 }
 
-func formatExpr(e Expr) string {
+// exprs writes expressions separated by ", ".
+func (pr *printer) exprs(es []Expr) {
+	for i, e := range es {
+		if i > 0 {
+			pr.str(", ")
+		}
+		pr.expr(e)
+	}
+}
+
+// expr writes e fully parenthesized: every binary operation, every
+// unary operand and every range nested in a larger expression, so the
+// text re-parses to the same tree whatever the precedence rules.
+func (pr *printer) expr(e Expr) {
 	switch x := e.(type) {
 	case *NumberLit:
-		return fmt.Sprintf("%g", x.Value)
+		pr.buf = strconv.AppendFloat(pr.buf, x.Value, 'g', -1, 64)
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		pr.buf = strconv.AppendQuote(pr.buf, x.Value)
 	case *Ident:
-		return x.Name
+		pr.str(x.Name)
 	case *CallExpr:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = formatExpr(a)
-		}
-		return fmt.Sprintf("%s(%s)", x.Name, strings.Join(args, ", "))
+		pr.str(x.Name)
+		pr.str("(")
+		pr.exprs(x.Args)
+		pr.str(")")
 	case *BinExpr:
-		return fmt.Sprintf("(%s %s %s)", formatExpr(x.X), x.Op, formatExpr(x.Y))
+		pr.str("(")
+		pr.expr(x.X)
+		pr.str(" ")
+		pr.str(x.Op.String())
+		pr.str(" ")
+		pr.expr(x.Y)
+		pr.str(")")
 	case *UnExpr:
-		return fmt.Sprintf("%s(%s)", x.Op, formatExpr(x.X))
+		pr.str(x.Op.String())
+		pr.str("(")
+		pr.expr(x.X)
+		pr.str(")")
 	case *MatrixLit:
-		rows := make([]string, len(x.Rows))
+		pr.str("[")
 		for i, row := range x.Rows {
-			cells := make([]string, len(row))
-			for j, el := range row {
-				cells[j] = formatExpr(el)
+			if i > 0 {
+				pr.str("; ")
 			}
-			rows[i] = strings.Join(cells, ", ")
+			pr.exprs(row)
 		}
-		return "[" + strings.Join(rows, "; ") + "]"
+		pr.str("]")
 	case *RangeExpr:
-		// Parenthesized so a range nested in a larger expression
-		// re-parses with the same extent.
-		if x.Step == nil {
-			return fmt.Sprintf("(%s:%s)", formatExpr(x.Lo), formatExpr(x.Hi))
+		pr.str("(")
+		pr.expr(x.Lo)
+		pr.str(":")
+		if x.Step != nil {
+			pr.expr(x.Step)
+			pr.str(":")
 		}
-		return fmt.Sprintf("(%s:%s:%s)", formatExpr(x.Lo), formatExpr(x.Step), formatExpr(x.Hi))
+		pr.expr(x.Hi)
+		pr.str(")")
+	default:
+		pr.str("?")
 	}
-	return "?"
 }

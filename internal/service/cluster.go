@@ -48,11 +48,15 @@ func (s *Server) writeForwarded(w http.ResponseWriter, f *forwarded) {
 
 // clusterRoute serves one request kind for job through the coordinator:
 // the local forwarded-response tier first, then a forward to the replica
-// owning the job's content address. The error return means every replica
-// failed — the caller falls back to local execution so the request is
-// never dropped.
+// owning the job's content address. The error return means the job has
+// no key (its source fails to parse) or every replica failed — the
+// caller falls back to local execution, which answers the parse error or
+// serves the request, so it is never dropped.
 func (s *Server) clusterRoute(ctx context.Context, kind, path string, req any, job *compileJob) (*forwarded, error) {
-	key := job.key(kind)
+	key, err := job.key(kind)
+	if err != nil {
+		return nil, err
+	}
 	fkey := "fwd:" + key
 	if v, ok := s.cache.Get(fkey); ok {
 		f := *v.(*forwarded)
@@ -123,13 +127,13 @@ type CandidateRequest struct {
 // candidateKey is the content address of one candidate evaluation. The
 // base job's policy/max-tasks are excluded — the candidate overrides
 // them — while the candidate itself is hashed in.
-func (s *Server) candidateKey(job *compileJob, cj CandidateJSON) string {
-	args := make([]ArgSpecJSON, len(job.args))
-	for i, a := range job.args {
-		args[i] = FromArgSpec(a)
+func (s *Server) candidateKey(job *compileJob, cj CandidateJSON) (string, error) {
+	m := job.parsed()
+	if m.err != nil {
+		return "", m.err
 	}
-	return HashKey("argo/v1", "candidate", job.source, job.entry, args,
-		job.canonicalADL, cj, job.wcetEngine)
+	return HashKey("argo/v1", "candidate", m.address, job.entry, job.wireArgs(),
+		job.canonicalADL, cj, job.wcetEngine), nil
 }
 
 // cachedCandidate evaluates one ladder candidate on this process through
@@ -137,22 +141,24 @@ func (s *Server) candidateKey(job *compileJob, cj CandidateJSON) string {
 // of POST /v1/candidate and the coordinator's local fallback when a
 // remote worker is unreachable.
 func (s *Server) cachedCandidate(ctx context.Context, job *compileJob, cj CandidateJSON, cand argo.Candidate) (*CompileSummary, Outcome, error) {
+	key, err := s.candidateKey(job, cj)
+	if err != nil {
+		return nil, OutcomeMiss, err
+	}
 	cjob := *job
 	cjob.candidate = &cand
-	val, outcome, err := retryTransient(ctx, s.metrics, func() (any, Outcome, error) {
-		return s.cache.Do(ctx, s.candidateKey(job, cj), func() (any, error) {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-			t0 := time.Now()
-			art, err := s.compile(ctx, &cjob)
-			s.metrics.Observe("candidate", time.Since(t0))
-			if err != nil {
-				return nil, err
-			}
-			return Summarize(job.usecaseName(), job.period(), art), nil
-		})
+	val, outcome, err := s.do(ctx, job, key, func() (any, error) {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		t0 := time.Now()
+		art, err := s.compile(ctx, &cjob)
+		s.metrics.Observe("candidate", time.Since(t0))
+		if err != nil {
+			return nil, err
+		}
+		return Summarize(job.usecaseName(), job.period(), art), nil
 	})
 	if err != nil {
 		return nil, outcome, err
@@ -212,8 +218,12 @@ type candOutcome struct {
 // at any replica count, any per-replica width, and under replica
 // failure with local fallback.
 func (s *Server) distributedOptimize(ctx context.Context, req *CompileRequest, job *compileJob) (*OptimizeResponse, Outcome, error) {
+	key, err := job.key("optimize")
+	if err != nil {
+		return nil, OutcomeMiss, err
+	}
 	val, outcome, err := retryTransient(ctx, s.metrics, func() (any, Outcome, error) {
-		return s.cache.Do(ctx, "dopt:"+job.key("optimize"), func() (any, error) {
+		return s.cache.Do(ctx, "dopt:"+key, func() (any, error) {
 			return s.runDistributedOptimize(ctx, req, job)
 		})
 	})

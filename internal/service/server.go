@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,10 +182,15 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // compileJob is a fully resolved, validated compile request.
 type compileJob struct {
 	usecase *argo.UseCase // nil for raw-source jobs
-	source  string
-	entry   string
-	args    []argo.ArgSpec
-	plat    *argo.PlatformDesc
+	// source is the model text as requested. Sessions take it as is;
+	// compiles take the program it parses to (see parsed).
+	source string
+	// model is source parsed and addressed, set when the job is first
+	// keyed. A job is keyed before it is shared between goroutines.
+	model *parsedModel
+	entry string
+	args  []argo.ArgSpec
+	plat  *argo.PlatformDesc
 	// canonicalADL is the platform re-encoded through the ADL codec, so
 	// equivalent name- and inline-specified platforms key identically.
 	canonicalADL string
@@ -203,15 +210,73 @@ type compileJob struct {
 	candidate *argo.Candidate
 }
 
-// key is the job's content address: SHA-256 over the canonicalized
-// request under a kind tag ("compile", "optimize", ...).
-func (j *compileJob) key(kind string) string {
+// parsedModel is a model's program and its part of a job's key. address
+// is the hex SHA-256 of the program's canonical form (scil.Format), so
+// sources that differ only in comments and layout share it. err is the
+// parse error of a source that has no program.
+type parsedModel struct {
+	prog    *argo.Program
+	address string
+	err     error
+}
+
+func parseModel(source string) *parsedModel {
+	prog, err := argo.ParseSource(source)
+	if err != nil {
+		return &parsedModel{err: err}
+	}
+	d := argo.ProgramDigest(prog)
+	return &parsedModel{prog: prog, address: hex.EncodeToString(d[:])}
+}
+
+// useCaseModels parses each built-in use case once per process. Compiles
+// never mutate a program, so its parse serves every compile of the use
+// case and its address every key. A use case's summary carries its name
+// and period, so its address names it: a raw source of the same program
+// keys apart and never answers with the use case's name.
+var useCaseModels = sync.OnceValue(func() map[string]*parsedModel {
+	m := map[string]*parsedModel{}
+	for _, uc := range argo.UseCases() {
+		pm := parseModel(uc.Source)
+		pm.address += "/" + uc.Name
+		m[uc.Name] = pm
+	}
+	return m
+})
+
+// parsed returns the job's program, parsing a raw source on first use.
+func (j *compileJob) parsed() *parsedModel {
+	if j.model == nil {
+		if j.usecase != nil {
+			j.model = useCaseModels()[j.usecase.Name]
+		} else {
+			j.model = parseModel(j.source)
+		}
+	}
+	return j.model
+}
+
+// wireArgs returns the job's argument shapes in their wire form.
+func (j *compileJob) wireArgs() []ArgSpecJSON {
 	args := make([]ArgSpecJSON, len(j.args))
 	for i, a := range j.args {
 		args[i] = FromArgSpec(a)
 	}
-	return HashKey("argo/v1", kind, j.source, j.entry, args,
-		j.canonicalADL, j.policy.String(), j.maxTasks, j.wcetEngine)
+	return args
+}
+
+// key is the job's content address: SHA-256 over the canonicalized
+// request under a kind tag ("compile", "optimize", ...). The model
+// enters by its program's address, so a source re-saved with only new
+// comments or layout keys like the original. A source that fails to
+// parse has no key; the error is its parse error.
+func (j *compileJob) key(kind string) (string, error) {
+	m := j.parsed()
+	if m.err != nil {
+		return "", m.err
+	}
+	return HashKey("argo/v1", kind, m.address, j.entry, j.wireArgs(),
+		j.canonicalADL, j.policy.String(), j.maxTasks, j.wcetEngine), nil
 }
 
 func (j *compileJob) usecaseName() string {
@@ -346,7 +411,7 @@ func (j *compileJob) options() argo.Options {
 
 // runCompile is the real pipeline execution (the default s.compile).
 func (s *Server) runCompile(ctx context.Context, job *compileJob) (*argo.Artifacts, error) {
-	return argo.CompileSourceContext(ctx, job.source, job.options())
+	return argo.CompileProgramContext(ctx, job.parsed().prog, job.options())
 }
 
 // compileResult is what the cache stores for a compile key: the full
@@ -360,26 +425,67 @@ type compileResult struct {
 // the worker pool, retrying transient shared-fate failures (a leader's
 // cancellation aborting a follower's attached computation) with backoff.
 func (s *Server) cachedCompile(ctx context.Context, job *compileJob) (*compileResult, Outcome, error) {
-	val, outcome, err := retryTransient(ctx, s.metrics, func() (any, Outcome, error) {
-		return s.cache.Do(ctx, job.key("compile"), func() (any, error) {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-			t0 := time.Now()
-			art, err := s.compile(ctx, job)
-			s.metrics.Observe("compile", time.Since(t0))
-			if err != nil {
-				return nil, err
-			}
-			return &compileResult{art: art, sum: Summarize(job.usecaseName(), job.period(), art)}, nil
-		})
+	key, err := job.key("compile")
+	if err != nil {
+		return nil, OutcomeMiss, err
+	}
+	val, outcome, err := s.do(ctx, job, key, func() (any, error) {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		t0 := time.Now()
+		art, err := s.compile(ctx, job)
+		s.metrics.Observe("compile", time.Since(t0))
+		if err != nil {
+			return nil, err
+		}
+		return &compileResult{art: art, sum: Summarize(job.usecaseName(), job.period(), art)}, nil
 	})
 	if err != nil {
 		return nil, outcome, err
 	}
 	return val.(*compileResult), outcome, nil
 }
+
+// do serves key through the result cache, singleflight and the
+// transient-failure retry, computing with compute on a miss.
+//
+// Jobs that share a key share a program, not necessarily a text, and
+// check and lower errors carry their text's line:col. So a computation's
+// error travels with the source it compiled, and a follower whose source
+// differs from its leader's answers a pipeline rejection by computing
+// its own: errors are never cached, so that run is the follower's alone.
+func (s *Server) do(ctx context.Context, job *compileJob, key string, compute func() (any, error)) (any, Outcome, error) {
+	val, outcome, err := retryTransient(ctx, s.metrics, func() (any, Outcome, error) {
+		return s.cache.Do(ctx, key, func() (any, error) {
+			v, err := compute()
+			if err != nil {
+				return nil, &sourcedError{source: job.source, err: err}
+			}
+			return v, nil
+		})
+	})
+	var se *sourcedError
+	if errors.As(err, &se) {
+		err = se.err
+		if se.source != job.source && statusFor(err) == http.StatusUnprocessableEntity {
+			val, err = compute()
+			outcome = OutcomeMiss
+		}
+	}
+	return val, outcome, err
+}
+
+// sourcedError is a computation's error with the source text it
+// compiled.
+type sourcedError struct {
+	source string
+	err    error
+}
+
+func (e *sourcedError) Error() string { return e.err.Error() }
+func (e *sourcedError) Unwrap() error { return e.err }
 
 // --- handlers ---------------------------------------------------------------
 
@@ -448,22 +554,24 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // singleflight, and the worker pool (the single-process /v1/optimize
 // path, and a batch cell's optimize op).
 func (s *Server) optimizeLocal(ctx context.Context, job *compileJob) (*OptimizeResponse, Outcome, error) {
-	val, outcome, err := retryTransient(ctx, s.metrics, func() (any, Outcome, error) {
-		return s.cache.Do(ctx, job.key("optimize"), func() (any, error) {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-			t0 := time.Now()
-			opt := job.options()
-			opt.Parallelism = job.parallelism
-			res, err := argo.OptimizeSourceContext(ctx, job.source, opt, nil)
-			s.metrics.Observe("optimize", time.Since(t0))
-			if err != nil {
-				return nil, err
-			}
-			return SummarizeOptimize(job.usecaseName(), job.period(), res), nil
-		})
+	key, err := job.key("optimize")
+	if err != nil {
+		return nil, OutcomeMiss, err
+	}
+	val, outcome, err := s.do(ctx, job, key, func() (any, error) {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		t0 := time.Now()
+		opt := job.options()
+		opt.Parallelism = job.parallelism
+		res, err := argo.OptimizeProgramContext(ctx, job.parsed().prog, opt, nil)
+		s.metrics.Observe("optimize", time.Since(t0))
+		if err != nil {
+			return nil, err
+		}
+		return SummarizeOptimize(job.usecaseName(), job.period(), res), nil
 	})
 	if err != nil {
 		return nil, outcome, err

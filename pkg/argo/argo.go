@@ -83,6 +83,8 @@ type (
 	PassTrace = pass.Trace
 	// PassTiming is one entry of a PassTrace.
 	PassTiming = pass.Timing
+	// Program is a parsed scil model.
+	Program = scil.Program
 )
 
 // Policy selects the multi-core scheduling strategy.
@@ -147,6 +149,22 @@ func CompileSourceContext(ctx context.Context, source string, opt Options) (*Art
 	return core.CompileSourceContext(ctx, source, opt)
 }
 
+// ParseSource parses scil source text into the program it denotes.
+// Errors carry the text's line:col positions.
+func ParseSource(source string) (*Program, error) { return scil.Parse(source) }
+
+// ProgramDigest content-addresses a parsed program: the SHA-256 of its
+// canonical form (scil.Format), so sources that differ only in comments
+// and layout share one digest.
+func ProgramDigest(p *Program) [32]byte { return scil.Digest(p) }
+
+// CompileProgramContext compiles a parsed program. The compile never
+// mutates prog, so one parse may serve any number of concurrent
+// compiles.
+func CompileProgramContext(ctx context.Context, prog *Program, opt Options) (*Artifacts, error) {
+	return core.CompileContext(ctx, prog, opt)
+}
+
 // CompileUseCase compiles a use case with default options.
 func CompileUseCase(u *UseCase, platform *PlatformDesc) (*Artifacts, error) {
 	return CompileUseCaseContext(context.Background(), u, platform)
@@ -191,6 +209,12 @@ func OptimizeSourceContext(ctx context.Context, source string, baseOpt Options, 
 	if err != nil {
 		return nil, err
 	}
+	return OptimizeProgramContext(ctx, prog, baseOpt, cands)
+}
+
+// OptimizeProgramContext is OptimizeSourceContext on a parsed program,
+// which it never mutates.
+func OptimizeProgramContext(ctx context.Context, prog *Program, baseOpt Options, cands []Candidate) (*OptimizeResult, error) {
 	return core.OptimizeContext(ctx, prog, baseOpt, cands, 0)
 }
 
