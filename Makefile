@@ -35,8 +35,9 @@ bench:
 
 # CPU/heap profiles of the two simulator-bound experiment benchmarks,
 # a CPU profile of fresh-input simulation (mostly VM dispatch), and CPU
-# and allocation profiles of the never-seen compile mix, written under
-# profiles/ (gitignored) for `go tool pprof`.
+# and allocation profiles of the never-seen compile mix and of argod's
+# result-cache hit path, written under profiles/ (gitignored) for
+# `go tool pprof`.
 profile:
 	mkdir -p profiles
 	$(GO) test -run=^$$ -bench='BenchmarkE2Tightness$$' -benchtime=10x \
@@ -47,13 +48,16 @@ profile:
 		-cpuprofile profiles/simulate.cpu.prof .
 	$(GO) test -run=^$$ -bench='BenchmarkCompileNeverSeenMix$$' -benchtime=2000x \
 		-cpuprofile profiles/neverseen-mix.cpu.prof -memprofile profiles/neverseen-mix.mem.prof .
+	$(GO) test -run=^$$ -bench='BenchmarkCompileHit$$' -benchtime=5000x -o profiles/service.test \
+		-cpuprofile profiles/compile-hit.cpu.prof -memprofile profiles/compile-hit.mem.prof ./internal/service
 
 # One-iteration smoke run so `make check` catches bitrot in the
 # benchmarks without paying for a full measurement, plus one iteration
-# of the cluster scale-out benchmark (rps per topology and their ratio).
+# of the cluster scale-out benchmark (rps per topology and their ratio)
+# and of the compile-cache hit path.
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^BenchmarkClusterScaleOut$$' -benchtime=1x -run=^$$ ./internal/service
+	$(GO) test -bench='^(BenchmarkClusterScaleOut|BenchmarkCompileHit)$$' -benchtime=1x -run=^$$ ./internal/service
 
 # perfbench/ is its own module (replace argo => ../), so the root vet,
 # build and test skip it. Vet and test it here, so a rename of an API

@@ -351,6 +351,21 @@ func BenchmarkSimulateFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkParse lexes and parses each use case's source, the front-end
+// work a raw-source compile pays once before its cache lookup.
+func BenchmarkParse(b *testing.B) {
+	for _, u := range usecases.All() {
+		b.Run(u.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scil.Parse(u.Source); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkLowerEGPWS(b *testing.B) {
 	u := usecases.EGPWS()
 	p, err := u.Program()

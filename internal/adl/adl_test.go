@@ -32,6 +32,28 @@ func TestBuiltinNameParsing(t *testing.T) {
 	}
 }
 
+// TestBuiltinExactNames checks that a name resolves only as the platform
+// family spells it: fmt.Sscanf alone would ignore trailing text and take
+// signs and leading zeros.
+func TestBuiltinExactNames(t *testing.T) {
+	for _, name := range []string{
+		"xentium4foo", "xentium04", "xentium16 ", " xentium4", "xentium+4", "xentium-4", "xentium0",
+		"xentium4-tdmx", "xentium4-TDM", "xentium04-tdm", "leon3-2x2junk", "leon3-02x2", "leon3-2x+2",
+		"hetero-2f2sz", "hetero-2f2s ", "hetero-02f2s", "hetero-0f0s", "xentium", "",
+	} {
+		if p := Builtin(name); p != nil {
+			t.Errorf("Builtin(%q) = %s, want nil", name, p.Name)
+		}
+	}
+	for name, cores := range map[string]int{
+		"xentium32": 32, "xentium3-tdm": 3, "leon3-3x2": 6, "hetero-1f3s": 4, "hetero-0f4s": 4, "xentium12": 12,
+	} {
+		if p := Builtin(name); p == nil || p.NumCores() != cores {
+			t.Errorf("Builtin(%q) = %v, want %d cores", name, p, cores)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := Leon3TilePlatform(2, 2)
 	data, err := Encode(p)

@@ -109,22 +109,42 @@ func HeteroPlatform(fast, slow int) *Platform {
 }
 
 // Builtin returns a built-in platform by name, or nil. Recognized names:
-// "xentium<N>", "xentium<N>-tdm", "leon3-<W>x<H>", "hetero-<F>f<S>s".
+// "xentium<N>", "xentium<N>-tdm", "leon3-<W>x<H>", "hetero-<F>f<S>s",
+// each spelled exactly as the platform names itself: no sign, leading
+// zero or trailing text.
 func Builtin(name string) *Platform {
 	var n, w, h, f, s int
-	if _, err := fmt.Sscanf(name, "xentium%d-tdm", &n); err == nil && n > 0 {
+	if spells(name, "xentium%d-tdm", &n) && n > 0 {
 		return XentiumTDMPlatform(n)
 	}
-	if _, err := fmt.Sscanf(name, "xentium%d", &n); err == nil && n > 0 {
+	if spells(name, "xentium%d", &n) && n > 0 {
 		return XentiumPlatform(n)
 	}
-	if _, err := fmt.Sscanf(name, "leon3-%dx%d", &w, &h); err == nil && w > 0 && h > 0 {
+	if spells(name, "leon3-%dx%d", &w, &h) && w > 0 && h > 0 {
 		return Leon3TilePlatform(w, h)
 	}
-	if _, err := fmt.Sscanf(name, "hetero-%df%ds", &f, &s); err == nil && f >= 0 && s >= 0 && f+s > 0 {
+	if spells(name, "hetero-%df%ds", &f, &s) && f >= 0 && s >= 0 && f+s > 0 {
 		return HeteroPlatform(f, s)
 	}
 	return nil
+}
+
+// spells scans name with format into ns and reports whether name is
+// what format renders for them. The re-render check rejects what
+// fmt.Sscanf lets through: text after the last verb, signs and leading
+// zeros.
+func spells(name, format string, ns ...*int) bool {
+	args := make([]any, len(ns))
+	for i, n := range ns {
+		args[i] = n
+	}
+	if _, err := fmt.Sscanf(name, format, args...); err != nil {
+		return false
+	}
+	for i, n := range ns {
+		args[i] = *n
+	}
+	return fmt.Sprintf(format, args...) == name
 }
 
 // BuiltinNames lists example names accepted by Builtin, for help output.

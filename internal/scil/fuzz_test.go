@@ -19,6 +19,10 @@ import (
 // formatting that reparse changes nothing. This is the fuzz extension of
 // the argofmt round-trip corpus tests in format_test.go.
 //
+// On an input with no NUL byte, the lexer must agree with the reference
+// lexer (lexer_ref_test.go) token for token, error text included; the
+// reference reads a NUL as the end of the input, the lexer as an error.
+//
 // It also checks the premise of keying compiles by scil.Digest: the
 // reparse equals the parse with positions zeroed (a formatter that
 // dropped a needed parenthesis would still be a fixed point, yet would
@@ -41,6 +45,8 @@ func FuzzParseSCIL(f *testing.F) {
 		"r = [1, 2; 3",
 		"function r = f(a)\n  r = a(\nendfunction",
 		"\x00\xff\xfe",
+		"function r = f(a)\n  r = a\nendfunction\x00 ((((",
+		"function r = f(a)\n  s = 'it''s' // ä \xff\n  r = 1D+3 * %pi\nendfunction",
 		"function r = f(a)\n  r = 1e99999\nendfunction",
 	}
 	for _, u := range usecases.All() {
@@ -53,6 +59,11 @@ func FuzzParseSCIL(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if strings.IndexByte(src, 0) < 0 {
+			if d := lexMismatch(src); d != "" {
+				t.Fatalf("lexer and reference disagree on %q: %s", src, d)
+			}
+		}
 		p1, err := scil.Parse(src)
 		if err != nil {
 			return // rejection is fine; panicking is the bug

@@ -3,12 +3,21 @@ package scil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer tokenizes scil source text. It is resumable: Next returns tokens
 // one at a time and EOF forever after the input is exhausted.
+//
+// It reads the source's bytes in place. An identifier, a number, a
+// string and a pragma are slices of the source wherever the source
+// spells them as they are, so only a literal that is rewritten (an
+// exponent marker other than 'e', a doubled quote, invalid UTF-8 in a
+// string or a pragma) costs an allocation. A byte that is not valid
+// UTF-8 reads as one utf8.RuneError, as it does in a range loop, and
+// columns count runes.
 type Lexer struct {
-	src  []rune
+	src  string
 	off  int
 	line int
 	col  int
@@ -16,35 +25,44 @@ type Lexer struct {
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
 
+// peek returns the next rune, or 0 at the end of the input. A NUL byte
+// reads 0 too: only the offset tells the end of the input.
 func (l *Lexer) peek() rune {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off]
+	r, _ := l.runeAt(l.off)
+	return r
 }
 
+// peek2 returns the rune after the next one.
 func (l *Lexer) peek2() rune {
-	if l.off+1 >= len(l.src) {
-		return 0
+	_, w := l.runeAt(l.off)
+	r, _ := l.runeAt(l.off + w)
+	return r
+}
+
+// runeAt returns the rune that starts at byte i and its width, or 0
+// and 0 at the end of the input.
+func (l *Lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.off+1]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
 
 func (l *Lexer) advance() rune {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	r := l.src[l.off]
-	l.off++
+	r, w := l.runeAt(l.off)
+	l.off += w
 	if r == '\n' {
 		l.line++
 		l.col = 1
-	} else {
+	} else if w > 0 {
 		l.col++
 	}
 	return r
@@ -56,10 +74,10 @@ func isIdentCont(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unico
 // Next returns the next token, or an error for malformed input.
 func (l *Lexer) Next() (Token, error) {
 	for {
-		r := l.peek()
-		if r == 0 {
+		if l.off >= len(l.src) {
 			return Token{Kind: EOF, Pos: l.pos()}, nil
 		}
+		r := l.peek()
 		// Line continuation: ".." or "..." before a newline.
 		if r == '.' && l.peek2() == '.' {
 			start := l.pos()
@@ -77,7 +95,8 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		switch {
 		case r == ' ' || r == '\t' || r == '\r':
-			l.advance()
+			l.off++
+			l.col++
 			continue
 		case r == '\n':
 			p := l.pos()
@@ -85,24 +104,19 @@ func (l *Lexer) Next() (Token, error) {
 			return Token{Kind: NEWLINE, Lit: "\n", Pos: p}, nil
 		case r == '/' && l.peek2() == '/':
 			p := l.pos()
-			l.advance()
-			l.advance()
-			var sb strings.Builder
-			for l.peek() != '\n' && l.peek() != 0 {
-				sb.WriteRune(l.advance())
-			}
-			text := strings.TrimSpace(sb.String())
-			if strings.HasPrefix(text, "@") {
+			l.off += 2
+			l.col += 2
+			if text, ok := l.comment(); ok {
 				return Token{Kind: PRAGMA, Lit: text, Pos: p}, nil
 			}
 			continue // plain comment
 		case isIdentStart(r):
 			p := l.pos()
-			var sb strings.Builder
-			for isIdentCont(l.peek()) || l.peek() == '%' {
-				sb.WriteRune(l.advance())
+			start := l.off
+			for r := l.peek(); isIdentCont(r) || r == '%'; r = l.peek() {
+				l.advance()
 			}
-			id := sb.String()
+			id := l.src[start:l.off]
 			if k, ok := keywords[id]; ok {
 				return Token{Kind: k, Lit: id, Pos: p}, nil
 			}
@@ -183,73 +197,112 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
+// comment consumes a comment's text after its "//", up to a newline, a
+// NUL or the end of the input, and returns the text trimmed of blanks
+// and whether it is a pragma ("//@...").
+func (l *Lexer) comment() (string, bool) {
+	text := l.src[l.off:]
+	if n := strings.IndexByte(text, '\n'); n >= 0 {
+		text = text[:n]
+	}
+	if n := strings.IndexByte(text, 0); n >= 0 {
+		text = text[:n]
+	}
+	l.off += len(text)
+	l.col += utf8.RuneCountInString(text)
+	text = strings.TrimSpace(text)
+	if !strings.HasPrefix(text, "@") {
+		return "", false
+	}
+	if !utf8.ValidString(text) {
+		text = string([]rune(text)) // each invalid byte reads as RuneError
+	}
+	return text, true
+}
+
 func (l *Lexer) number() (Token, error) {
 	p := l.pos()
-	var sb strings.Builder
+	start := l.off
 	for unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.advance())
+		l.advance()
 	}
 	if l.peek() == '.' && l.peek2() != '*' && l.peek2() != '/' && l.peek2() != '.' {
-		sb.WriteRune(l.advance())
+		l.advance()
 		for unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
 	}
-	if l.peek() == 'e' || l.peek() == 'E' || l.peek() == 'd' || l.peek() == 'D' {
-		// Scilab uses both e and d exponent markers.
-		saveOff, saveLine, saveCol := l.off, l.line, l.col
-		mark := sb.Len()
-		sb.WriteRune('e')
+	mark := l.off
+	if m := l.peek(); m == 'e' || m == 'E' || m == 'd' || m == 'D' {
+		// Scilab uses both e and d exponent markers; the literal spells
+		// each marker as 'e'.
+		saveLine, saveCol := l.line, l.col
 		l.advance()
 		if l.peek() == '+' || l.peek() == '-' {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
 		if !unicode.IsDigit(l.peek()) {
 			// Not an exponent after all (e.g. "4end"): rewind.
-			l.off, l.line, l.col = saveOff, saveLine, saveCol
-			return Token{Kind: NUMBER, Lit: sb.String()[:mark], Pos: p}, nil
+			l.off, l.line, l.col = mark, saveLine, saveCol
+			return Token{Kind: NUMBER, Lit: l.src[start:mark], Pos: p}, nil
 		}
 		for unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.advance())
+			l.advance()
+		}
+		if m != 'e' {
+			return Token{Kind: NUMBER, Lit: l.src[start:mark] + "e" + l.src[mark+1:l.off], Pos: p}, nil
 		}
 	}
-	return Token{Kind: NUMBER, Lit: sb.String(), Pos: p}, nil
+	return Token{Kind: NUMBER, Lit: l.src[start:l.off], Pos: p}, nil
 }
 
 func (l *Lexer) str(quote rune) (Token, error) {
 	p := l.pos()
 	l.advance() // opening quote
-	var sb strings.Builder
+	start, verbatim := l.off, true
 	for {
 		r := l.peek()
 		if r == 0 || r == '\n' {
 			return Token{}, errf(p, "unterminated string literal")
 		}
 		l.advance()
+		if r == utf8.RuneError {
+			verbatim = false
+		}
 		if r == quote {
 			if l.peek() == quote { // doubled quote escapes itself
-				sb.WriteRune(quote)
 				l.advance()
+				verbatim = false
 				continue
 			}
-			return Token{Kind: STRING, Lit: sb.String(), Pos: p}, nil
+			break
 		}
-		sb.WriteRune(r)
 	}
+	lit := l.src[start : l.off-1]
+	if !verbatim {
+		// Each invalid byte reads as RuneError, and a doubled quote as one.
+		q := string(quote)
+		lit = strings.ReplaceAll(string([]rune(lit)), q+q, q)
+	}
+	return Token{Kind: STRING, Lit: lit, Pos: p}, nil
 }
 
-// LexAll tokenizes the whole input, for tests and tooling.
-func LexAll(src string) ([]Token, error) {
+// LexAll tokenizes the whole input: its tokens, EOF last, or the tokens
+// before the first malformed one and its error. Parse lexes the same
+// way, into a reused buffer.
+func LexAll(src string) ([]Token, error) { return lexInto(nil, src) }
+
+// lexInto appends src's tokens to toks, as LexAll returns them.
+func lexInto(toks []Token, src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
 	for {
 		t, err := l.Next()
 		if err != nil {
-			return out, err
+			return toks, err
 		}
-		out = append(out, t)
+		toks = append(toks, t)
 		if t.Kind == EOF {
-			return out, nil
+			return toks, nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package scil
 import (
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Parser builds an AST from scil source. It is a plain recursive-descent
@@ -12,13 +13,34 @@ type Parser struct {
 	i    int
 }
 
-// Parse parses a full scil source unit.
+// tokenBufs recycles Parse's token buffers. A buffer is cleared before
+// it goes back, so the pool keeps no literal, and with it no source,
+// alive.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the buffers tokenBufs keeps; a larger one, from
+// an outsized source, is left to the collector.
+const maxPooledTokens = 1 << 16
+
+// Parse parses a full scil source unit. It lexes the whole source before
+// it parses, so a lexical error is reported ahead of any syntax error.
 func Parse(src string) (*Program, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := lexInto((*buf)[:0], src)
+	var prog *Program
+	if err == nil {
+		prog, err = (&Parser{toks: toks}).program()
 	}
-	p := &Parser{toks: toks}
+	clear(toks)
+	if cap(toks) <= maxPooledTokens {
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}
+	return prog, err
+}
+
+// program parses the token stream as a source unit.
+func (p *Parser) program() (*Program, error) {
 	prog := &Program{}
 	var pendingPragmas []string
 	for {

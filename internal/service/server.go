@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -244,6 +246,21 @@ var useCaseModels = sync.OnceValue(func() map[string]*parsedModel {
 	return m
 })
 
+// builtinADLs encodes each listed built-in platform's canonical ADL once
+// per process. Other names and inline descriptions encode per request,
+// so the map stays as small as the list.
+var builtinADLs = sync.OnceValue(func() map[string]string {
+	m := map[string]string{}
+	for _, name := range argo.PlatformNames() {
+		canon, err := argo.EncodePlatform(argo.Platform(name))
+		if err != nil {
+			panic(fmt.Sprintf("service: built-in platform %q: %v", name, err))
+		}
+		m[name] = string(canon)
+	}
+	return m
+})
+
 // parsed returns the job's program, parsing a raw source on first use.
 func (j *compileJob) parsed() *parsedModel {
 	if j.model == nil {
@@ -372,23 +389,28 @@ func (s *Server) resolve(req *CompileRequest) (*compileJob, error) {
 		if name == "" {
 			name = "xentium4"
 		}
+		// Each job gets a platform of its own: sessions edit theirs.
 		p := argo.Platform(name)
 		if p == nil {
 			return nil, &httpError{status: http.StatusNotFound,
 				msg: fmt.Sprintf("unknown platform %q (see GET /v1/platforms)", name)}
 		}
 		j.plat = p
+		j.canonicalADL = builtinADLs()[name]
 	}
-	canon, err := argo.EncodePlatform(j.plat)
-	if err != nil {
-		return nil, badRequest("platform: %v", err)
+	if j.canonicalADL == "" {
+		canon, err := argo.EncodePlatform(j.plat)
+		if err != nil {
+			return nil, badRequest("platform: %v", err)
+		}
+		j.canonicalADL = string(canon)
 	}
-	j.canonicalADL = string(canon)
 
-	j.policy, err = ParsePolicy(req.Policy)
+	policy, err := ParsePolicy(req.Policy)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
+	j.policy = policy
 	return j, nil
 }
 
@@ -415,10 +437,28 @@ func (s *Server) runCompile(ctx context.Context, job *compileJob) (*argo.Artifac
 }
 
 // compileResult is what the cache stores for a compile key: the full
-// artifacts (simulation needs them) plus the wire summary.
+// artifacts (simulation needs them) plus the wire summary, and from the
+// first request served the entry without computing it, the summary's
+// response body.
 type compileResult struct {
 	art *argo.Artifacts
 	sum *CompileSummary
+
+	bodyOnce sync.Once
+	body     []byte
+}
+
+// encoded returns the summary's response body, as writeJSON writes it,
+// encoding it on the first call. The request that computed the entry
+// writes its summary instead, so an entry nothing reads again keeps no
+// body.
+func (r *compileResult) encoded() []byte {
+	r.bodyOnce.Do(func() {
+		var buf bytes.Buffer
+		_ = encodeJSON(&buf, r.sum)
+		r.body = buf.Bytes()
+	})
+	return r.body
 }
 
 // cachedCompile serves a compile job through cache, singleflight, and
@@ -516,7 +556,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	s.writeJSON(w, outcome, res.sum)
+	if outcome == OutcomeMiss {
+		s.writeJSON(w, outcome, res.sum)
+		return
+	}
+	setJSONHeaders(w, outcome)
+	_, _ = w.Write(res.encoded())
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -799,14 +844,24 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) error 
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, outcome Outcome, v any) {
+	setJSONHeaders(w, outcome)
+	// On an encode error the headers are already out; nothing to do but
+	// drop the conn.
+	_ = encodeJSON(w, v)
+}
+
+// setJSONHeaders sets a JSON response's content type and cache outcome.
+func setJSONHeaders(w http.ResponseWriter, outcome Outcome) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("X-Argo-Cache", outcome.String())
+}
+
+// encodeJSON writes v as a response body: indented JSON and a newline.
+// On an error it writes nothing.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are already out; nothing to do but drop the conn.
-		_ = err
-	}
+	return enc.Encode(v)
 }
 
 // statusFor maps a request-handling error to its HTTP status. Batch

@@ -107,6 +107,25 @@ func TestCompileCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestUnlistedPlatformCanonicalization: a built-in size that is not
+// listed (its ADL is encoded per request, not taken from the listed
+// names' map) keys like its inline description too.
+func TestUnlistedPlatformCanonicalization(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	adl, err := argo.EncodePlatform(argo.Platform("xentium3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp1, data := post(t, ts.URL+"/v1/compile", fmt.Sprintf(`{"usecase":"weaa","platform_adl":%s}`, adl))
+	resp2, _ := post(t, ts.URL+"/v1/compile", `{"usecase":"weaa","platform":"xentium3"}`)
+	if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
+		t.Fatalf("status %d / %d: %s", resp1.StatusCode, resp2.StatusCode, data)
+	}
+	if h := resp2.Header.Get("X-Argo-Cache"); h != "hit" {
+		t.Errorf("named request cache header %q, want hit", h)
+	}
+}
+
 // TestSingleflightDedup: concurrent identical requests run the pipeline
 // once; all callers get the shared result.
 func TestSingleflightDedup(t *testing.T) {
@@ -124,23 +143,27 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 
 	const clients = 6
-	results := make(chan string, clients)
+	type result struct {
+		cache string
+		body  []byte
+	}
+	results := make(chan result, clients)
 	var wg sync.WaitGroup
 	leaderGone := make(chan struct{})
 	wg.Add(1)
 	go func() { // leader
 		defer wg.Done()
 		defer close(leaderGone)
-		resp, _ := post(t, ts.URL+"/v1/compile", `{"usecase":"weaa"}`)
-		results <- resp.Header.Get("X-Argo-Cache")
+		resp, data := post(t, ts.URL+"/v1/compile", `{"usecase":"weaa"}`)
+		results <- result{resp.Header.Get("X-Argo-Cache"), data}
 	}()
 	<-started
 	for i := 1; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := post(t, ts.URL+"/v1/compile", `{"usecase":"weaa"}`)
-			results <- resp.Header.Get("X-Argo-Cache")
+			resp, data := post(t, ts.URL+"/v1/compile", `{"usecase":"weaa"}`)
+			results <- result{resp.Header.Get("X-Argo-Cache"), data}
 		}()
 	}
 	// Wait until all followers are attached to the in-flight call, then
@@ -161,11 +184,18 @@ func TestSingleflightDedup(t *testing.T) {
 		t.Errorf("pipeline executed %d times for %d concurrent identical requests", n, clients)
 	}
 	counts := map[string]int{}
-	for h := range results {
-		counts[h]++
+	var bodies [][]byte
+	for r := range results {
+		counts[r.cache]++
+		bodies = append(bodies, r.body)
 	}
 	if counts["miss"] != 1 || counts["dedup"] != clients-1 {
 		t.Errorf("cache headers %v, want 1 miss + %d dedup", counts, clients-1)
+	}
+	for _, b := range bodies[1:] {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Errorf("a dedup follower and the leader got different bodies")
+		}
 	}
 }
 
@@ -371,6 +401,11 @@ func TestBadRequests(t *testing.T) {
 		{"both model sources", "/v1/compile", `{"usecase":"weaa","source":"x"}`, 400},
 		{"unknown usecase", "/v1/compile", `{"usecase":"nope"}`, 404},
 		{"unknown platform", "/v1/compile", `{"usecase":"weaa","platform":"nope"}`, 404},
+		{"platform with trailing text", "/v1/compile", `{"usecase":"weaa","platform":"xentium4foo"}`, 404},
+		{"platform with leading zero", "/v1/compile", `{"usecase":"weaa","platform":"xentium04"}`, 404},
+		{"platform with trailing blank", "/v1/compile", `{"usecase":"weaa","platform":"xentium16 "}`, 404},
+		{"mesh with trailing text", "/v1/compile", `{"usecase":"weaa","platform":"leon3-2x2junk"}`, 404},
+		{"hetero with trailing text", "/v1/simulate", `{"usecase":"weaa","platform":"hetero-2f2sz"}`, 404},
 		{"unknown policy", "/v1/compile", `{"usecase":"weaa","policy":"nope"}`, 400},
 		{"unknown field", "/v1/compile", `{"usecase":"weaa","bogus":1}`, 400},
 		{"source without entry", "/v1/compile", `{"source":"function y = f(x)\ny = x\nendfunction"}`, 400},
