@@ -660,9 +660,8 @@ endfunction`
 	return prog
 }
 
-// BenchmarkIPET measures the pooled, warm-started IPET path: solver
-// workspaces are reused across calls, so steady-state allocations stay
-// near zero.
+// BenchmarkIPET measures the IPET path with its allocations: each call
+// builds its problem and tableau afresh.
 func BenchmarkIPET(b *testing.B) {
 	prog := ipetBenchProgram(b)
 	m := wcet.ModelFor(adl.XentiumPlatform(1), 0)
@@ -675,9 +674,9 @@ func BenchmarkIPET(b *testing.B) {
 	}
 }
 
-// mipBenchProblem is a correlated multi-constraint 0/1 knapsack the MIP
-// benchmarks share: value ≈ weight makes the LP relaxation fractional
-// along many branches, so branch-and-bound explores a real tree.
+// mipBenchProblem is a correlated multi-constraint 0/1 knapsack: value
+// ≈ weight makes the LP relaxation fractional along many branches, so
+// branch-and-bound explores a real tree.
 func mipBenchProblem() *lp.Problem {
 	rng := rand.New(rand.NewSource(7))
 	n, m := 14, 4
@@ -707,27 +706,14 @@ func mipBenchProblem() *lp.Problem {
 	return p
 }
 
-// BenchmarkSolveMIP measures branch-and-bound with dual-simplex
-// warm starts on pooled workspaces.
+// BenchmarkSolveMIP measures branch-and-bound, each node solved from
+// scratch.
 func BenchmarkSolveMIP(b *testing.B) {
 	p := mipBenchProblem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s := lp.SolveMIP(p); s.Status != lp.Optimal {
-			b.Fatal(s.Status)
-		}
-	}
-}
-
-// BenchmarkSolveMIPReference is the naive rebuild-and-resolve
-// branch-and-bound baseline.
-func BenchmarkSolveMIPReference(b *testing.B) {
-	p := mipBenchProblem()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := lp.SolveMIPReference(p); s.Status != lp.Optimal {
 			b.Fatal(s.Status)
 		}
 	}

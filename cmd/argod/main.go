@@ -49,7 +49,6 @@ import (
 
 	"argo/internal/pass"
 	"argo/internal/service"
-	"argo/internal/sim"
 	"argo/pkg/argo"
 )
 
@@ -58,7 +57,6 @@ type config struct {
 	addr         string
 	grace        time.Duration
 	passCacheMax int
-	vmCacheMax   int
 	service      service.Config
 }
 
@@ -79,7 +77,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		maxSessions  = fs.Int("max-sessions", argo.DefaultMaxSessions, "max live interactive sessions (LRU-evicted beyond)")
 		sessionTTL   = fs.Duration("session-ttl", argo.DefaultSessionTTL, "idle expiry of interactive sessions")
 		passCacheMax = fs.Int("pass-cache-max", 0, "max snapshots in the global pass cache (0: default bound, 4096)")
-		vmCacheMax   = fs.Int("vm-cache-max", 0, "max compiled programs in the shared VM code cache (0: default bound, 256)")
 		wcetEngine   = fs.String("wcet-engine", "", "code-level WCET engine: ipet (default), mc, or both (cross-checked)")
 		peers        = fs.String("peers", "", "comma-separated replica base URLs; non-empty enables coordinator mode")
 		maxPerRep    = fs.Int("max-per-replica", 0, "bounded-load fallback: max in-flight forwards per replica (0: unbounded)")
@@ -101,8 +98,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		fmt.Fprintln(stderr, "argod: -workers, -timeout, -grace, and -max-body must be positive")
 		return nil, 2
 	}
-	if *maxSessions <= 0 || *sessionTTL <= 0 || *passCacheMax < 0 || *vmCacheMax < 0 {
-		fmt.Fprintln(stderr, "argod: -max-sessions and -session-ttl must be positive, -pass-cache-max and -vm-cache-max non-negative")
+	if *maxSessions <= 0 || *sessionTTL <= 0 || *passCacheMax < 0 {
+		fmt.Fprintln(stderr, "argod: -max-sessions and -session-ttl must be positive, -pass-cache-max non-negative")
 		return nil, 2
 	}
 	peerList, err := parsePeers(*peers)
@@ -118,7 +115,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, int) {
 		addr:         *addr,
 		grace:        *grace,
 		passCacheMax: *passCacheMax,
-		vmCacheMax:   *vmCacheMax,
 		service: service.Config{
 			Workers:        *workers,
 			CacheEntries:   *cache,
@@ -166,9 +162,6 @@ func main() {
 	// Bound the process-wide pass cache; entry count and evictions are
 	// exported as argo_pass_cache_{entries,evictions} in /debug/vars.
 	pass.Global.SetMax(cfg.passCacheMax)
-	// Bound the shared VM code cache likewise; observable as
-	// argo_vm_shared_{entries,evictions} in /debug/vars.
-	sim.SetVMCacheMax(cfg.vmCacheMax)
 
 	srv := service.NewServer(cfg.service)
 	// Publish the service metrics into the process-global expvar

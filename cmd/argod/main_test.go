@@ -34,6 +34,7 @@ func TestParseFlagsUsageErrorsExitTwo(t *testing.T) {
 		{"-timeout", "-1s"},       // non-positive budget
 		{"-max-sessions", "0"},    // non-positive session cap
 		{"-pass-cache-max", "-1"}, // negative cache bound
+		{"-vm-cache-max", "0"},    // removed flag
 	} {
 		cfg, code, _ := parseCLI(t, args...)
 		if cfg != nil || code != 2 {

@@ -34,12 +34,16 @@ func TestBuiltinNameParsing(t *testing.T) {
 
 // TestBuiltinExactNames checks that a name resolves only as the platform
 // family spells it: fmt.Sscanf alone would ignore trailing text and take
-// signs and leading zeros.
+// signs and leading zeros. A name spelling more than maxBuiltinCores
+// cores resolves to nil too, including counts whose product overflows.
 func TestBuiltinExactNames(t *testing.T) {
 	for _, name := range []string{
 		"xentium4foo", "xentium04", "xentium16 ", " xentium4", "xentium+4", "xentium-4", "xentium0",
 		"xentium4-tdmx", "xentium4-TDM", "xentium04-tdm", "leon3-2x2junk", "leon3-02x2", "leon3-2x+2",
 		"hetero-2f2sz", "hetero-2f2s ", "hetero-02f2s", "hetero-0f0s", "xentium", "",
+		"xentium257", "xentium257-tdm", "xentium20000", "xentium100000", "leon3-16x17",
+		"leon3-4294967296x4294967296", "leon3-3037000500x3037000500", "hetero-200f57s",
+		"hetero-9223372036854775807f1s",
 	} {
 		if p := Builtin(name); p != nil {
 			t.Errorf("Builtin(%q) = %s, want nil", name, p.Name)
@@ -47,6 +51,7 @@ func TestBuiltinExactNames(t *testing.T) {
 	}
 	for name, cores := range map[string]int{
 		"xentium32": 32, "xentium3-tdm": 3, "leon3-3x2": 6, "hetero-1f3s": 4, "hetero-0f4s": 4, "xentium12": 12,
+		"xentium256": 256, "leon3-16x16": 256, "hetero-200f56s": 256,
 	} {
 		if p := Builtin(name); p == nil || p.NumCores() != cores {
 			t.Errorf("Builtin(%q) = %v, want %d cores", name, p, cores)

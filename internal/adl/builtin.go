@@ -108,22 +108,29 @@ func HeteroPlatform(fast, slow int) *Platform {
 	return p
 }
 
+// maxBuiltinCores bounds the core count a built-in platform name may
+// spell. Names arrive in requests, so Builtin checks every parsed count
+// against it before it multiplies, adds or builds anything.
+const maxBuiltinCores = 256
+
 // Builtin returns a built-in platform by name, or nil. Recognized names:
 // "xentium<N>", "xentium<N>-tdm", "leon3-<W>x<H>", "hetero-<F>f<S>s",
 // each spelled exactly as the platform names itself: no sign, leading
-// zero or trailing text.
+// zero or trailing text, and with at most maxBuiltinCores cores.
 func Builtin(name string) *Platform {
 	var n, w, h, f, s int
-	if spells(name, "xentium%d-tdm", &n) && n > 0 {
+	if spells(name, "xentium%d-tdm", &n) && n > 0 && n <= maxBuiltinCores {
 		return XentiumTDMPlatform(n)
 	}
-	if spells(name, "xentium%d", &n) && n > 0 {
+	if spells(name, "xentium%d", &n) && n > 0 && n <= maxBuiltinCores {
 		return XentiumPlatform(n)
 	}
-	if spells(name, "leon3-%dx%d", &w, &h) && w > 0 && h > 0 {
+	if spells(name, "leon3-%dx%d", &w, &h) && w > 0 && h > 0 &&
+		w <= maxBuiltinCores && h <= maxBuiltinCores && w*h <= maxBuiltinCores {
 		return Leon3TilePlatform(w, h)
 	}
-	if spells(name, "hetero-%df%ds", &f, &s) && f >= 0 && s >= 0 && f+s > 0 {
+	if spells(name, "hetero-%df%ds", &f, &s) && f >= 0 && s >= 0 &&
+		f <= maxBuiltinCores && s <= maxBuiltinCores && f+s > 0 && f+s <= maxBuiltinCores {
 		return HeteroPlatform(f, s)
 	}
 	return nil

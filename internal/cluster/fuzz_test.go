@@ -8,8 +8,7 @@ import (
 
 // FuzzHashRing drives the placement invariants with fuzzer-chosen
 // member sets and keys: ownership is a member, Order is an owner-led
-// permutation, OwnerBounded honors the bound semantics, and — the
-// rendezvous property — removing the key's owner reassigns only that
+// permutation, and — the rendezvous property — removing the key's owner reassigns only that
 // key's placement while removing a non-owner never changes it.
 func FuzzHashRing(f *testing.F) {
 	f.Add("a,b,c", "some-key", 3)
@@ -18,7 +17,7 @@ func FuzzHashRing(f *testing.F) {
 	f.Add("", "key", 2)
 	f.Add("m0,m1,m2,m3,m4,m5,m6,m7", "aaaaaaaaaaaaaaaaaaaaaaaa", -1)
 
-	f.Fuzz(func(t *testing.T, memberCSV, key string, bound int) {
+	f.Fuzz(func(t *testing.T, memberCSV, key string, salt int) {
 		var members []string
 		for _, m := range strings.Split(memberCSV, ",") {
 			if m != "" {
@@ -66,18 +65,6 @@ func FuzzHashRing(f *testing.F) {
 			seen[m] = true
 		}
 
-		// Bounded placement: an all-zero load keeps the owner; an
-		// all-saturated load falls back to the owner rather than
-		// rejecting.
-		if got := r.OwnerBounded(key, bound, func(string) int { return 0 }); got != owner {
-			t.Fatalf("OwnerBounded with zero load = %q, want owner %q", got, owner)
-		}
-		if bound > 0 {
-			if got := r.OwnerBounded(key, bound, func(string) int { return bound }); got != owner {
-				t.Fatalf("OwnerBounded all-saturated = %q, want owner %q", got, owner)
-			}
-		}
-
 		// Minimal remap: removing the owner promotes exactly the next
 		// preference; removing any non-owner leaves the key untouched.
 		if r.Len() > 1 {
@@ -102,7 +89,7 @@ func FuzzHashRing(f *testing.F) {
 		}
 
 		// Adding a member moves the key only if the new member wins.
-		added := fmt.Sprintf("fuzz-added-%d", bound)
+		added := fmt.Sprintf("fuzz-added-%d", salt)
 		grown := NewRing(append(append([]string{}, r.Members()...), added))
 		if grown.Len() > r.Len() { // added was genuinely new
 			if got := grown.Owner(key); got != owner && got != added {

@@ -123,21 +123,3 @@ func (r *Ring) Order(key string) []string {
 	}
 	return out
 }
-
-// OwnerBounded is the bounded-load placement: the first member in
-// preference order whose current load (as reported by load) is below
-// bound. When every member is at or over the bound — or bound <= 0 —
-// the plain owner is returned, so the bound sheds overload sideways but
-// never rejects placement outright.
-func (r *Ring) OwnerBounded(key string, bound int, load func(member string) int) string {
-	if bound <= 0 || len(r.members) == 0 {
-		return r.Owner(key)
-	}
-	order := r.Order(key)
-	for _, m := range order {
-		if load(m) < bound {
-			return m
-		}
-	}
-	return order[0]
-}

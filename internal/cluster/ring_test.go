@@ -160,36 +160,6 @@ func TestOrderIsOwnerLedPermutation(t *testing.T) {
 	}
 }
 
-func TestOwnerBounded(t *testing.T) {
-	ms := members(4)
-	r := NewRing(ms)
-	k := "some-key"
-	order := r.Order(k)
-
-	// bound <= 0 disables the load check.
-	if got := r.OwnerBounded(k, 0, func(string) int { t.Fatal("load consulted"); return 0 }); got != order[0] {
-		t.Fatalf("unbounded owner = %q, want %q", got, order[0])
-	}
-	// Owner below bound: stays put.
-	if got := r.OwnerBounded(k, 2, func(string) int { return 0 }); got != order[0] {
-		t.Fatalf("underloaded owner = %q, want %q", got, order[0])
-	}
-	// Owner at bound: falls to the next preference.
-	load := func(m string) int {
-		if m == order[0] {
-			return 2
-		}
-		return 0
-	}
-	if got := r.OwnerBounded(k, 2, load); got != order[1] {
-		t.Fatalf("overloaded owner fell to %q, want %q", got, order[1])
-	}
-	// Everyone at bound: the plain owner wins rather than rejecting.
-	if got := r.OwnerBounded(k, 2, func(string) int { return 99 }); got != order[0] {
-		t.Fatalf("all-overloaded owner = %q, want %q", got, order[0])
-	}
-}
-
 // TestMembershipFixture pins the exact placements of a 5 -> 4 -> 6
 // membership walk for a fixed key set, so any change to the weight
 // function or tie-break rule — which would silently remap every

@@ -175,17 +175,10 @@ func CompileContext(ctx context.Context, src *scil.Program, opt Options) (*Artif
 // candidate ladder varies only back-end options, so the front-end runs
 // once and each candidate works on a private clone of its IR.
 type FrontEnd struct {
-	entry string
-	args  []ir.ArgSpec
-	prog  *ir.Program
+	prog *ir.Program
 	// trace holds the front-end pass timings; every candidate's
 	// back-end trace is seeded with a copy.
 	trace []pass.Timing
-}
-
-// NewFrontEnd checks src and lowers it to IR once.
-func NewFrontEnd(ctx context.Context, src *scil.Program, entry string, args []ir.ArgSpec) (*FrontEnd, error) {
-	return newFrontEnd(ctx, src, entry, args, PassOptions{})
 }
 
 // newFrontEnd runs the front-end passes (check, lower) under a pass
@@ -196,7 +189,7 @@ func newFrontEnd(ctx context.Context, src *scil.Program, entry string, args []ir
 	if err := newManager(popt).Run(c, checkPass(), lowerPass(entry, args)); err != nil {
 		return nil, err
 	}
-	return &FrontEnd{entry: entry, args: args, prog: irProg(c), trace: c.Trace().Passes}, nil
+	return &FrontEnd{prog: irProg(c), trace: c.Trace().Passes}, nil
 }
 
 // newManager builds the pass manager one pipeline execution uses.
@@ -225,20 +218,6 @@ func newManager(popt PassOptions) *pass.Manager {
 		}
 	}
 	return m
-}
-
-// Matches reports whether the memoized front-end covers the given
-// specialization.
-func (fe *FrontEnd) Matches(entry string, args []ir.ArgSpec) bool {
-	if fe == nil || fe.entry != entry || len(fe.args) != len(args) {
-		return false
-	}
-	for i := range args {
-		if fe.args[i] != args[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CompileContext runs the per-candidate back-end on a private clone of

@@ -11,9 +11,9 @@
 // included), the same fuel consumption, and — crucially for the
 // segment-trace and WCET layers — the same ir.Meter event sequence
 // (every Ops/Read/Write call, in order, with the same amounts) as
-// ir.Exec. The tree walker stays in place as the differential oracle
-// (the SolveMIPReference pattern); FuzzVMExec and the internal/sim
-// golden diffs enforce the equivalence continuously.
+// ir.Exec. The tree walker stays in place as the differential oracle;
+// FuzzVMExec and the internal/sim golden diffs enforce the equivalence
+// continuously.
 package vm
 
 import (
@@ -245,8 +245,7 @@ func (p *Program) IR() *ir.Program { return p.ir }
 func (p *Program) NumRegions() int { return len(p.regions) }
 
 // compileLimit caps the register file and instruction stream so a
-// pathological program falls back to the tree walker instead of
-// exhausting memory on compilation.
+// pathological program fails to compile instead of exhausting memory.
 const compileLimit = 1 << 22
 
 // Compile lowers the program's entry body into bytecode.

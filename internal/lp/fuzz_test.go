@@ -40,81 +40,144 @@ func randomMIP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// FuzzSolveMIP cross-checks the warm-started branch-and-bound against
-// the rebuild-per-node reference: same status, and objective values
-// within solver tolerance.
+// FuzzSolveMIP checks SolveMIP against what an answer must satisfy: an
+// optimal one meets every constraint, is integral where required, does
+// not beat the LP relaxation, and reports the objective of its X. On
+// all-integer instances, whose variables randomMIP bounds by 14, it must
+// also equal exhaustive enumeration of the bounded box, including when
+// that box holds no feasible point.
 func FuzzSolveMIP(f *testing.F) {
-	for seed := int64(0); seed < 16; seed++ {
+	// Seed 22 is the first whose optimum a search missing either branch
+	// direction gets wrong.
+	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomMIP(rng)
-		warm := SolveMIP(p)
-		cold := SolveMIPReference(p)
-		if warm.Status != cold.Status {
-			t.Fatalf("seed %d: warm status %v, cold status %v", seed, warm.Status, cold.Status)
+		p := randomMIP(rand.New(rand.NewSource(seed)))
+		sol := SolveMIP(p)
+		if best, feasible, ok := enumerate(p); ok {
+			if !feasible {
+				if sol.Status != Infeasible {
+					t.Fatalf("seed %d: status %v, enumeration finds no feasible point", seed, sol.Status)
+				}
+				return
+			}
+			if sol.Status != Optimal {
+				t.Fatalf("seed %d: status %v, enumeration finds optimum %v", seed, sol.Status, best)
+			}
+			if !near(sol.Obj, best) {
+				t.Fatalf("seed %d: obj %v, enumeration finds optimum %v", seed, sol.Obj, best)
+			}
 		}
-		if warm.Status != Optimal {
+		if sol.Status != Optimal {
 			return
 		}
-		tol := 1e-6 * (1 + math.Abs(cold.Obj))
-		if math.Abs(warm.Obj-cold.Obj) > tol {
-			t.Fatalf("seed %d: warm obj %v, cold obj %v (tol %v)", seed, warm.Obj, cold.Obj, tol)
+		if len(sol.X) != p.NumVars() {
+			t.Fatalf("seed %d: %d values for %d variables", seed, len(sol.X), p.NumVars())
 		}
-		// The incumbent must satisfy the integrality restrictions.
-		if idx := firstFractional(warm.X, p.Integer); idx >= 0 {
-			t.Fatalf("seed %d: warm solution fractional at %d: %v", seed, idx, warm.X[idx])
+		obj := 0.0
+		for j, xj := range sol.X {
+			if xj < -1e-6 {
+				t.Fatalf("seed %d: x[%d] = %v is negative", seed, j, xj)
+			}
+			obj += p.Obj[j] * xj
+		}
+		if !near(sol.Obj, obj) {
+			t.Fatalf("seed %d: reported obj %v, c·x = %v", seed, sol.Obj, obj)
+		}
+		for i, con := range p.Cons {
+			if !satisfies(con, sol.X, 1e-6*(1+math.Abs(con.RHS))) {
+				t.Fatalf("seed %d: constraint %d violated by %v", seed, i, sol.X)
+			}
+		}
+		for j, xj := range sol.X {
+			if p.Integer[j] && math.Abs(xj-math.Round(xj)) > 1e-6 {
+				t.Fatalf("seed %d: integer x[%d] = %v", seed, j, xj)
+			}
+		}
+		relax := Solve(p)
+		if relax.Status != Optimal || sol.Obj > relax.Obj+1e-6*(1+math.Abs(relax.Obj)) {
+			t.Fatalf("seed %d: obj %v beats the relaxation (%v, obj %v)", seed, sol.Obj, relax.Status, relax.Obj)
 		}
 	})
 }
 
-func sameSolution(a, b Solution) bool {
-	if a.Status != b.Status || math.Float64bits(a.Obj) != math.Float64bits(b.Obj) || len(a.X) != len(b.X) {
-		return false
+// satisfies reports whether x meets con within tol.
+func satisfies(con Constraint, x []float64, tol float64) bool {
+	dot := 0.0
+	for j, c := range con.Coef {
+		dot += c * x[j]
 	}
-	for i := range a.X {
-		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
-			return false
-		}
+	switch con.Rel {
+	case LE:
+		return dot <= con.RHS+tol
+	case GE:
+		return dot >= con.RHS-tol
 	}
-	return true
+	return math.Abs(dot-con.RHS) <= tol
 }
 
-// TestWorkspaceDeterministic asserts that repeated solves of the same
-// problem on one reused workspace are bit-identical: reinitialization
-// must not leak state from earlier (including larger) solves.
-func TestWorkspaceDeterministic(t *testing.T) {
-	w := NewWorkspace()
-	rng := rand.New(rand.NewSource(7))
-	probs := make([]*Problem, 24)
-	for i := range probs {
-		probs[i] = randomMIP(rng)
+// enumerate finds the optimum of an all-integer p by trying every
+// integer point of the box its unit upper-bound rows span. ok is false
+// when p has a continuous variable or a variable without such a bound.
+func enumerate(p *Problem) (best float64, feasible, ok bool) {
+	n := p.NumVars()
+	hi := make([]int, n)
+	for j := range hi {
+		hi[j] = math.MaxInt
+		if !p.Integer[j] {
+			return 0, false, false
+		}
 	}
-	firstLP := make([]Solution, len(probs))
-	firstMIP := make([]Solution, len(probs))
-	for i, p := range probs {
-		firstLP[i] = w.Solve(p)
-		firstMIP[i] = w.SolveMIP(p)
+	for _, con := range p.Cons {
+		if unit := unitRow(con); unit >= 0 && con.Rel == LE {
+			hi[unit] = min(hi[unit], int(math.Floor(con.RHS)))
+		}
 	}
-	// Replay in a different interleaving on the same workspace.
-	for round := 0; round < 2; round++ {
-		for i := len(probs) - 1; i >= 0; i-- {
-			if got := w.Solve(probs[i]); !sameSolution(got, firstLP[i]) {
-				t.Fatalf("round %d problem %d: Solve not bit-identical: %+v vs %+v", round, i, got, firstLP[i])
+	for _, h := range hi {
+		if h == math.MaxInt {
+			return 0, false, false
+		}
+	}
+	x := make([]float64, n)
+	best = math.Inf(-1)
+	var walk func(j int)
+	walk = func(j int) {
+		if j == n {
+			for _, con := range p.Cons {
+				if !satisfies(con, x, 0) {
+					return
+				}
 			}
-			if got := w.SolveMIP(probs[i]); !sameSolution(got, firstMIP[i]) {
-				t.Fatalf("round %d problem %d: SolveMIP not bit-identical: %+v vs %+v", round, i, got, firstMIP[i])
+			obj := 0.0
+			for k, xk := range x {
+				obj += p.Obj[k] * xk
 			}
+			if !feasible || obj > best {
+				best, feasible = obj, true
+			}
+			return
+		}
+		for v := 0; v <= hi[j]; v++ {
+			x[j] = float64(v)
+			walk(j + 1)
 		}
 	}
-	// The pooled package-level entry points agree with a fresh workspace.
-	for i, p := range probs {
-		if got := Solve(p); !sameSolution(got, firstLP[i]) {
-			t.Fatalf("pooled Solve differs on problem %d", i)
-		}
-		if got := SolveMIP(p); !sameSolution(got, firstMIP[i]) {
-			t.Fatalf("pooled SolveMIP differs on problem %d", i)
+	walk(0)
+	return best, feasible, true
+}
+
+// unitRow returns j when con's coefficients are the unit vector e_j, else -1.
+func unitRow(con Constraint) int {
+	unit := -1
+	for j, c := range con.Coef {
+		switch {
+		case c == 0:
+		case c == 1 && unit < 0:
+			unit = j
+		default:
+			return -1
 		}
 	}
+	return unit
 }

@@ -11,21 +11,11 @@
 //	subject to  A x (<= | = | >=) b ,  x >= 0
 //
 // with optional integrality restrictions per variable.
-//
-// The solver state lives in a Workspace: a flat backing array holds the
-// dense tableau, and repeated solves on one workspace reuse that memory,
-// so the steady state allocates only the returned Solution.X. The
-// package-level Solve/SolveMIP draw workspaces from an internal pool.
-// SolveMIP warm-starts every branch-and-bound child from its parent's
-// optimal basis: the branching bound is appended as one extra row and
-// primal feasibility is restored with a dual-simplex pass, instead of
-// re-solving each node from scratch.
 package lp
 
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Relation is a constraint comparator.
@@ -116,33 +106,19 @@ type Solution struct {
 
 const eps = 1e-9
 
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// Solve solves the LP relaxation of p (ignoring Integer) on a pooled
-// workspace.
+// Solve solves the LP relaxation of p (ignoring Integer).
 func Solve(p *Problem) Solution {
-	w := wsPool.Get().(*Workspace)
-	sol := w.Solve(p)
-	wsPool.Put(w)
-	return sol
+	t, err := newTableau(p)
+	if err != nil {
+		return Solution{Status: Infeasible}
+	}
+	return t.solve()
 }
 
-// SolveMIP solves p with its integrality restrictions via depth-first
-// branch-and-bound on the LP relaxation, warm-starting each node from
-// its parent basis (see Workspace.SolveMIP).
+// SolveMIP solves p with its integrality restrictions by depth-first
+// branch-and-bound on the LP relaxation: every node adds its branching
+// bounds to the problem's constraints and is solved from scratch.
 func SolveMIP(p *Problem) Solution {
-	w := wsPool.Get().(*Workspace)
-	sol := w.SolveMIP(p)
-	wsPool.Put(w)
-	return sol
-}
-
-// SolveMIPReference is the naive branch-and-bound: every node rebuilds
-// the full problem with its accumulated bound constraints and re-solves
-// it from scratch. It explores the tree in the same order as SolveMIP
-// and is kept as the differential-testing and benchmarking baseline for
-// the warm-started solver.
-func SolveMIPReference(p *Problem) Solution {
 	relax := Solve(p)
 	if relax.Status != Optimal || p.Integer == nil {
 		return relax
@@ -207,124 +183,33 @@ func firstFractional(x []float64, integer []bool) int {
 // a valid incumbent on bail-out.
 const maxBBNodes = 100_000
 
-// --- workspace --------------------------------------------------------------
-
-// Workspace holds all solver memory. A workspace may be reused for any
-// number of solves — each solve fully reinitializes the tableau, growing
-// the flat backing array only when a problem needs more room — so the
-// steady state allocates nothing beyond the returned Solution.X.
-// Workspaces are not safe for concurrent use; use one per goroutine or
-// the pooled package-level Solve/SolveMIP.
-type Workspace struct {
-	t      tableau
-	free   []*bbSnap   // branch-and-bound snapshot freelist
-	xBuf   []float64   // scratch extraction buffer
-	bndBuf [][]bbBound // branch-bound-list freelist (retired node bounds)
-}
-
-// takeBounds returns a zero-length bound list from the freelist (or a
-// fresh one), and giveBounds retires a node's list once no live node
-// references it.
-func (w *Workspace) takeBounds() []bbBound {
-	if k := len(w.bndBuf); k > 0 {
-		bs := w.bndBuf[k-1][:0]
-		w.bndBuf = w.bndBuf[:k-1]
-		return bs
-	}
-	return nil
-}
-
-func (w *Workspace) giveBounds(bs []bbBound) {
-	if cap(bs) > 0 {
-		w.bndBuf = append(w.bndBuf, bs)
-	}
-}
-
-// NewWorkspace returns an empty solver workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// Solve solves the LP relaxation of p (ignoring Integer), reusing the
-// workspace's tableau memory.
-func (w *Workspace) Solve(p *Problem) Solution {
-	if err := w.t.init(p); err != nil {
-		return Solution{Status: Infeasible}
-	}
-	return w.t.solve()
-}
-
 // --- two-phase simplex ------------------------------------------------------
 
 // tableau is a dense simplex tableau in standard form: maximize c·x with
-// equality rows after adding slack/surplus/artificial variables. Rows
-// live in one flat backing array of rowsCap×stride entries; row i is
-// a[i*stride : i*stride+n]. Artificial columns occupy [artStart,
-// artEnd); branch-and-bound appends bound rows and their slack columns
-// past artEnd.
+// equality rows after adding slack/surplus/artificial variables. Row i
+// is a[i*n : (i+1)*n]. Artificial columns occupy [artStart, n).
 type tableau struct {
-	m, n     int // active constraints, active columns
-	stride   int // allocated row width (>= n)
-	rowsCap  int // allocated rows (>= m)
+	m, n     int // constraints, columns
 	a        []float64
 	b        []float64
 	c        []float64 // real objective over all n columns
 	basis    []int
 	nStruct  int
 	artStart int
-	artEnd   int
 	cb       []float64 // scratch: objective coefficient of each basic var
-	objBuf   []float64 // scratch: phase objectives
 }
 
 func (t *tableau) row(i int) []float64 {
-	return t.a[i*t.stride : i*t.stride+t.n]
+	return t.a[i*t.n : (i+1)*t.n]
 }
 
-// grow ensures capacity for mNeed rows × nNeed columns, preserving the
-// active m×n region.
-func (t *tableau) grow(mNeed, nNeed int) {
-	if mNeed <= t.rowsCap && nNeed <= t.stride {
-		return
-	}
-	newStride := t.stride
-	if nNeed > newStride {
-		newStride = 2 * t.stride
-		if nNeed > newStride {
-			newStride = nNeed
-		}
-	}
-	newRows := t.rowsCap
-	if mNeed > newRows {
-		newRows = 2 * t.rowsCap
-		if mNeed > newRows {
-			newRows = mNeed
-		}
-	}
-	na := make([]float64, newRows*newStride)
-	for i := 0; i < t.m; i++ {
-		copy(na[i*newStride:], t.a[i*t.stride:i*t.stride+t.n])
-	}
-	t.a, t.stride, t.rowsCap = na, newStride, newRows
-
-	nb := make([]float64, newRows)
-	copy(nb, t.b[:t.m])
-	t.b = nb
-	nbasis := make([]int, newRows)
-	copy(nbasis, t.basis[:t.m])
-	t.basis = nbasis
-	t.cb = make([]float64, newRows)
-	nc := make([]float64, newStride)
-	copy(nc, t.c[:t.n])
-	t.c = nc
-	t.objBuf = make([]float64, newStride)
-}
-
-// init loads p into the tableau, reusing backing memory.
-func (t *tableau) init(p *Problem) error {
+// newTableau loads p into a fresh tableau.
+func newTableau(p *Problem) (*tableau, error) {
 	m := len(p.Cons)
 	nStruct := p.NumVars()
 	for _, con := range p.Cons {
 		if len(con.Coef) != nStruct {
-			return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(con.Coef), nStruct)
+			return nil, fmt.Errorf("lp: constraint has %d coefficients, want %d", len(con.Coef), nStruct)
 		}
 	}
 	// Count slacks and artificials.
@@ -336,16 +221,20 @@ func (t *tableau) init(p *Problem) error {
 	}
 	nArt := m // one artificial per row keeps phase 1 trivial
 	n := nStruct + nSlack + nArt
-	t.m, t.n = 0, 0 // nothing to preserve
-	t.grow(m, n)
-	t.m, t.n = m, n
-	t.nStruct, t.artStart, t.artEnd = nStruct, nStruct+nSlack, n
-	clear(t.c[:n])
+	t := &tableau{
+		m: m, n: n,
+		a:        make([]float64, m*n),
+		b:        make([]float64, m),
+		c:        make([]float64, n),
+		basis:    make([]int, m),
+		nStruct:  nStruct,
+		artStart: nStruct + nSlack,
+		cb:       make([]float64, m),
+	}
 	copy(t.c, p.Obj)
 	slack := nStruct
 	for i, con := range p.Cons {
-		row := t.a[i*t.stride : i*t.stride+n]
-		clear(row)
+		row := t.row(i)
 		copy(row, con.Coef)
 		rhs := con.RHS
 		sign := 1.0
@@ -369,7 +258,7 @@ func (t *tableau) init(p *Problem) error {
 		t.b[i] = rhs
 		t.basis[i] = t.artStart + i
 	}
-	return nil
+	return t, nil
 }
 
 // pivot performs a pivot on (row, col).
@@ -397,11 +286,6 @@ func (t *tableau) pivot(row, col int) {
 	t.basis[row] = col
 }
 
-// allowed reports whether column j may enter the basis once phase 1 is
-// done: artificials stay barred, everything else (structural, slack, and
-// branch-and-bound bound columns past artEnd) is eligible.
-func (t *tableau) allowed(j int) bool { return j < t.artStart || j >= t.artEnd }
-
 // runSimplex maximizes objective coefficients obj over the current
 // tableau (obj has length t.n). barArt bars artificial columns from
 // entering the basis (phase 2).
@@ -411,18 +295,17 @@ func (t *tableau) runSimplex(obj []float64, barArt bool) Status {
 	// small for IPET problems; clarity over speed).
 	for iter := 0; iter < 10000; iter++ {
 		// y = c_B B^{-1} is implicit: compute reduced costs r_j = obj_j - sum_i obj_basis[i] * a[i][j].
-		cb := t.cb[:t.m]
-		for i, bi := range t.basis[:t.m] {
-			cb[i] = obj[bi]
+		for i, bi := range t.basis {
+			t.cb[i] = obj[bi]
 		}
 		entering := -1
 		for j := 0; j < t.n; j++ {
-			if barArt && !t.allowed(j) {
+			if barArt && j >= t.artStart {
 				continue
 			}
 			r := obj[j]
 			for i := 0; i < t.m; i++ {
-				r -= cb[i] * t.a[i*t.stride+j]
+				r -= t.cb[i] * t.a[i*t.n+j]
 			}
 			if r > eps { // Bland: first improving column
 				entering = j
@@ -436,8 +319,8 @@ func (t *tableau) runSimplex(obj []float64, barArt bool) Status {
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			if t.a[i*t.stride+entering] > eps {
-				ratio := t.b[i] / t.a[i*t.stride+entering]
+			if t.a[i*t.n+entering] > eps {
+				ratio := t.b[i] / t.a[i*t.n+entering]
 				if ratio < bestRatio-eps || (math.Abs(ratio-bestRatio) <= eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
 					bestRatio = ratio
 					leave = i
@@ -454,18 +337,17 @@ func (t *tableau) runSimplex(obj []float64, barArt bool) Status {
 
 func (t *tableau) solve() Solution {
 	// Phase 1: minimize sum of artificials == maximize -sum(artificials).
-	phase1 := t.objBuf[:t.n]
-	clear(phase1)
-	for j := t.artStart; j < t.artEnd; j++ {
-		phase1[j] = -1
+	obj := make([]float64, t.n)
+	for j := t.artStart; j < t.n; j++ {
+		obj[j] = -1
 	}
-	st := t.runSimplex(phase1, false)
+	st := t.runSimplex(obj, false)
 	if st != Optimal {
 		return Solution{Status: Infeasible}
 	}
 	artSum := 0.0
-	for i, bi := range t.basis[:t.m] {
-		if bi >= t.artStart && bi < t.artEnd {
+	for i, bi := range t.basis {
+		if bi >= t.artStart {
 			artSum += t.b[i]
 		}
 	}
@@ -474,7 +356,7 @@ func (t *tableau) solve() Solution {
 	}
 	// Drive remaining artificials out of the basis where possible.
 	for i := 0; i < t.m; i++ {
-		if t.basis[i] >= t.artStart && t.basis[i] < t.artEnd && t.b[i] <= eps {
+		if t.basis[i] >= t.artStart && t.b[i] <= eps {
 			ri := t.row(i)
 			for j := 0; j < t.artStart; j++ {
 				if math.Abs(ri[j]) > eps {
@@ -485,22 +367,12 @@ func (t *tableau) solve() Solution {
 		}
 	}
 	// Phase 2: maximize the real objective, artificials barred.
-	obj := t.objBuf[:t.n]
-	copy(obj, t.c[:t.n])
-	st = t.runSimplex(obj, true)
+	st = t.runSimplex(t.c, true)
 	if st != Optimal {
 		return Solution{Status: st}
 	}
 	x := make([]float64, t.nStruct)
-	obj2 := t.extract(x)
-	return Solution{Status: Optimal, X: x, Obj: obj2}
-}
-
-// extract reads the current basic solution into x (length nStruct) and
-// returns the objective value.
-func (t *tableau) extract(x []float64) float64 {
-	clear(x)
-	for i, bi := range t.basis[:t.m] {
+	for i, bi := range t.basis {
 		if bi < t.nStruct {
 			x[bi] = t.b[i]
 		}
@@ -509,311 +381,5 @@ func (t *tableau) extract(x []float64) float64 {
 	for j, cj := range t.c[:t.nStruct] {
 		objVal += cj * x[j]
 	}
-	return objVal
-}
-
-// --- warm-started branch-and-bound ------------------------------------------
-
-// bbBound is one branching decision: x[idx] <= fl (down) or
-// x[idx] >= fl+1 (up).
-type bbBound struct {
-	idx  int
-	fl   float64
-	down bool
-}
-
-// bbSnap is a compact snapshot of a solved tableau: the parent basis a
-// branch-and-bound child warm-starts from. refs counts the children
-// still waiting to restore it.
-type bbSnap struct {
-	refs  int
-	m, n  int
-	a     []float64 // compact m×n
-	b     []float64
-	basis []int
-}
-
-func (w *Workspace) snap() *bbSnap {
-	t := &w.t
-	var s *bbSnap
-	if k := len(w.free); k > 0 {
-		s = w.free[k-1]
-		w.free = w.free[:k-1]
-	} else {
-		s = &bbSnap{}
-	}
-	need := t.m * t.n
-	if cap(s.a) < need {
-		s.a = make([]float64, need)
-	}
-	if cap(s.b) < t.m {
-		s.b = make([]float64, t.m)
-		s.basis = make([]int, t.m)
-	}
-	s.m, s.n = t.m, t.n
-	for i := 0; i < t.m; i++ {
-		copy(s.a[i*t.n:(i+1)*t.n], t.row(i))
-	}
-	copy(s.b[:t.m], t.b[:t.m])
-	copy(s.basis[:t.m], t.basis[:t.m])
-	return s
-}
-
-// restore loads a snapshot back into the workspace tableau. The problem
-// dimensions (nStruct, artStart, artEnd) are unchanged across a
-// branch-and-bound run, so only the rows, rhs, and basis move.
-func (w *Workspace) restore(s *bbSnap) {
-	t := &w.t
-	t.grow(s.m, s.n)
-	t.m, t.n = s.m, s.n
-	for i := 0; i < s.m; i++ {
-		copy(t.row(i), s.a[i*s.n:(i+1)*s.n])
-	}
-	copy(t.b[:s.m], s.b[:s.m])
-	copy(t.basis[:s.m], s.basis[:s.m])
-}
-
-// release returns a snapshot to the freelist once all children consumed it.
-func (w *Workspace) release(s *bbSnap) {
-	s.refs--
-	if s.refs <= 0 {
-		w.free = append(w.free, s)
-	}
-}
-
-// addBranchRow appends the bound row for bd with a fresh basic slack
-// column, expressed in the current basis. The up direction is encoded in
-// <=-form (-x[idx] <= -(fl+1)) so the new slack is basic with a negative
-// value and a dual-simplex pass restores feasibility.
-func (t *tableau) addBranchRow(bd bbBound) {
-	newRow, newCol := t.m, t.n
-	t.grow(newRow+1, newCol+1)
-	t.m, t.n = newRow+1, newCol+1
-	// The freshly exposed column may hold stale values from a previous
-	// larger solve: zero it everywhere.
-	for i := 0; i < newRow; i++ {
-		t.a[i*t.stride+newCol] = 0
-	}
-	t.c[newCol] = 0
-	r := t.row(newRow)
-	clear(r)
-	var rhs float64
-	if bd.down {
-		r[bd.idx] = 1
-		rhs = bd.fl
-	} else {
-		r[bd.idx] = -1
-		rhs = -(bd.fl + 1)
-	}
-	r[newCol] = 1
-	// Express the row in the current basis: subtract basic-variable
-	// multiples so every basic column reads zero. Basis columns are unit
-	// columns, so one sweep suffices.
-	for i := 0; i < newRow; i++ {
-		f := r[t.basis[i]]
-		if f == 0 {
-			continue
-		}
-		ri := t.row(i)
-		for j := range ri {
-			r[j] -= f * ri[j]
-		}
-		rhs -= f * t.b[i]
-	}
-	t.b[newRow] = rhs
-	t.basis[newRow] = newCol
-}
-
-// dualSimplex restores primal feasibility after bound rows made some
-// basic values negative, keeping dual feasibility (optimal reduced
-// costs) throughout. Returns Optimal when feasible, Infeasible when a
-// negative row admits no pivot, and Unbounded as a did-not-converge
-// sentinel (the caller falls back to a cold solve).
-func (t *tableau) dualSimplex() Status {
-	for iter := 0; iter < 10000; iter++ {
-		leave := -1
-		for i := 0; i < t.m; i++ {
-			if t.b[i] < -eps {
-				leave = i
-				break
-			}
-		}
-		if leave < 0 {
-			return Optimal
-		}
-		cb := t.cb[:t.m]
-		for i, bi := range t.basis[:t.m] {
-			cb[i] = t.c[bi]
-		}
-		lr := t.row(leave)
-		entering := -1
-		bestRatio := math.Inf(1)
-		for j := 0; j < t.n; j++ {
-			if !t.allowed(j) {
-				continue
-			}
-			if lr[j] < -eps {
-				r := t.c[j]
-				for i := 0; i < t.m; i++ {
-					r -= cb[i] * t.a[i*t.stride+j]
-				}
-				// r <= 0 and lr[j] < 0, so the ratio is >= 0; the smallest
-				// ratio keeps every reduced cost non-positive. First j wins
-				// ties (Bland-style).
-				if ratio := r / lr[j]; ratio < bestRatio-eps {
-					bestRatio = ratio
-					entering = j
-				}
-			}
-		}
-		if entering < 0 {
-			return Infeasible // a row demands negativity no column can fix
-		}
-		t.pivot(leave, entering)
-	}
-	return Unbounded // did not converge; caller re-solves cold
-}
-
-// coldNode re-solves one branch-and-bound node from scratch (the rare
-// fallback when the dual simplex fails to converge).
-func coldNode(p *Problem, bounds []bbBound) Solution {
-	n := p.NumVars()
-	cons := make([]Constraint, 0, len(p.Cons)+len(bounds))
-	cons = append(cons, p.Cons...)
-	for _, bd := range bounds {
-		coef := make([]float64, n)
-		if bd.down {
-			coef[bd.idx] = 1
-			cons = append(cons, Constraint{Coef: coef, Rel: LE, RHS: bd.fl})
-		} else {
-			coef[bd.idx] = 1
-			cons = append(cons, Constraint{Coef: coef, Rel: GE, RHS: bd.fl + 1})
-		}
-	}
-	return Solve(&Problem{Obj: p.Obj, Cons: cons})
-}
-
-// SolveMIP solves p with its integrality restrictions via depth-first
-// branch-and-bound, warm-starting every child node from its parent's
-// optimal basis: the branching bound becomes one extra tableau row and a
-// dual-simplex pass restores feasibility. Node exploration order matches
-// SolveMIPReference; objective values agree within solver tolerance.
-func (w *Workspace) SolveMIP(p *Problem) Solution {
-	relax := w.Solve(p)
-	if relax.Status != Optimal || p.Integer == nil {
-		return relax
-	}
-	if idx := firstFractional(relax.X, p.Integer); idx < 0 {
-		return relax
-	}
-	best := Solution{Status: Infeasible, Obj: math.Inf(-1)}
-	if cap(w.xBuf) < w.t.nStruct {
-		w.xBuf = make([]float64, w.t.nStruct)
-	}
-	x := w.xBuf[:w.t.nStruct]
-
-	type node struct {
-		snap   *bbSnap // parent basis; nil means replay bounds from the root
-		bounds []bbBound
-	}
-	branch := func(sol trialSolution, parentBounds []bbBound, snap *bbSnap) (down, up node) {
-		fl := math.Floor(sol.x[sol.fracIdx])
-		mk := func(downDir bool) node {
-			bs := append(w.takeBounds(), parentBounds...)
-			bs = append(bs, bbBound{idx: sol.fracIdx, fl: fl, down: downDir})
-			return node{snap: snap, bounds: bs}
-		}
-		return mk(true), mk(false)
-	}
-
-	root := w.snap()
-	root.refs = 2 + 1 // two children + a driver hold for nil-snap replays
-	rootSol := trialSolution{status: Optimal, x: relax.X, obj: relax.Obj,
-		fracIdx: firstFractional(relax.X, p.Integer)}
-	stack := make([]node, 0, 16)
-	dn, up := branch(rootSol, nil, root)
-	stack = append(stack, dn, up)
-
-	iters := 0
-	for len(stack) > 0 {
-		iters++
-		if iters > maxBBNodes {
-			break // bail out; best-so-far is still a valid incumbent
-		}
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		sol := w.evalNode(p, nd.snap, root, nd.bounds, x)
-		if nd.snap != nil {
-			w.release(nd.snap)
-		}
-		if sol.status != Optimal {
-			w.giveBounds(nd.bounds)
-			continue
-		}
-		if sol.obj <= best.Obj+eps {
-			w.giveBounds(nd.bounds)
-			continue // bound: cannot beat incumbent
-		}
-		sol.fracIdx = firstFractional(sol.x, p.Integer)
-		if sol.fracIdx < 0 {
-			xc := make([]float64, len(sol.x))
-			copy(xc, sol.x)
-			best = Solution{Status: Optimal, X: xc, Obj: sol.obj}
-			w.giveBounds(nd.bounds)
-			continue
-		}
-		var snap *bbSnap
-		if sol.warm { // tableau sits at this node's basis: children warm-start from it
-			snap = w.snap()
-			snap.refs = 2
-		}
-		dn, up := branch(sol, nd.bounds, snap)
-		stack = append(stack, dn, up)
-		// Children copied nd.bounds; the node's own list is now dead.
-		w.giveBounds(nd.bounds)
-	}
-	w.release(root) // drop the driver hold
-	if best.Status == Optimal {
-		return best
-	}
-	return Solution{Status: Infeasible}
-}
-
-// trialSolution is one branch-and-bound node outcome; x aliases the
-// workspace scratch buffer unless the node was solved cold.
-type trialSolution struct {
-	status  Status
-	x       []float64
-	obj     float64
-	fracIdx int
-	warm    bool // tableau holds this node's basis (snapshot-able)
-}
-
-// evalNode solves one branch-and-bound node. With a parent snapshot only
-// the final bound is applied on top of the parent basis; without one the
-// whole bound list replays on the root basis. Dual-simplex
-// non-convergence falls back to a cold solve of the node.
-func (w *Workspace) evalNode(p *Problem, snap, root *bbSnap, bounds []bbBound, x []float64) trialSolution {
-	var pending []bbBound
-	if snap != nil {
-		w.restore(snap)
-		pending = bounds[len(bounds)-1:]
-	} else {
-		w.restore(root)
-		pending = bounds
-	}
-	for _, bd := range pending {
-		w.t.addBranchRow(bd)
-		switch w.t.dualSimplex() {
-		case Optimal:
-		case Infeasible:
-			return trialSolution{status: Infeasible}
-		default: // did not converge: solve this node from scratch
-			sol := coldNode(p, bounds)
-			return trialSolution{status: sol.Status, x: sol.X, obj: sol.Obj}
-		}
-	}
-	obj := w.t.extract(x)
-	return trialSolution{status: Optimal, x: x, obj: obj, warm: true}
+	return Solution{Status: Optimal, X: x, Obj: objVal}
 }

@@ -1,7 +1,7 @@
 // Package memo is the one bounded memo table behind every in-process
 // cache of the tool-chain: the service result cache, the pass-result
-// caches, the WCET bound cache, the shared VM code cache, the session
-// result memo and the cluster hot set.
+// caches, the WCET bound cache, the session result memo and the cluster
+// hot set.
 //
 // Every one of those caches is an accelerator keyed by content, not a
 // correctness mechanism: which entry survives never changes a result,

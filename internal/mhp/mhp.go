@@ -100,20 +100,3 @@ func (an *Analysis) ContenderCores(t int, start, finish []int64) int {
 	}
 	return len(cores)
 }
-
-// ContenderCoresScratch is ContenderCores without allocations: seen must
-// be a caller-owned scratch slice of at least NumCores length; it is
-// reset on entry. The count matches ContenderCores exactly.
-func (an *Analysis) ContenderCoresScratch(t int, start, finish []int64, seen []bool) int {
-	clear(seen)
-	cnt := 0
-	for o := range an.in.Tasks {
-		if an.in.Tasks[o].SharedAccesses > 0 && an.MayHappenInParallel(t, o, start, finish) {
-			if c := an.s.Placements[o].Core; !seen[c] {
-				seen[c] = true
-				cnt++
-			}
-		}
-	}
-	return cnt
-}

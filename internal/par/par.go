@@ -228,16 +228,6 @@ func (p *Program) placeBuffers() error {
 	return nil
 }
 
-// BufferFor returns the placement of v, or nil.
-func (p *Program) BufferFor(v *ir.Var) *Buffer {
-	for i := range p.Buffers {
-		if p.Buffers[i].V == v {
-			return &p.Buffers[i]
-		}
-	}
-	return nil
-}
-
 // buildEntries lays out each core's static program with explicit
 // synchronization for every cross-core dependence.
 func (p *Program) buildEntries() {

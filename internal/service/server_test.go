@@ -406,6 +406,7 @@ func TestBadRequests(t *testing.T) {
 		{"platform with trailing blank", "/v1/compile", `{"usecase":"weaa","platform":"xentium16 "}`, 404},
 		{"mesh with trailing text", "/v1/compile", `{"usecase":"weaa","platform":"leon3-2x2junk"}`, 404},
 		{"hetero with trailing text", "/v1/simulate", `{"usecase":"weaa","platform":"hetero-2f2sz"}`, 404},
+		{"mesh whose core count overflows", "/v1/compile", `{"usecase":"weaa","platform":"leon3-4294967296x4294967296"}`, 404},
 		{"unknown policy", "/v1/compile", `{"usecase":"weaa","policy":"nope"}`, 400},
 		{"unknown field", "/v1/compile", `{"usecase":"weaa","bogus":1}`, 400},
 		{"source without entry", "/v1/compile", `{"source":"function y = f(x)\ny = x\nendfunction"}`, 400},

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"expvar"
 	"math"
 	"slices"
@@ -14,7 +12,6 @@ import (
 	"argo/internal/ir/vm"
 	"argo/internal/memo"
 	"argo/internal/par"
-	"argo/internal/wcet"
 )
 
 // Trace cache hit/miss counters, exported on /debug/vars (argod) next to
@@ -34,15 +31,12 @@ var (
 )
 
 // Bytecode-VM counters: compiles are per parallel program (compile once,
-// execute per run), cache hits/misses count per-run compiled-code
-// lookups, and fallbacks count runs that wanted the VM but executed on
-// the tree walker (compilation failed or the program has no compiled
-// form). All are exported on /debug/vars (argod).
+// execute per run), and cache hits/misses count per-run compiled-code
+// lookups. All are exported on /debug/vars (argod).
 var (
 	vmCompiles    = expvar.NewInt("argo_vm_compiles")
 	vmCacheHits   = expvar.NewInt("argo_vm_cache_hits")
 	vmCacheMisses = expvar.NewInt("argo_vm_cache_misses")
-	vmFallbacks   = expvar.NewInt("argo_vm_fallbacks")
 )
 
 // TraceCacheCounters returns the process-wide trace cache statistics.
@@ -57,8 +51,8 @@ func TraceMemoCounters() (hits, misses int64) {
 }
 
 // VMCounters returns the process-wide bytecode-VM statistics.
-func VMCounters() (compiles, hits, misses, fallbacks int64) {
-	return vmCompiles.Value(), vmCacheHits.Value(), vmCacheMisses.Value(), vmFallbacks.Value()
+func VMCounters() (compiles, hits, misses int64) {
+	return vmCompiles.Value(), vmCacheHits.Value(), vmCacheMisses.Value()
 }
 
 // traceCache caches per-task segment traces and the compiled bytecode of
@@ -98,12 +92,12 @@ type traceCache struct {
 	variants *memo.Cache[uint64, *memoEntry]
 
 	// Compiled bytecode: one vm.Program with one region per task,
-	// compiled on first VM-mode run. vmProg stays nil when compilation
-	// fails, which demotes every VM-mode run of this program to the tree
-	// walker (counted as a fallback).
+	// compiled on first VM-mode run. When compilation fails, vmErr
+	// keeps the error and every VM-mode run of this program returns it.
 	vmOnce  sync.Once
 	vmReady atomic.Bool
 	vmProg  *vm.Program
+	vmErr   error
 
 	// The discrete-event loop's prefix, recorded by the first uninjected
 	// VM run; one entry, never evicted, the first writer wins.
@@ -289,76 +283,12 @@ func (c *traceCache) storeVariant(h uint64, args [][]float64, traces [][]segment
 	c.variants.Put(h, e)
 }
 
-// vmShared is the process-wide compiled-code cache. CompileRegions is
-// the dominant cold-path cost of the first VM run over a parallel
-// program; identical IR compiled under the same region partition yields
-// behaviourally identical code, so compiled Programs are shared across
-// par.Programs, interactive sessions and argod requests, the same way
-// internal/pass shares structural pass results. Sharing the *vm.Program
-// value is safe because compiled code is immutable and safe for
-// concurrent Machines.
-// Entry count and evictions are exported as argo_vm_shared_entries and
-// argo_vm_shared_evictions.
-var vmShared = memo.New[[sha256.Size]byte, *vm.Program](vmSharedMax)
-
-// vmSharedMax is the default bound of the shared code cache. Compiled
-// programs are a few instructions per source statement; hundreds of
-// cached programs are cheap, unbounded growth in a long-running argod
-// is not.
-const vmSharedMax = 256
-
-// SetVMCacheMax rebounds the shared compiled-code cache to at most
-// maxEntries programs (maxEntries <= 0 restores the default bound).
-// argod exposes this as -vm-cache-max.
-func SetVMCacheMax(maxEntries int) {
-	if maxEntries <= 0 {
-		maxEntries = vmSharedMax
-	}
-	vmShared.SetMax(maxEntries)
-}
-
-func init() {
-	expvar.Publish("argo_vm_shared_entries", expvar.Func(func() any { return vmShared.Len() }))
-	expvar.Publish("argo_vm_shared_evictions", expvar.Func(func() any { return vmShared.Stats().Evictions }))
-}
-
-// vmSharedKey content-addresses the compiled bytecode of p for the
-// shared code cache: the whole-program IR fingerprint (variable table
-// with storage classes in registration order, entry body — equal
-// fingerprints imply structurally identical programs) and the region
-// partition in task order. CompileRegions reads nothing else, so equal
-// keys yield behaviourally identical compiled Programs; the meter-facing
-// surface only reads per-variable data the fingerprint covers.
-func vmSharedKey(p *par.Program, regions [][]ir.Stmt) [sha256.Size]byte {
-	h := sha256.New()
-	fp := wcet.FingerprintProgram(p.IR)
-	h.Write(fp[:])
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(regions)))
-	h.Write(b[:])
-	for _, stmts := range regions {
-		rfp := wcet.FingerprintRegion(stmts)
-		h.Write(rfp[:])
-	}
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k
-}
-
-// vmProgram returns the program's compiled bytecode, resolving it on the
-// first VM-mode run: first from the process-wide shared code cache
-// (another par.Program with identical IR and partition already paid the
-// compile — sessions, feedback rounds, and argod requests share), else
-// by compiling and publishing the result. A nil return means this run
-// must fall back to the tree walker.
-func (c *traceCache) vmProgram(p *par.Program) *vm.Program {
+// vmProgram returns the program's compiled bytecode, compiling it on the
+// first VM-mode run, or the error that compilation returned.
+func (c *traceCache) vmProgram(p *par.Program) (*vm.Program, error) {
 	if c.vmReady.Load() {
-		if c.vmProg == nil {
-			vmFallbacks.Add(1)
-		} else {
-			vmCacheHits.Add(1)
-		}
-		return c.vmProg
+		vmCacheHits.Add(1)
+		return c.vmProg, c.vmErr
 	}
 	vmCacheMisses.Add(1)
 	c.vmOnce.Do(func() {
@@ -366,23 +296,11 @@ func (c *traceCache) vmProgram(p *par.Program) *vm.Program {
 		for _, n := range p.Graph.Nodes {
 			regions[n.ID] = n.Stmts
 		}
-		key := vmSharedKey(p, regions)
-		if cp, ok := vmShared.Get(key); ok {
-			c.vmProg = cp
-			c.vmReady.Store(true)
-			return
-		}
 		vmCompiles.Add(1)
-		if cp, err := vm.CompileRegions(p.IR, regions); err == nil {
-			c.vmProg = cp
-			vmShared.Put(key, cp)
-		}
+		c.vmProg, c.vmErr = vm.CompileRegions(p.IR, regions)
 		c.vmReady.Store(true)
 	})
-	if c.vmProg == nil {
-		vmFallbacks.Add(1)
-	}
-	return c.vmProg
+	return c.vmProg, c.vmErr
 }
 
 // lookup returns the cached trace for task, or nil if the task must be

@@ -1,51 +1,15 @@
 package sim
 
 import (
-	"crypto/sha256"
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"argo/internal/adl"
 	"argo/internal/ir"
-	"argo/internal/ir/vm"
 	"argo/internal/sched"
 )
-
-// TestSharedCacheBound pins the shared code cache's bound (argod's
-// -vm-cache-max): stores beyond the cap evict rather than grow, the
-// most recent store survives, and a non-positive bound restores the
-// default.
-func TestSharedCacheBound(t *testing.T) {
-	vmShared.Reset()
-	SetVMCacheMax(16)
-	t.Cleanup(func() {
-		SetVMCacheMax(0)
-		vmShared.Reset()
-	})
-	ev0 := vmShared.Stats().Evictions
-	store := func(n int) (last [sha256.Size]byte) {
-		for i := 0; i < n; i++ {
-			last = [sha256.Size]byte{byte(i), byte(i >> 8)}
-			vmShared.Put(last, new(vm.Program))
-		}
-		return last
-	}
-	last := store(64)
-	if n := vmShared.Len(); n != 16 {
-		t.Errorf("shared cache holds %d entries, bound is 16", n)
-	}
-	if ev := vmShared.Stats().Evictions - ev0; ev != 48 {
-		t.Errorf("%d evictions, want 48", ev)
-	}
-	if _, ok := vmShared.Get(last); !ok {
-		t.Error("most recent store missing from shared cache")
-	}
-	SetVMCacheMax(0)
-	store(2 * vmSharedMax)
-	if n := vmShared.Len(); n != vmSharedMax {
-		t.Errorf("after SetVMCacheMax(0) the cache holds %d entries, want the default %d", n, vmSharedMax)
-	}
-}
 
 // TestTraceCacheWarmRunsIdentical runs the same inputs through a warm
 // program (trace cache populated by earlier seeds) and through per-seed
@@ -125,5 +89,40 @@ func TestTraceCacheInvariance(t *testing.T) {
 	}
 	if m1 != m0 {
 		t.Errorf("warm run of fully-invariant program recorded misses (%d -> %d)", m0, m1)
+	}
+}
+
+// TestVMCompileErrorFailsRun: a program the VM cannot compile fails its
+// VM runs with the compile error, which the program's cache slot keeps,
+// so the program compiles once and never runs on the tree walker.
+func TestVMCompileErrorFailsRun(t *testing.T) {
+	p := buildPipeline(t, pipelineSrc, adl.XentiumPlatform(3), sched.ListOblivious, false, ir.ArgSpec{Rows: 8, Cols: 8})
+	var bin *ir.Bin
+	for _, n := range p.Graph.Nodes {
+		ir.WalkStmts(n.Stmts, func(s ir.Stmt) bool {
+			for _, e := range ir.StmtExprs(s) {
+				ir.WalkExprs(e, func(x ir.Expr) {
+					if b, ok := x.(*ir.Bin); ok && bin == nil {
+						bin = b
+					}
+				})
+			}
+			return bin == nil
+		})
+	}
+	if bin == nil {
+		t.Fatal("no binary operator in any task region")
+	}
+	bin.Op = -1 // CompileRegions rejects an operator outside ir.BinOp
+	c0, _, _ := VMCounters()
+	for i := 0; i < 2; i++ {
+		_, err := run(context.Background(), p, [][]float64{randImg(64, 1)}, nil, false)
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: bytecode compile: ") ||
+			!strings.Contains(err.Error(), "unknown binary operator") {
+			t.Fatalf("run %d: error %v, want the bytecode compile error", i, err)
+		}
+	}
+	if c1, _, _ := VMCounters(); c1-c0 != 1 {
+		t.Errorf("%d bytecode compiles over two runs, want 1", c1-c0)
 	}
 }

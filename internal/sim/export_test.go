@@ -9,10 +9,6 @@ import (
 	"argo/internal/wcet"
 )
 
-// ResetVMShared empties the shared compiled-code cache, so a test can
-// observe a compilation a cache hit would otherwise skip.
-func ResetVMShared() { vmShared.Reset() }
-
 // RunEngine is RunContext on the engine the caller picks (the tree
 // walker when tree is set), so tests running in parallel can compare
 // engines without the process-wide switch.

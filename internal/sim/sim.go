@@ -157,7 +157,10 @@ func run(ctx context.Context, p *par.Program, args [][]float64, inj *fault.Injec
 	cache := cacheFor(p)
 	var cp *vm.Program
 	if !tree {
-		cp = cache.vmProgram(p)
+		var err error
+		if cp, err = cache.vmProgram(p); err != nil {
+			return nil, fmt.Errorf("sim: bytecode compile: %w", err)
+		}
 	}
 
 	rs := runPool.Get().(*runState)

@@ -164,14 +164,14 @@ func TestSetInterpTreeWalker(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = SetInterp("vm") }) // "vm" is always valid
-	c0, h0, m0, f0 := sim.VMCounters()
+	c0, h0, m0 := sim.VMCounters()
 	treeRep, err := Simulate(art, uc.Inputs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1, h1, m1, f1 := sim.VMCounters(); c1 != c0 || h1 != h0 || m1 != m0 || f1 != f0 {
-		t.Errorf("VM counters moved on the tree walker: compiles %d->%d hits %d->%d misses %d->%d fallbacks %d->%d",
-			c0, c1, h0, h1, m0, m1, f0, f1)
+	if c1, h1, m1 := sim.VMCounters(); c1 != c0 || h1 != h0 || m1 != m0 {
+		t.Errorf("VM counters moved on the tree walker: compiles %d->%d hits %d->%d misses %d->%d",
+			c0, c1, h0, h1, m0, m1)
 	}
 	if !reflect.DeepEqual(treeRep, vmRep) {
 		t.Errorf("tree walker report differs from the VM's\n tree %+v\n vm   %+v", treeRep, vmRep)
@@ -185,7 +185,7 @@ func TestSetInterpTreeWalker(t *testing.T) {
 	if _, err := Simulate(art, uc.Inputs(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, h2, _, _ := sim.VMCounters(); h2 == h0 {
+	if _, h2, _ := sim.VMCounters(); h2 == h0 {
 		t.Error(`Simulate after SetInterp("vm") did not run on the VM`)
 	}
 }
