@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench benchsmoke perfbench-check profile passes fuzz cover soak clean
+.PHONY: all check fmt vet build test race bench benchsmoke perfbench-check profile workload-cover passes fuzz cover soak clean
 
 all: check
 
@@ -50,6 +50,31 @@ profile:
 		-cpuprofile profiles/neverseen-mix.cpu.prof -memprofile profiles/neverseen-mix.mem.prof .
 	$(GO) test -run=^$$ -bench='BenchmarkCompileHit$$' -benchtime=5000x -o profiles/service.test \
 		-cpuprofile profiles/compile-hit.cpu.prof -memprofile profiles/compile-hit.mem.prof ./internal/service
+
+# What the benchmark's traffic runs: a count-mode coverage build of
+# argod serves each perfbench workload once at --trace 1, seed 1. Only
+# argod's untraced half is counted, set-up plus the 1,000 timed
+# requests: the traced half replays inside perfbench's own process.
+# Per-workload and merged reports (`go tool covdata textfmt` as
+# cover.out, `func` as func.txt) go under profiles/workload-cover/.
+WCOVER := profiles/workload-cover
+workload-cover:
+	rm -rf $(WCOVER)
+	mkdir -p $(WCOVER)/bin
+	$(GO) build -cover -covermode=count -coverpkg=argo/... -o $(WCOVER)/bin/argod ./cmd/argod
+	cd perfbench && $(GO) build -o ../$(WCOVER)/bin/perfbench .
+	set -e; dirs=""; for w in compile-cold compile-warm simulate whatif; do \
+		mkdir -p $(WCOVER)/$$w/data; \
+		GOCOVERDIR=$(CURDIR)/$(WCOVER)/$$w/data $(WCOVER)/bin/perfbench -argod $(WCOVER)/bin/argod \
+			-out $(WCOVER)/$$w -workload $$w -seed 1 -trace 1 > $(WCOVER)/$$w/report.jsonl; \
+		$(GO) tool covdata textfmt -i=$(WCOVER)/$$w/data -o $(WCOVER)/$$w/cover.out; \
+		$(GO) tool covdata func -i=$(WCOVER)/$$w/data > $(WCOVER)/$$w/func.txt; \
+		dirs="$$dirs,$(WCOVER)/$$w/data"; \
+	done; \
+	mkdir -p $(WCOVER)/merged; \
+	$(GO) tool covdata textfmt -i=$${dirs#,} -o $(WCOVER)/merged/cover.out; \
+	$(GO) tool covdata func -i=$${dirs#,} > $(WCOVER)/merged/func.txt
+	tail -n 1 $(WCOVER)/merged/func.txt
 
 # One-iteration smoke run so `make check` catches bitrot in the
 # benchmarks without paying for a full measurement, plus one iteration

@@ -27,6 +27,7 @@ import (
 
 	"argo/internal/report"
 	"argo/internal/wcet"
+	"argo/internal/wcet/mc"
 	"argo/pkg/argo"
 )
 
@@ -80,10 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cols = append(cols, "shared-acc", "interference", "bound")
 	tab := report.New(fmt.Sprintf("Per-task WCET analysis: %s on %s (engine %s)", uc.Name, plat.Name, *engine),
 		cols...)
-	var mcEng wcet.Engine
-	if withMC {
-		mcEng, _ = wcet.EngineByName("mc")
-	}
 	allAgree := true
 	for _, n := range art.Graph.Nodes {
 		pl := art.Schedule.Placements[n.ID]
@@ -108,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		row := []any{n.ID, n.Label, pl.Core, structural, ipetStr, agree}
 		if withMC {
-			exact := wcet.AnalyzeMemo(mcEng, n.Stmts, model)
+			exact := wcet.AnalyzeMemo(mc.Default, n.Stmts, model)
 			row = append(row, exact.Cycles)
 			if *engine == "both" {
 				row = append(row, structural-exact.Cycles)

@@ -1,8 +1,8 @@
 // Acceptance tests for the remap-on-restore snapshot codec: a second
 // fresh compilation of an identical configuration must restore the
-// whole structural ladder (build-htg, annotate, coarsen, sched-input,
-// par-build) from the process-wide pass cache — zero re-executions —
-// and still be bit-identical to a cache-disabled compilation. The tests
+// whole structural ladder (build-htg, annotate, par-build) from the
+// process-wide pass cache — zero re-executions — and still be
+// bit-identical to a cache-disabled compilation. The tests
 // live in package core_test because the bit-identity oracle is
 // session.ResultFingerprint, and internal/session imports core.
 package core_test
@@ -23,10 +23,10 @@ import (
 	"argo/internal/usecases"
 )
 
-// structuralPasses are the five passes the snapshot codec made
+// structuralPasses are the three passes the snapshot codec made
 // cacheable (they publish artifacts holding IR pointers, frozen by
 // registration/traversal index).
-var structuralPasses = []string{"build-htg", "annotate", "coarsen", "sched-input", "par-build"}
+var structuralPasses = []string{"build-htg", "annotate", "par-build"}
 
 func structuralRuns() map[string]int64 {
 	out := make(map[string]int64, len(structuralPasses))
@@ -219,11 +219,11 @@ func TestWarmCompileAcrossPlatformsKeysDistinctly(t *testing.T) {
 // TestPassCacheEvictionDeterministic pins the pass cache's eviction
 // policy as deterministic: one compile sequence that overflows a fresh
 // bounded cache (three use cases on 2/4/8/16 Xentium cores, three
-// rounds, through 128 entries) hits and misses exactly alike when it is
+// rounds, through 96 entries) hits and misses exactly alike when it is
 // run twice.
 func TestPassCacheEvictionDeterministic(t *testing.T) {
 	sweep := func() (hits, misses int) {
-		cache := pass.NewCache(128)
+		cache := pass.NewCache(96)
 		for round := 0; round < 3; round++ {
 			for _, name := range []string{"egpws", "polka", "weaa"} {
 				uc := usecases.ByName(name)

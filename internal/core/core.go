@@ -22,9 +22,7 @@ import (
 	"argo/internal/syswcet"
 	"argo/internal/transform"
 	"argo/internal/wcet"
-	// Register the exact model-checking WCET engine so "mc" and "both"
-	// resolve in every build that links the driver.
-	_ "argo/internal/wcet/mc"
+	"argo/internal/wcet/mc"
 )
 
 // Options configures one compilation.
@@ -62,8 +60,7 @@ type Options struct {
 }
 
 // PassOptions configures pass-manager behavior; the zero value is the
-// standard configuration (all registered passes, global pass cache,
-// wall-time instrumentation only).
+// standard configuration (all registered passes, global pass cache).
 type PassOptions struct {
 	// Disable names transformation passes to skip (see
 	// transform.PassNames; structural passes cannot be disabled).
@@ -79,17 +76,10 @@ type PassOptions struct {
 	// OnTiming, when set, observes every completed pass's timing record
 	// as soon as it is recorded (sessions stream one event per pass).
 	OnTiming func(pass.Timing)
-	// MeasureAllocs additionally records per-pass heap-allocation deltas
-	// in the trace (process-wide counter delta: approximate under
-	// concurrent executions).
-	MeasureAllocs bool
 	// DumpAfter dumps the named pass's output artifact to DumpWriter
 	// after every execution of that pass (argocc -dump-after).
 	DumpAfter  string
 	DumpWriter io.Writer
-	// AfterPass, when set, observes every completed pass (tests hook
-	// here; called with the pass name and feedback round).
-	AfterPass func(name string, round int)
 }
 
 // DefaultOptions returns the standard tool-chain configuration for a
@@ -106,6 +96,26 @@ func DefaultOptions(entry string, args []ir.ArgSpec, platform *adl.Platform) Opt
 		Policy:         sched.ListContentionAware,
 		FeedbackRounds: 8,
 	}
+}
+
+// WCETEngines lists the valid Options.WCETEngine selectors.
+func WCETEngines() []string { return []string{"ipet", "mc", "both"} }
+
+// ParseWCETEngine resolves an Options.WCETEngine selector: "ipet" (or
+// "", the default), "mc" (the exact engine's bounds), or "both" (IPET
+// bounds downstream, the exact engine cross-checked on every region).
+// The error message lists the valid selectors, so CLI layers can
+// surface it verbatim.
+func ParseWCETEngine(spec string) (wcet.Selection, error) {
+	switch spec {
+	case "", "ipet":
+		return wcet.DefaultSelection(), nil
+	case "mc":
+		return wcet.Selection{Primary: mc.Default, Spec: spec}, nil
+	case "both":
+		return wcet.Selection{Primary: wcet.IPETEngine, Check: mc.Default, Spec: spec}, nil
+	}
+	return wcet.Selection{}, fmt.Errorf("wcet: unknown engine %q (valid: %v)", spec, WCETEngines())
 }
 
 // Artifacts is everything one compilation produces.
@@ -194,7 +204,7 @@ func newFrontEnd(ctx context.Context, src *scil.Program, entry string, args []ir
 
 // newManager builds the pass manager one pipeline execution uses.
 func newManager(popt PassOptions) *pass.Manager {
-	m := &pass.Manager{MeasureAllocs: popt.MeasureAllocs, OnTiming: popt.OnTiming}
+	m := &pass.Manager{OnTiming: popt.OnTiming}
 	switch {
 	case popt.NoCache:
 	case popt.Cache != nil:
@@ -202,13 +212,9 @@ func newManager(popt PassOptions) *pass.Manager {
 	default:
 		m.Cache = pass.Global
 	}
-	dump := popt.DumpAfter != "" && popt.DumpWriter != nil
-	if popt.AfterPass != nil || dump {
+	if popt.DumpAfter != "" && popt.DumpWriter != nil {
 		m.AfterPass = func(p *pass.Pass, c *pass.Context) {
-			if popt.AfterPass != nil {
-				popt.AfterPass(p.Name, c.Round)
-			}
-			if dump && popt.DumpAfter == p.Name {
+			if popt.DumpAfter == p.Name {
 				text := "(no dump available)"
 				if p.Dump != nil {
 					text = p.Dump(c)
@@ -258,7 +264,7 @@ func backEnd(ctx context.Context, mgr *pass.Manager, prog *ir.Program, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	sel, err := wcet.ParseSelection(opt.WCETEngine)
+	sel, err := ParseWCETEngine(opt.WCETEngine)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,34 @@ import (
 
 	"argo/internal/adl"
 	"argo/internal/usecases"
+	"argo/internal/wcet"
+	"argo/internal/wcet/mc"
 )
+
+// TestParseSelection pins the selector grammar the CLI layers rely on:
+// every listed selector resolves to its engines, and anything else fails
+// with the text the tools print.
+func TestParseSelection(t *testing.T) {
+	want := map[string]wcet.Selection{
+		"":     {Primary: wcet.IPETEngine, Spec: "ipet"},
+		"ipet": {Primary: wcet.IPETEngine, Spec: "ipet"},
+		"mc":   {Primary: mc.Default, Spec: "mc"},
+		"both": {Primary: wcet.IPETEngine, Check: mc.Default, Spec: "both"},
+	}
+	for _, spec := range append(WCETEngines(), "") {
+		sel, err := ParseWCETEngine(spec)
+		if err != nil {
+			t.Fatalf("ParseWCETEngine(%q): %v", spec, err)
+		}
+		if w, ok := want[spec]; !ok || sel != w {
+			t.Fatalf("ParseWCETEngine(%q) = %+v, want %+v", spec, sel, w)
+		}
+	}
+	_, err := ParseWCETEngine("x")
+	if want := `wcet: unknown engine "x" (valid: [ipet mc both])`; err == nil || err.Error() != want {
+		t.Fatalf("unknown selector: err %v, want %q", err, want)
+	}
+}
 
 // TestWCETEngineModes pins the compilation-level engine contract over
 // every use case:

@@ -38,22 +38,23 @@ import (
 //     as a deferred thaw (irCell): the first reader clones it once, so a
 //     run of restores clones once and no cached state ever aliases a
 //     live pipeline's IR.
-//   - The schedule pass's input (task WCET vectors, dependence volumes,
-//     platform, policy) and output (*sched.Schedule, *syswcet.Result)
-//     are pointer-free value data, deep-copied on both freeze and thaw.
-//   - The structural passes (build-htg, annotate, coarsen, sched-input,
-//     par-build) produce artifacts that hold live *ir.Var/ir.Stmt
-//     pointers. They freeze through the remap-on-restore snapshot codec
-//     (ir.SnapshotIndex/ir.SnapshotTable: vars by registration index,
-//     stmts by traversal order — the transformSnap trick generalized)
-//     and thaw against whichever equal-fingerprint program the
-//     restoring pipeline holds.
+//   - The scheduling problem (task WCET vectors, dependence volumes,
+//     platform) and the schedule pass's output (*sched.Schedule,
+//     *syswcet.Result) are pointer-free value data, deep-copied on both
+//     freeze and thaw.
+//   - The structural passes (build-htg, annotate, par-build) produce
+//     artifacts that hold live *ir.Var/ir.Stmt pointers. They freeze
+//     through the remap-on-restore snapshot codec (ir.SnapshotIndex/
+//     ir.SnapshotTable: vars by registration index, stmts by traversal
+//     order — the transformSnap trick generalized) and thaw against
+//     whichever equal-fingerprint program the restoring pipeline holds.
 //
 // The structural fingerprints lean on one determinism chain: given the
 // IR content (including variable storage, which wcet.FingerprintProgram
-// covers), the canonical platform encoding, the coarsening bound, and
-// the scheduling policy, every pass of the ladder is a deterministic
-// function — so those four values content-address each pass's output.
+// covers), the canonical platform encoding, the WCET engine, the task
+// cap, and the scheduling policy, every pass of the ladder is a
+// deterministic function — so those values content-address each pass's
+// output.
 // Feedback rounds key distinctly for free: par-build's demotions mutate
 // variable storage between rounds, which changes the IR fingerprint,
 // and a restored par-build replays the identical mutations (see
@@ -75,7 +76,7 @@ var (
 	// nil when the platform has no canonical encoding.
 	keyCanon = pass.NewKey[[]byte]("platform-canon")
 	keyBase  = pass.NewKey[*graphCell]("htg")
-	keyGraph = pass.NewKey[*graphCell]("htg-annotated")
+	keyGraph = pass.NewKey[*htg.Graph]("htg-annotated")
 	keyInput = pass.NewKey[*sched.Input]("sched-input")
 	keySched = pass.NewKey[*sched.Schedule]("schedule")
 	keySys   = pass.NewKey[*syswcet.Result]("syswcet")
@@ -181,23 +182,18 @@ func irMemoTable(c *pass.Context) *ir.SnapshotTable {
 // against the mutated state.
 func invalidateIRMemo(c *pass.Context) { pass.Put(c, keyIRMemo, nil) }
 
-// graphCell holds a task graph artifact, optionally as a deferred thaw.
-// On a fully warm compile, build-htg's and annotate's restores are
-// overwritten by the next pass's restore before any Run reads them —
-// deferring the thaw to first use means those intermediate restores
-// never pay it, and only the ladder's final graph is materialized.
-// Deferral is sound: thaw resolves variables and statements purely by
-// position, which later in-place IR mutations (par-build's storage side
-// effect) don't disturb. The cell memoizes, so every reader sees one
-// graph instance, exactly as with an eager Put.
+// graphCell holds the structural task graph, optionally as a deferred
+// thaw. On a fully warm compile annotate restores too, so no Run reads
+// build-htg's graph and its restore never pays the thaw. Deferral is
+// sound: thaw resolves variables and statements purely by position,
+// which later in-place IR mutations (par-build's storage side effect)
+// don't disturb. The cell memoizes, so every reader sees one graph
+// instance, exactly as with an eager Put.
 type graphCell struct {
 	once sync.Once
 	thaw func() *htg.Graph
 	g    *htg.Graph
 }
-
-func liveGraph(g *htg.Graph) *graphCell           { return &graphCell{g: g} }
-func lazyGraph(thaw func() *htg.Graph) *graphCell { return &graphCell{thaw: thaw} }
 
 func (gc *graphCell) graph() *htg.Graph {
 	gc.once.Do(func() {
@@ -208,10 +204,10 @@ func (gc *graphCell) graph() *htg.Graph {
 	return gc.g
 }
 
-// baseGraph / annGraph materialize the structural and annotated graph
+// baseGraph / annGraph read the structural and annotated graph
 // artifacts.
 func baseGraph(c *pass.Context) *htg.Graph { return pass.Need(c, keyBase).graph() }
-func annGraph(c *pass.Context) *htg.Graph  { return pass.Need(c, keyGraph).graph() }
+func annGraph(c *pass.Context) *htg.Graph  { return pass.Need(c, keyGraph) }
 
 // --- front-end passes -------------------------------------------------------
 
@@ -337,9 +333,8 @@ func irFingerprint(c *pass.Context) ([]byte, bool) {
 
 // structuralFingerprint content-addresses the structural ladder's input
 // chain: the live IR, the canonical platform encoding's digest, the WCET
-// engine selection, and any pass-specific tuning values (coarsening
-// bound, policy). ok is false when the platform has no canonical
-// encoding.
+// engine selection, and any pass-specific tuning values (task cap,
+// policy). ok is false when the platform has no canonical encoding.
 func structuralFingerprint(c *pass.Context, extras ...uint64) ([]byte, bool) {
 	canon := pass.Need(c, keyCanon)
 	if canon == nil {
@@ -361,20 +356,6 @@ func structuralFingerprint(c *pass.Context, extras ...uint64) ([]byte, bool) {
 	return out, true
 }
 
-// freezeGraph / thawGraphInto adapt the htg freeze/thaw forms to the
-// pass Snapshot/Restore contract against the live IR.
-func freezeGraph(c *pass.Context, g *htg.Graph) any {
-	f, ok := g.Freeze(irMemoIndex(c))
-	if !ok {
-		return nil
-	}
-	return f
-}
-
-func thawGraph(c *pass.Context, snap any) *htg.Graph {
-	return snap.(*htg.FrozenGraph).Thaw(irMemoTable(c))
-}
-
 func labelLoopsPass() *pass.Pass {
 	return &pass.Pass{
 		Name: "label-loops", Input: "ir", Output: "ir",
@@ -391,15 +372,20 @@ func buildHTGPass() *pass.Pass {
 	return &pass.Pass{
 		Name: "build-htg", Input: "ir", Output: "htg",
 		Run: func(c *pass.Context) error {
-			pass.Put(c, keyBase, liveGraph(htg.Build(irProg(c))))
+			pass.Put(c, keyBase, &graphCell{g: htg.Build(irProg(c))})
 			return nil
 		},
 		Fingerprint: irFingerprint,
 		Snapshot: func(c *pass.Context) any {
-			return freezeGraph(c, baseGraph(c))
+			if f, ok := baseGraph(c).Freeze(irMemoIndex(c)); ok {
+				return f
+			}
+			return nil
 		},
 		Restore: func(c *pass.Context, snap any) {
-			pass.Put(c, keyBase, lazyGraph(func() *htg.Graph { return thawGraph(c, snap) }))
+			pass.Put(c, keyBase, &graphCell{thaw: func() *htg.Graph {
+				return snap.(*htg.FrozenGraph).Thaw(irMemoTable(c))
+			}})
 		},
 		Dump: func(c *pass.Context) string { return baseGraph(c).Dump() },
 	}
@@ -407,9 +393,22 @@ func buildHTGPass() *pass.Pass {
 
 // --- feedback-loop passes (run once per placement/analysis round) -----------
 
-func annotatePass() *pass.Pass {
+// annotSnap is the frozen annotate result: the annotated (and, under a
+// task cap, coarsened) graph and the scheduling problem derived from
+// it. The problem's tables are pointer-free value data; its platform is
+// rebound on restore (equal canonical encoding).
+type annotSnap struct {
+	g  *htg.FrozenGraph
+	in *sched.Input
+}
+
+// annotatePass is the loop's one cached step for everything the
+// structural key determines: it annotates a clone of the structural
+// graph with code-level WCETs, coarsens it to at most maxTasks tasks
+// when that cap is set, and derives the scheduling problem.
+func annotatePass(platform *adl.Platform, maxTasks int) *pass.Pass {
 	return &pass.Pass{
-		Name: "annotate", Input: "htg", Output: "htg-annotated",
+		Name: "annotate", Input: "htg", Output: "htg-annotated+sched-input",
 		Run: func(c *pass.Context) error {
 			// Storage classes change between rounds (demotions), so each
 			// round re-annotates a fresh clone of the structural graph.
@@ -417,64 +416,33 @@ func annotatePass() *pass.Pass {
 			if err := htg.AnnotateWith(g, pass.Need(c, keyModels), pass.Need(c, keyEngine)); err != nil {
 				return err
 			}
-			pass.Put(c, keyGraph, liveGraph(g))
-			return nil
-		},
-		Fingerprint: func(c *pass.Context) ([]byte, bool) {
-			return structuralFingerprint(c)
-		},
-		Snapshot: func(c *pass.Context) any {
-			return freezeGraph(c, annGraph(c))
-		},
-		Restore: func(c *pass.Context, snap any) {
-			pass.Put(c, keyGraph, lazyGraph(func() *htg.Graph { return thawGraph(c, snap) }))
-		},
-		Dump: func(c *pass.Context) string { return annGraph(c).Dump() },
-	}
-}
-
-func coarsenPass(maxTasks int) *pass.Pass {
-	return &pass.Pass{
-		Name: "coarsen", Input: "htg-annotated", Output: "htg-annotated",
-		Run: func(c *pass.Context) error {
-			if g := annGraph(c); maxTasks > 0 && len(g.Nodes) > maxTasks {
+			if maxTasks > 0 && len(g.Nodes) > maxTasks {
 				g.MergeUntil(maxTasks)
 			}
+			pass.Put(c, keyGraph, g)
+			pass.Put(c, keyInput, sched.FromHTG(g, platform))
 			return nil
 		},
 		Fingerprint: func(c *pass.Context) ([]byte, bool) {
 			return structuralFingerprint(c, uint64(maxTasks))
 		},
 		Snapshot: func(c *pass.Context) any {
-			return freezeGraph(c, annGraph(c))
+			f, ok := annGraph(c).Freeze(irMemoIndex(c))
+			if !ok {
+				return nil
+			}
+			return &annotSnap{g: f, in: cloneSchedInput(pass.Need(c, keyInput))}
 		},
 		Restore: func(c *pass.Context, snap any) {
-			pass.Put(c, keyGraph, lazyGraph(func() *htg.Graph { return thawGraph(c, snap) }))
-		},
-		Dump: func(c *pass.Context) string { return annGraph(c).Dump() },
-	}
-}
-
-func schedInputPass(platform *adl.Platform, maxTasks int) *pass.Pass {
-	return &pass.Pass{
-		Name: "sched-input", Input: "htg-annotated", Output: "sched-input",
-		Run: func(c *pass.Context) error {
-			pass.Put(c, keyInput, sched.FromHTG(annGraph(c), platform))
-			return nil
-		},
-		Fingerprint: func(c *pass.Context) ([]byte, bool) {
-			return structuralFingerprint(c, uint64(maxTasks))
-		},
-		Snapshot: func(c *pass.Context) any {
-			// The task/dependence tables are pointer-free value data; the
-			// platform is rebound on restore (equal canonical encoding).
-			return cloneSchedInput(pass.Need(c, keyInput))
-		},
-		Restore: func(c *pass.Context, snap any) {
-			in := cloneSchedInput(snap.(*sched.Input))
+			s := snap.(*annotSnap)
+			in := cloneSchedInput(s.in)
 			in.Platform = platform
+			// par-build reads the graph in this same round, so a deferred
+			// thaw would save nothing.
+			pass.Put(c, keyGraph, s.g.Thaw(irMemoTable(c)))
 			pass.Put(c, keyInput, in)
 		},
+		Dump: func(c *pass.Context) string { return annGraph(c).Dump() },
 	}
 }
 
@@ -684,7 +652,7 @@ type pipeline struct {
 func buildPipeline(opt Options, tOpt transform.Options, disabled map[string]bool) pipeline {
 	return pipeline{
 		pre:  append(transformPasses(tOpt, disabled), labelLoopsPass(), buildHTGPass()),
-		loop: []*pass.Pass{annotatePass(), coarsenPass(opt.MaxTasks), schedInputPass(opt.Platform, opt.MaxTasks), schedulePass(opt.Policy), parBuildPass(opt.Platform, opt.MaxTasks, opt.Policy)},
+		loop: []*pass.Pass{annotatePass(opt.Platform, opt.MaxTasks), schedulePass(opt.Policy), parBuildPass(opt.Platform, opt.MaxTasks, opt.Policy)},
 		post: []*pass.Pass{validatePass(), seqWCETPass()},
 	}
 }

@@ -62,9 +62,9 @@ func TestCompileCancelledMidPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var observed []string
-	opt.Passes.AfterPass = func(name string, round int) {
-		observed = append(observed, name)
-		if name == "build-htg" {
+	opt.Passes.OnTiming = func(tm pass.Timing) {
+		observed = append(observed, tm.Pass)
+		if tm.Pass == "build-htg" {
 			cancel() // arrives while the pipeline is mid-flight
 		}
 	}
@@ -117,7 +117,6 @@ func TestDisableUnknownPassRejected(t *testing.T) {
 func TestPassTraceRecorded(t *testing.T) {
 	p := parse(t, pipelineSrc)
 	opt := DefaultOptions("app", []ir.ArgSpec{ir.MatrixArg(10, 10)}, adl.XentiumPlatform(4))
-	opt.Passes.MeasureAllocs = true
 	art, err := Compile(p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestDescribePipeline(t *testing.T) {
 		byName[d.Name] = d
 	}
 	joined := strings.Join(names, " ")
-	for _, want := range []string{"check lower", "fold", "label-loops build-htg annotate", "sched-input schedule par-build", "validate seq-wcet"} {
+	for _, want := range []string{"check lower", "fold", "label-loops build-htg annotate schedule par-build", "validate seq-wcet"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("pipeline order missing %q: %s", want, joined)
 		}
@@ -178,10 +177,13 @@ func TestDescribePipeline(t *testing.T) {
 	if !byName["fold"].Cacheable || !byName["schedule"].Cacheable {
 		t.Fatal("fold and schedule must be cacheable")
 	}
-	for _, name := range []string{"build-htg", "annotate", "coarsen", "sched-input", "par-build"} {
+	for _, name := range []string{"build-htg", "annotate", "par-build"} {
 		if !byName[name].Cacheable {
 			t.Fatalf("structural pass %s must be cacheable (remap-on-restore snapshots)", name)
 		}
+	}
+	if out := byName["annotate"].Output; out != "htg-annotated+sched-input" {
+		t.Fatalf("annotate outputs %q; it derives the scheduling problem schedule reads", out)
 	}
 	if !byName["schedule"].Loop || byName["build-htg"].Loop {
 		t.Fatal("loop markers wrong")

@@ -9,6 +9,7 @@ import (
 	"argo/internal/scil"
 	"argo/internal/usecases"
 	"argo/internal/wcet"
+	"argo/internal/wcet/mc"
 )
 
 // e11Kernels are synthetic regions isolating the two program shapes
@@ -97,10 +98,6 @@ func E11(platformNames []string) (*Result, []E11Row, []E11KernelRow, error) {
 		ID:    "E11",
 		Claim: "value-aware exact WCET analysis tightens per-task bounds without weakening soundness (paper §II-D)",
 	}
-	mcEng, ok := wcet.EngineByName("mc")
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("E11: mc engine not registered")
-	}
 	type cell struct {
 		platform string
 		u        *usecases.UseCase
@@ -129,7 +126,7 @@ func E11(platformNames []string) (*Result, []E11Row, []E11KernelRow, error) {
 		for _, n := range art.Graph.Nodes {
 			model := wcet.ModelFor(platform, art.Schedule.Placements[n.ID].Core)
 			ipet := wcet.Analyze(n.Stmts, model)
-			exact := wcet.AnalyzeMemo(mcEng, n.Stmts, model)
+			exact := wcet.AnalyzeMemo(mc.Default, n.Stmts, model)
 			if exact.Cycles > ipet.Cycles {
 				errs[i] = fmt.Errorf("E11 %s/%s task %q UNSOUND: exact %d > ipet %d",
 					c.platform, c.u.Name, n.Label, exact.Cycles, ipet.Cycles)
@@ -172,7 +169,7 @@ func E11(platformNames []string) (*Result, []E11Row, []E11KernelRow, error) {
 			return nil, nil, nil, fmt.Errorf("E11 kernel %s: %v", k.name, err)
 		}
 		ipet := wcet.Analyze(prog.Entry.Body, m)
-		exact := mcEng.Analyze(prog.Entry.Body, m)
+		exact := mc.Default.Analyze(prog.Entry.Body, m)
 		if exact.Cycles > ipet.Cycles {
 			return nil, nil, nil, fmt.Errorf("E11 kernel %s UNSOUND: exact %d > ipet %d", k.name, exact.Cycles, ipet.Cycles)
 		}

@@ -102,10 +102,6 @@ func cacheBound(maxEntries int) int {
 // the tiers can share entries freely.
 func (c *Cache) SetFallback(f *Cache) { c.fallback = f }
 
-// Deferrals returns how many requests were deferred to the fallback
-// tier (local misses it served, plus snapshots stored there).
-func (c *Cache) Deferrals() int64 { return c.deferrals.Load() }
-
 func (c *Cache) get(a cacheAddr) (any, bool) {
 	v, ok := c.m.Get(a)
 	if !ok && c.fallback != nil {

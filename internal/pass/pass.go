@@ -1,8 +1,8 @@
 // Package pass is the explicit pass manager of the ARGO tool-chain: it
 // models the compile/optimize pipeline as a sequence of named passes
 // over a typed artifact store, with per-pass context-cancellation
-// checks, per-pass wall-time/alloc instrumentation, and content-
-// addressed pass-level result caching.
+// checks, per-pass wall-time instrumentation, and content-addressed
+// pass-level result caching.
 //
 // The paper's cross-layer flow (Figure 1: model import →
 // parallelization → multi-core WCET analysis → code generation)
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -161,10 +160,6 @@ type Timing struct {
 	// Wall is the execution's wall-clock duration (for a cache hit: the
 	// restore cost).
 	Wall time.Duration
-	// AllocBytes is the heap allocated during the pass, when the
-	// manager measures allocations (process-wide counter delta: under
-	// concurrent pipeline executions the attribution is approximate).
-	AllocBytes int64
 	// Cache records the pass-cache outcome.
 	Cache CacheOutcome
 }
@@ -199,7 +194,6 @@ type Aggregate struct {
 	Pass        string
 	Runs        int
 	Wall        time.Duration
-	AllocBytes  int64
 	CacheHits   int
 	CacheMisses int
 }
@@ -222,7 +216,6 @@ func (t *Trace) Aggregate() []Aggregate {
 		a := &out[i]
 		a.Runs++
 		a.Wall += tm.Wall
-		a.AllocBytes += tm.AllocBytes
 		switch tm.Cache {
 		case CacheHit:
 			a.CacheHits++
@@ -267,10 +260,6 @@ func Runs(name string) int64 {
 type Manager struct {
 	// Cache enables pass-level caching when non-nil.
 	Cache *Cache
-	// MeasureAllocs additionally records per-pass heap allocation
-	// deltas (runtime.ReadMemStats per pass: cheap for interactive use,
-	// skewed under concurrent executions — leave off on hot paths).
-	MeasureAllocs bool
 	// AfterPass, when set, observes every completed pass (argocc
 	// -dump-after and tests hook here).
 	AfterPass func(p *Pass, c *Context)
@@ -298,10 +287,6 @@ func (m *Manager) runOne(c *Context, p *Pass) error {
 		return err
 	}
 	tm := Timing{Pass: p.Name, Round: c.Round}
-	var mem0 runtime.MemStats
-	if m.MeasureAllocs {
-		runtime.ReadMemStats(&mem0)
-	}
 	start := time.Now()
 	if err := m.execute(c, p, &tm); err != nil {
 		// Cancellation surfacing from inside a pass propagates as the
@@ -312,11 +297,6 @@ func (m *Manager) runOne(c *Context, p *Pass) error {
 		return fmt.Errorf("pass %q: %w", p.Name, err)
 	}
 	tm.Wall = time.Since(start)
-	if m.MeasureAllocs {
-		var mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem1)
-		tm.AllocBytes = int64(mem1.TotalAlloc - mem0.TotalAlloc)
-	}
 	passNS.Add(p.Name, tm.Wall.Nanoseconds())
 	// argo_pass_runs counts actual executions only: a cache hit restores
 	// a snapshot without running the pass, and the warm-path contract

@@ -140,7 +140,11 @@ func ladderCandidates(cores int) []core.Candidate {
 }
 
 // TestLadderFingerprintsGolden compiles every ladder configuration
-// cache free and checks the result against the golden table.
+// cache free and checks the result against the golden table. Each capped
+// rung (MaxTasks > 0) that compiles is also compiled twice on a private
+// pass cache: the second compile restores every cacheable pass, so the
+// coarsened graph travels through a snapshot, and must match the table
+// too.
 func TestLadderFingerprintsGolden(t *testing.T) {
 	want := readGolden(t, goldenLadder)
 	ctx := context.Background()
@@ -156,7 +160,8 @@ func TestLadderFingerprintsGolden(t *testing.T) {
 				opt.Transforms, opt.AutoSPM, opt.Policy, opt.MaxTasks = c.Transforms, c.AutoSPM, c.Policy, c.MaxTasks
 				opt.Passes.NoCache = true
 				var got string
-				if art, err := core.CompileSourceContext(ctx, uc.Source, opt); err != nil {
+				art, err := core.CompileSourceContext(ctx, uc.Source, opt)
+				if err != nil {
 					got = "error: " + err.Error()
 				} else {
 					got = ResultFingerprint(art)
@@ -164,6 +169,23 @@ func TestLadderFingerprintsGolden(t *testing.T) {
 				fmt.Fprintf(&table, "%s %s\n", key, got)
 				if got != want[key] {
 					t.Errorf("%s: %s, golden %q", key, got, want[key])
+				}
+				if err != nil || c.MaxTasks == 0 {
+					continue
+				}
+				opt.Passes.NoCache, opt.Passes.Cache = false, pass.NewCache(0)
+				for round := 0; round < 2; round++ {
+					if art, err = core.CompileSourceContext(ctx, uc.Source, opt); err != nil {
+						t.Fatalf("%s: cached compile %d: %v", key, round, err)
+					}
+				}
+				for _, ag := range art.PassTrace.Aggregate() {
+					if ag.CacheMisses != 0 {
+						t.Errorf("%s: second compile missed the cache on pass %q", key, ag.Pass)
+					}
+				}
+				if warm := ResultFingerprint(art); warm != want[key] {
+					t.Errorf("%s: warm fingerprint %s, golden %q", key, warm, want[key])
 				}
 			}
 		}

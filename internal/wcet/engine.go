@@ -1,12 +1,6 @@
 package wcet
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"argo/internal/ir"
-)
+import "argo/internal/ir"
 
 // Engine is one code-level WCET analysis back-end. Every engine must be
 // sound with respect to the metered IR interpreter — for any execution
@@ -38,45 +32,6 @@ func (ipetEngine) Analyze(stmts []ir.Stmt, m CostModel) Report { return Analyze(
 // every release before the pluggable-engine refactor used.
 var IPETEngine Engine = ipetEngine{}
 
-var (
-	engineMu sync.RWMutex
-	engines  = map[string]Engine{}
-)
-
-func init() { RegisterEngine(IPETEngine) }
-
-// RegisterEngine makes an engine selectable by name (ParseSelection,
-// the -wcet-engine flags). Engines register themselves from package
-// init; a duplicate name panics — it would make cache keys ambiguous.
-func RegisterEngine(e Engine) {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := engines[e.Name()]; dup {
-		panic("wcet: duplicate engine " + e.Name())
-	}
-	engines[e.Name()] = e
-}
-
-// EngineByName returns a registered engine.
-func EngineByName(name string) (Engine, bool) {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	e, ok := engines[name]
-	return e, ok
-}
-
-// EngineNames lists the registered engines, sorted.
-func EngineNames() []string {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	names := make([]string, 0, len(engines))
-	for n := range engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Selection is a resolved engine choice for one compilation: the
 // primary engine supplies every bound used downstream, and Check (set
 // only by the "both" selector) is re-run on every region so a
@@ -94,28 +49,3 @@ type Selection struct {
 // DefaultSelection is the IPET engine with no cross-check — the
 // behavior of every release before engines became pluggable.
 func DefaultSelection() Selection { return Selection{Primary: IPETEngine, Spec: "ipet"} }
-
-// SelectionNames lists the valid ParseSelection specs: every registered
-// engine plus "both".
-func SelectionNames() []string { return append(EngineNames(), "both") }
-
-// ParseSelection resolves a -wcet-engine selector: a registered engine
-// name, "both" (IPET bounds downstream, exact engine cross-checked on
-// every region), or "" (the default engine). The error message lists
-// the valid selectors, so CLI layers can surface it verbatim.
-func ParseSelection(spec string) (Selection, error) {
-	switch spec {
-	case "", "ipet":
-		return DefaultSelection(), nil
-	case "both":
-		chk, ok := EngineByName("mc")
-		if !ok {
-			return Selection{}, fmt.Errorf("wcet: engine selector %q needs the mc engine (import argo/internal/wcet/mc)", spec)
-		}
-		return Selection{Primary: IPETEngine, Check: chk, Spec: "both"}, nil
-	}
-	if e, ok := EngineByName(spec); ok {
-		return Selection{Primary: e, Spec: spec}, nil
-	}
-	return Selection{}, fmt.Errorf("wcet: unknown engine %q (valid: %v)", spec, SelectionNames())
-}

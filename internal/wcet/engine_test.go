@@ -66,19 +66,3 @@ endfunction`, "f", ir.ScalarArg())
 		t.Fatalf("re-runs: hits %d -> %d (want +2), misses %d -> %d (want unchanged)", h1, h2, mi2, mi3)
 	}
 }
-
-// TestParseSelection pins the selector grammar the CLI layers rely on.
-func TestParseSelection(t *testing.T) {
-	for _, spec := range []string{"", "ipet"} {
-		sel, err := ParseSelection(spec)
-		if err != nil {
-			t.Fatalf("ParseSelection(%q): %v", spec, err)
-		}
-		if sel.Primary != IPETEngine || sel.Check != nil || sel.Spec != "ipet" {
-			t.Fatalf("ParseSelection(%q) = %+v, want default ipet selection", spec, sel)
-		}
-	}
-	if _, err := ParseSelection("no-such-engine"); err == nil {
-		t.Fatal("unknown engine spec must fail")
-	}
-}

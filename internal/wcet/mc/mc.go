@@ -82,11 +82,9 @@ func New(opt Options) *Engine {
 	return &Engine{opt: opt}
 }
 
-// Default is the engine instance registered with the wcet engine
-// registry under the name "mc".
+// Default is the engine instance the "mc" and "both" engine selectors
+// resolve to.
 var Default = New(Options{})
-
-func init() { wcet.RegisterEngine(Default) }
 
 // Name implements wcet.Engine.
 func (e *Engine) Name() string { return "mc" }

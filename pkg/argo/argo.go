@@ -33,7 +33,6 @@ import (
 	"argo/internal/sim"
 	"argo/internal/transform"
 	"argo/internal/usecases"
-	"argo/internal/wcet"
 	"argo/internal/xcos"
 )
 
@@ -279,16 +278,16 @@ func SetInterp(mode string) error {
 	return nil
 }
 
-// WCETEngines lists the valid Options.WCETEngine spellings: every
-// registered code-level WCET engine plus "both" (IPET bounds with the
-// exact engine cross-checked on every region).
-func WCETEngines() []string { return wcet.SelectionNames() }
+// WCETEngines lists the valid Options.WCETEngine spellings: the two
+// code-level WCET engines, "ipet" and "mc", plus "both" (IPET bounds
+// with the exact engine cross-checked on every region).
+func WCETEngines() []string { return core.WCETEngines() }
 
 // ParseWCETEngine validates an Options.WCETEngine spelling ("", "ipet",
 // "mc", "both") without compiling anything — tools use it to reject bad
 // flag values before doing work.
 func ParseWCETEngine(spec string) error {
-	_, err := wcet.ParseSelection(spec)
+	_, err := core.ParseWCETEngine(spec)
 	return err
 }
 
