@@ -796,9 +796,8 @@ func sessionBenchVariants(b *testing.B, platName string) (*adl.Platform, *adl.Pl
 
 // BenchmarkSessionEdit measures the steady-state cost of one interactive
 // what-if edit (internal/session): the session alternates between two
-// ADL parameter values, so each edit re-runs only the dirty pass suffix
-// while the clean prefix and the previously analyzed variant restore
-// from the session's private pass cache. Compare against
+// ADL parameter values it has analyzed before, so each edit restores
+// the finished variant from the session's result memo. Compare against
 // BenchmarkSessionEditCold — the same alternation paid as full cold
 // compiles — for the incremental speedup interactive sessions deliver.
 func BenchmarkSessionEdit(b *testing.B) {
@@ -812,8 +811,8 @@ func BenchmarkSessionEdit(b *testing.B) {
 		{Op: session.OpSetParam, Param: "shared.access_cycles", Value: 20},
 		{Op: session.OpSetParam, Param: "shared.access_cycles", Value: 40},
 	}
-	// Warm both variants into the session cache (the steady state of an
-	// interactive loop revisiting configurations).
+	// Warm both variants into the session's result memo (the steady
+	// state of an interactive loop revisiting configurations).
 	for _, e := range edits {
 		if _, err := s.Apply(context.Background(), e, session.ApplyOptions{}); err != nil {
 			b.Fatal(err)
@@ -978,13 +977,13 @@ func BenchmarkCompileFreshCold(b *testing.B) {
 }
 
 // BenchmarkSessionEditFresh measures interactive-session bootstrap over
-// a warm process: every iteration creates a brand-new session (private
-// pass cache, falling back to the warmed pass.Global) and applies one
-// edit. The initial full analysis and the edit restore their passes
-// from the Global tier instead of recomputing them — the cost a client
-// pays to open a what-if session on a configuration, and make an edit,
-// that other clients have made before. Two sessions warm the Global
-// tier: the first one's keys are sightings, the second one's are stored.
+// a warm process: every iteration creates a brand-new session and
+// applies one edit. The initial full analysis and the edit restore
+// their passes from pass.Global instead of recomputing them — the cost
+// a client pays to open a what-if session on a configuration, and make
+// an edit, that other clients have made before. Two sessions warm
+// pass.Global: the first one's keys are sightings, the second one's
+// are stored.
 func BenchmarkSessionEditFresh(b *testing.B) {
 	uc := usecases.ByName("polka")
 	opt := core.DefaultOptions(uc.Entry, uc.Args, adl.Builtin("xentium4"))

@@ -68,10 +68,10 @@ type PassOptions struct {
 	// NoCache disables the content-addressed pass-level result cache.
 	// Outputs are bit-identical with and without it.
 	NoCache bool
-	// Cache, when non-nil, replaces the process-global pass cache for
-	// this execution (interactive sessions run on private caches so one
-	// session's artifact history cannot evict another's). Ignored when
-	// NoCache is set. Outputs are bit-identical for every cache choice.
+	// Cache, when non-nil, replaces the process-global pass cache
+	// (pass.Global) for this execution; tests use it to observe a cache
+	// no other compile touches. Ignored when NoCache is set. Outputs are
+	// bit-identical for every cache choice.
 	Cache *pass.Cache
 	// OnTiming, when set, observes every completed pass's timing record
 	// as soon as it is recorded (sessions stream one event per pass).

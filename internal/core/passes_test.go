@@ -193,11 +193,12 @@ func TestDescribePipeline(t *testing.T) {
 // TestIRMemoTracksProgram checks the fingerprints the pipeline carries
 // instead of recomputing them (a transform restore's, kept across
 // label-loops; a par-build snapshot's, seeded by its restore): after
-// every pass of a cache-filling and of a fully warm compile, a memo that
-// belongs to the live IR holds that program's fingerprint. It also
-// checks that the SPM promotions the report lists are variables of the
-// program the compile returns, which a lazy thaw resolves against its
-// one clone.
+// every pass of three compiles on one cache (the first sights every key,
+// the second stores and the third restores every cacheable pass), a
+// memo that belongs to the live IR holds that program's fingerprint. It
+// also checks that the SPM promotions the report lists are variables of
+// the program the compile returns, which a lazy thaw resolves against
+// its one clone.
 func TestIRMemoTracksProgram(t *testing.T) {
 	ctx := context.Background()
 	multiRound := false
@@ -209,8 +210,8 @@ func TestIRMemoTracksProgram(t *testing.T) {
 		for _, plat := range []string{"xentium4", "xentium8", "leon3-2x2", "hetero-2f2s"} {
 			opt := DefaultOptions(uc.Entry, uc.Args, adl.Builtin(plat))
 			opt.Passes.Cache = pass.NewCache(0)
-			var promoted [2][]string
-			for compile := 0; compile < 2; compile++ {
+			var promoted [3][]string
+			for compile := 0; compile < 3; compile++ {
 				prog, err := ir.Lower(src, uc.Entry, uc.Args)
 				if err != nil {
 					t.Fatal(err)
@@ -236,6 +237,13 @@ func TestIRMemoTracksProgram(t *testing.T) {
 					t.Fatalf("%s/%s compile %d: no pass left a memo to check", uc.Name, plat, compile)
 				}
 				multiRound = multiRound || art.FeedbackRounds > 1
+				if compile == 2 {
+					for _, ag := range art.PassTrace.Aggregate() {
+						if ag.CacheMisses != 0 {
+							t.Errorf("%s/%s: the warm compile ran cacheable pass %q", uc.Name, plat, ag.Pass)
+						}
+					}
+				}
 				vars := make(map[*ir.Var]bool, len(art.IR.Vars))
 				for _, v := range art.IR.Vars {
 					vars[v] = true
@@ -248,9 +256,11 @@ func TestIRMemoTracksProgram(t *testing.T) {
 					promoted[compile] = append(promoted[compile], v.Name)
 				}
 			}
-			if !reflect.DeepEqual(promoted[0], promoted[1]) {
-				t.Errorf("%s/%s: warm compile promoted %v, cache-filling compile %v",
-					uc.Name, plat, promoted[1], promoted[0])
+			for compile := 1; compile < 3; compile++ {
+				if !reflect.DeepEqual(promoted[0], promoted[compile]) {
+					t.Errorf("%s/%s: compile %d promoted %v, the first compile %v",
+						uc.Name, plat, compile, promoted[compile], promoted[0])
+				}
 			}
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"argo/internal/sched"
 	"argo/internal/scil"
 	"argo/internal/sim"
-	"argo/internal/syswcet"
 	"argo/internal/transform"
 	"argo/internal/usecases"
 )
@@ -644,9 +643,6 @@ func E8(cores int) (*Result, []E8Row, error) {
 	res.Tables = append(res.Tables, tab)
 	return res, rows, nil
 }
-
-// Fixpoint re-exported helper so argobench can show syswcet convergence.
-var _ = syswcet.Analyze
 
 // All runs every experiment at default sizes.
 func All() ([]*Result, error) {

@@ -3,7 +3,6 @@ package pass
 import (
 	"crypto/sha256"
 	"expvar"
-	"sync/atomic"
 
 	"argo/internal/memo"
 )
@@ -17,15 +16,14 @@ import (
 // long-running argod cannot grow it without limit, and at capacity it
 // evicts the least recently used snapshot.
 //
-// Global stores a snapshot only on its key's second sighting
-// (memo.Cache.Admit): most of what a process-wide cache sees is models
-// compiled once, and freezing their passes costs clones, codec work and
-// heap that nothing restores. A configuration's first compile stores
+// A cache stores a snapshot only on its key's second sighting
+// (memo.Cache.Admit): most of what it sees is configurations analyzed
+// once, and freezing their passes costs clones, codec work and heap
+// that nothing restores. A configuration's first compile stores
 // nothing, its second stores, and from the third on every pass
-// restores. Private caches store on the first sighting, because their
-// owner (a session) revisits its own history; a session's snapshot
-// whose key Global has already sighted is stored in Global instead, so
-// configurations that recur across sessions and compiles are shared.
+// restores. What-if sessions follow the same rule on Global: after an
+// edit to a program never analyzed before, the next edit re-runs its
+// unchanged passes once and stores them, and later edits restore them.
 
 type cacheAddr [sha256.Size]byte
 
@@ -45,39 +43,24 @@ func cacheAddress(passName string, fp []byte) cacheAddr {
 // the wcet bound cache's.
 const defaultCacheMax = 4096
 
-// Cache is a bounded, content-addressed pass-result store. Snapshots
-// stored in it must be immutable (the Snapshot/Restore contract
-// deep-copies anything mutable).
+// Cache is a bounded, content-addressed pass-result store that admits a
+// snapshot on its key's second sighting. Snapshots stored in it must be
+// immutable (the Snapshot/Restore contract deep-copies anything
+// mutable).
 type Cache struct {
 	m *memo.Cache[cacheAddr, any]
-
-	// repeat stores a snapshot only on its key's second sighting
-	// (Global); otherwise every computed snapshot is stored.
-	repeat bool
-
-	// fallback is an optional read-through tier consulted on a local
-	// miss (session-private caches fall back to Global). A computed
-	// snapshot the fallback admits is stored there instead of locally:
-	// the same content-addressed key yields the same immutable snapshot,
-	// so a second copy would only waste memory and pressure the local
-	// bound into needless evictions.
-	fallback *Cache
-
-	deferrals atomic.Int64
 }
 
 // Global is the process-wide pass cache shared by every pipeline
-// execution (candidates of one optimizer ladder, feedback rounds, and
-// argod requests all reuse each other's pass results). It stores a
-// snapshot on its key's second sighting. Its entry count and eviction
-// total are exported as the expvars argo_pass_cache_entries and
-// argo_pass_cache_evictions.
-var Global = &Cache{m: memo.New[cacheAddr, any](defaultCacheMax), repeat: true}
+// execution: candidates of one optimizer ladder, feedback rounds, argod
+// requests and what-if sessions all reuse each other's pass results.
+// Its entry count and eviction total are exported as the expvars
+// argo_pass_cache_entries and argo_pass_cache_evictions.
+var Global = NewCache(0)
 
-// NewCache returns a private pass cache bounded to at most maxEntries
-// snapshots (maxEntries <= 0: the default bound). Interactive sessions
-// use private caches so one session's artifact history cannot evict
-// another's, and evicting the session frees its snapshots.
+// NewCache returns a pass cache bounded to at most maxEntries snapshots
+// (maxEntries <= 0: the default bound). Tests use one in place of
+// Global to observe a cache no other compile touches.
 func NewCache(maxEntries int) *Cache {
 	return &Cache{m: memo.New[cacheAddr, any](cacheBound(maxEntries))}
 }
@@ -94,40 +77,11 @@ func cacheBound(maxEntries int) int {
 	return maxEntries
 }
 
-// SetFallback chains a read-through tier behind c: gets consult it on a
-// local miss, and a computed snapshot the fallback admits is stored
-// there instead of locally. Both are counted as deferrals — requests
-// this cache deferred to the shared tier instead of holding its own
-// copy. Safe because snapshots are immutable and restores deep-clone —
-// the tiers can share entries freely.
-func (c *Cache) SetFallback(f *Cache) { c.fallback = f }
+func (c *Cache) get(a cacheAddr) (any, bool) { return c.m.Get(a) }
 
-func (c *Cache) get(a cacheAddr) (any, bool) {
-	v, ok := c.m.Get(a)
-	if !ok && c.fallback != nil {
-		if v, ok = c.fallback.get(a); ok {
-			c.deferrals.Add(1)
-		}
-	}
-	return v, ok
-}
-
-// admit records a sighting of a key that missed every tier and returns
-// the tier its snapshot is stored in, or nil when no tier admits it and
-// the snapshot is not worth freezing.
-func (c *Cache) admit(a cacheAddr) *Cache {
-	if c.fallback != nil && c.fallback.admits(a) {
-		c.deferrals.Add(1)
-		return c.fallback
-	}
-	if c.fallback != nil || c.admits(a) {
-		return c
-	}
-	return nil
-}
-
-// admits applies c's own admission rule to a sighting of a.
-func (c *Cache) admits(a cacheAddr) bool { return !c.repeat || c.m.Admit(a) }
+// admit records a sighting of a key that missed and reports whether its
+// snapshot is worth freezing: only a key sighted before is stored.
+func (c *Cache) admit(a cacheAddr) bool { return c.m.Admit(a) }
 
 func (c *Cache) put(a cacheAddr, v any) {
 	if c.m.Put(a, v) {
@@ -143,24 +97,13 @@ func (c *Cache) Reset() { c.m.Reset() }
 // Len returns the number of cached snapshots.
 func (c *Cache) Len() int { return c.m.Len() }
 
-// CacheStats is a point-in-time snapshot of one cache's counters. The
-// process-wide hit/miss totals of the pipeline (every tier together)
-// are CacheCounters.
-type CacheStats struct {
-	memo.Stats
-	// Deferrals counts requests deferred to the fallback tier (zero for
-	// caches without one).
-	Deferrals int64 `json:"deferrals,omitempty"`
-}
-
-// Stats snapshots the cache's counters and fallback-deferral total.
-func (c *Cache) Stats() CacheStats {
-	return CacheStats{Stats: c.m.Stats(), Deferrals: c.deferrals.Load()}
-}
+// Stats snapshots the cache's counters. The process-wide hit/miss
+// totals of the pipeline (every cache together) are CacheCounters.
+func (c *Cache) Stats() memo.Stats { return c.m.Stats() }
 
 // Process-wide pass-cache growth observability: entries currently held
-// by the Global cache and cumulative evictions across all caches
-// (session-private caches included), served by argod's /debug/vars.
+// by the Global cache and cumulative evictions across all caches,
+// served by argod's /debug/vars.
 var globalEvictions = expvar.NewInt("argo_pass_cache_evictions")
 
 func init() {

@@ -132,7 +132,7 @@ type CacheOutcome int8
 const (
 	// CacheNone: the pass is not cacheable (or caching is disabled).
 	CacheNone CacheOutcome = iota
-	// CacheMiss: the pass ran; its result was stored if a cache tier
+	// CacheMiss: the pass ran; its result was stored if the cache
 	// admitted it.
 	CacheMiss
 	// CacheHit: the pass was skipped and its result restored.
@@ -340,13 +340,12 @@ func (m *Manager) execute(c *Context, p *Pass, tm *Timing) error {
 	if err := p.Run(c); err != nil {
 		return err
 	}
-	// Admission comes before the freeze: a key no tier admits (Global's
-	// first sighting) costs no snapshot at all. A nil snapshot means the
-	// result cannot be frozen safely; the pass still ran, the result
-	// just isn't stored.
-	if dst := m.Cache.admit(key); dst != nil {
+	// Admission comes before the freeze: a key's first sighting costs
+	// no snapshot at all. A nil snapshot means the result cannot be
+	// frozen safely; the pass still ran, the result just isn't stored.
+	if m.Cache.admit(key) {
 		if snap := p.Snapshot(c); snap != nil {
-			dst.put(key, snap)
+			m.Cache.put(key, snap)
 		}
 	}
 	tm.Cache = CacheMiss

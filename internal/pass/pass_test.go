@@ -120,20 +120,25 @@ func TestCacheHitRestoresWithoutRunning(t *testing.T) {
 		}
 		return Need(c, keyN)
 	}
-	if v := run(3); v != 7 {
-		t.Fatalf("first run = %d, want 7", v)
+	// A key's first sighting runs the pass and stores nothing, its
+	// second runs it and stores the snapshot, and from the third on the
+	// pass restores without running.
+	for i, want := range []struct{ runs, stored int }{{1, 0}, {2, 1}, {2, 1}} {
+		if v := run(3); v != 7 {
+			t.Fatalf("run %d = %d, want 7", i+1, v)
+		}
+		if runs != want.runs || cache.Len() != want.stored {
+			t.Fatalf("after run %d: pass ran %d times, cache holds %d snapshots; want %d and %d",
+				i+1, runs, cache.Len(), want.runs, want.stored)
+		}
 	}
-	if v := run(3); v != 7 {
-		t.Fatalf("cached run = %d, want 7", v)
+	for range 2 {
+		if v := run(4); v != 9 {
+			t.Fatalf("different fingerprint = %d, want 9", v)
+		}
 	}
-	if runs != 1 {
-		t.Fatalf("pass ran %d times, want 1 (second execution served from cache)", runs)
-	}
-	if v := run(4); v != 9 {
-		t.Fatalf("different fingerprint = %d, want 9", v)
-	}
-	if runs != 2 {
-		t.Fatalf("pass ran %d times, want 2", runs)
+	if runs != 4 {
+		t.Fatalf("pass ran %d times, want 4 (a new key runs on its first two sightings)", runs)
 	}
 	if cache.Len() != 2 {
 		t.Fatalf("cache holds %d snapshots, want 2", cache.Len())

@@ -643,18 +643,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, badRequest("simulate needs a usecase (input generators)"))
 		return
 	}
-	seeds := req.Seeds
-	if len(seeds) == 0 {
-		runs := req.Runs
-		if runs <= 0 {
-			runs = 1
-		}
-		for seed := int64(1); seed <= int64(runs); seed++ {
-			seeds = append(seeds, seed)
-		}
-	}
-	if len(seeds) > maxSimRuns {
-		s.writeErr(w, badRequest("at most %d runs per request (got %d)", maxSimRuns, len(seeds)))
+	seeds, err := simSeeds(req.Seeds, req.Runs)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	var faults argo.FaultSpec
@@ -676,46 +667,73 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	resp := &SimulateResponse{Compile: res.sum}
 	t0 := time.Now()
+	runs, err := simulateRuns(ctx, res.art, job.usecase, seeds, faults)
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	s.metrics.Observe("simulate", time.Since(t0))
+	s.writeJSON(w, outcome, &SimulateResponse{Compile: res.sum, Runs: runs})
+}
+
+// simSeeds expands a simulate request's seeds: the listed ones, or
+// 1..runs (runs <= 0: one run). More than maxSimRuns is a bad request.
+func simSeeds(seeds []int64, runs int) ([]int64, error) {
+	n := len(seeds)
+	if n == 0 {
+		n = max(runs, 1)
+	}
+	if n > maxSimRuns {
+		return nil, badRequest("at most %d runs per request (got %d)", maxSimRuns, n)
+	}
+	for seed := int64(1); len(seeds) < n; seed++ {
+		seeds = append(seeds, seed)
+	}
+	return seeds, nil
+}
+
+// simulateRuns simulates art once per seed on uc's inputs for that seed
+// and checks every run against the analyzed bounds. An enabled fault
+// spec is re-seeded per run (spec.Seed + seed), so a sweep over input
+// seeds also sweeps fault patterns and stays deterministic; a disabled
+// one simulates fault-free.
+func simulateRuns(ctx context.Context, art *argo.Artifacts, uc *argo.UseCase, seeds []int64, spec argo.FaultSpec) ([]SimRun, error) {
+	injecting := spec.Enabled()
+	runs := make([]SimRun, 0, len(seeds))
 	for _, seed := range seeds {
 		var rep *argo.SimReport
 		var err error
-		injecting := req.Faults != nil && faults.Enabled()
 		if injecting {
-			// Re-seed per run so a sweep over input seeds also sweeps
-			// fault patterns; the combination stays deterministic.
-			spec := faults
-			spec.Seed += seed
-			rep, err = argo.SimulateFaultyContext(ctx, res.art, job.usecase.Inputs(seed), spec)
+			runSpec := spec
+			runSpec.Seed += seed
+			rep, err = argo.SimulateFaultyContext(ctx, art, uc.Inputs(seed), runSpec)
 		} else {
-			rep, err = argo.SimulateContext(ctx, res.art, job.usecase.Inputs(seed))
+			rep, err = argo.SimulateContext(ctx, art, uc.Inputs(seed))
 		}
 		if err != nil {
-			s.writeErr(w, fmt.Errorf("seed %d: %w", seed, err))
-			return
+			return nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
 		run := SimRun{
 			Seed:          seed,
 			Makespan:      rep.Makespan,
 			ExecSpan:      rep.ExecSpan,
 			BusWaitCycles: rep.BusWaitCycles,
-			TotalBound:    res.art.Bound(),
+			TotalBound:    art.Bound(),
 			WithinBound:   true,
 		}
-		if err := argo.CheckBounds(res.art, rep); err != nil {
+		if err := argo.CheckBounds(art, rep); err != nil {
 			run.WithinBound = false
 			run.BoundError = err.Error()
 		}
 		if injecting {
 			st := rep.Faults
 			run.Faults = &st
-			run.Violations = argo.Violations(res.art, rep)
+			run.Violations = argo.Violations(art, rep)
 		}
-		resp.Runs = append(resp.Runs, run)
+		runs = append(runs, run)
 	}
-	s.metrics.Observe("simulate", time.Since(t0))
-	s.writeJSON(w, outcome, resp)
+	return runs, nil
 }
 
 func (s *Server) handlePlatforms(w http.ResponseWriter, r *http.Request) {

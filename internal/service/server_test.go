@@ -414,6 +414,7 @@ func TestBadRequests(t *testing.T) {
 		{"invalid json", "/v1/compile", `{`, 400},
 		{"simulate without usecase", "/v1/simulate", `{"source":"x","entry":"f"}`, 400},
 		{"too many runs", "/v1/simulate", `{"usecase":"weaa","runs":500}`, 400},
+		{"runs rejected before expansion", "/v1/simulate", `{"usecase":"weaa","runs":4000000000}`, 400},
 		{"unanalyzable source", "/v1/compile", `{"source":"function y = f(x)\ny = undefined_call(x)\nendfunction","entry":"f","args":[{"kind":"scalar"}]}`, 422},
 	}
 	for _, tc := range cases {

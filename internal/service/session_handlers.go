@@ -1,8 +1,9 @@
 package service
 
 // /v1/session: interactive what-if sessions. A session pins a compiled
-// model server-side; each edit re-runs only the dirty pass suffix on the
-// session's private pass cache and reports exactly what it changed
+// model server-side; each edit re-runs only the dirty pass suffix, over
+// the pass cache every compile and session of the process shares
+// (pass.Global), and reports exactly what it changed
 // (passes skipped/reran, tasks moved, bound delta). Edits on one session
 // are serialized by the session itself; edits on distinct sessions run
 // concurrently, each holding one worker-pool slot like any compile.
@@ -77,11 +78,10 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	out := make([]SessionInfoJSON, 0, len(infos))
 	for _, in := range infos {
 		out = append(out, SessionInfoJSON{
-			ID:           in.ID,
-			Edits:        in.Edits,
-			IdleMS:       in.IdleFor.Milliseconds(),
-			AgeMS:        in.Age.Milliseconds(),
-			CacheEntries: in.CacheLen,
+			ID:     in.ID,
+			Edits:  in.Edits,
+			IdleMS: in.IdleFor.Milliseconds(),
+			AgeMS:  in.Age.Milliseconds(),
 		})
 	}
 	s.writeJSON(w, OutcomeMiss, out)
@@ -285,55 +285,24 @@ func (s *Server) handleSessionSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, badRequest("session was created from raw source; simulate needs a use-case session (input generators)"))
 		return
 	}
-	seeds := req.Seeds
-	if len(seeds) == 0 {
-		runs := req.Runs
-		if runs <= 0 {
-			runs = 1
-		}
-		for seed := int64(1); seed <= int64(runs); seed++ {
-			seeds = append(seeds, seed)
-		}
-	}
-	if len(seeds) > maxSimRuns {
-		s.writeErr(w, badRequest("at most %d runs per request (got %d)", maxSimRuns, len(seeds)))
+	seeds, err := simSeeds(req.Seeds, req.Runs)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.clampTimeout(req.TimeoutMS))
 	defer cancel()
 
-	_, _, spec, _ := sess.Snapshot()
-	injecting := spec.Enabled()
-	resp := &SimulateResponse{}
+	// One snapshot serves every run: an edit that commits mid-request
+	// changes neither the artifacts nor the fault spec the runs use, so
+	// the summary describes exactly what was simulated.
+	_, art, spec, _ := sess.Snapshot()
 	t0 := time.Now()
-	for _, seed := range seeds {
-		rep, art, err := sess.Simulate(ctx, uc.Inputs(seed), seed)
-		if err != nil {
-			s.writeErr(w, fmt.Errorf("seed %d: %w", seed, err))
-			return
-		}
-		if resp.Compile == nil {
-			resp.Compile = Summarize(uc.Name, uc.Period, art)
-		}
-		run := SimRun{
-			Seed:          seed,
-			Makespan:      rep.Makespan,
-			ExecSpan:      rep.ExecSpan,
-			BusWaitCycles: rep.BusWaitCycles,
-			TotalBound:    art.Bound(),
-			WithinBound:   true,
-		}
-		if err := argo.CheckBounds(art, rep); err != nil {
-			run.WithinBound = false
-			run.BoundError = err.Error()
-		}
-		if injecting {
-			st := rep.Faults
-			run.Faults = &st
-			run.Violations = argo.Violations(art, rep)
-		}
-		resp.Runs = append(resp.Runs, run)
+	runs, err := simulateRuns(ctx, art, uc, seeds, spec)
+	if err != nil {
+		s.writeErr(w, err)
+		return
 	}
 	s.metrics.Observe("simulate", time.Since(t0))
-	s.writeJSON(w, OutcomeMiss, resp)
+	s.writeJSON(w, OutcomeMiss, &SimulateResponse{Compile: Summarize(uc.Name, uc.Period, art), Runs: runs})
 }

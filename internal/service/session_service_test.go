@@ -33,6 +33,13 @@ func createSession(t *testing.T, url, body string) *SessionSummary {
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
+	// The pass cache stores a key on its second sighting. A compile of
+	// the model sights its passes first, so the session's create stores
+	// them and the edit below can restore the ones it leaves clean, in
+	// whatever order the package's tests run.
+	if resp, data := post(t, ts.URL+"/v1/compile", `{"usecase":"polka","platform":"xentium4"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d: %s", resp.StatusCode, data)
+	}
 	sum := createSession(t, ts.URL, `{"usecase":"polka","platform":"xentium4","verify":true}`)
 	if !sum.Verified {
 		t.Fatal("create with verify:true not verified")
@@ -70,7 +77,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal("edit with verify:true not verified")
 	}
 	if edited.PassesSkipped == 0 {
-		t.Fatalf("edit skipped no passes (reran %d): session cache ineffective", edited.PassesReran)
+		t.Fatalf("edit skipped no passes (reran %d): pass cache ineffective", edited.PassesReran)
 	}
 	if edited.BoundDelta == 0 || len(edited.ChangedTasks) == 0 {
 		t.Fatalf("edit reported no effect: delta=%d changed=%v", edited.BoundDelta, edited.ChangedTasks)
@@ -153,6 +160,65 @@ func TestSessionSimulate(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/v1/session/"+raw.Session+"/simulate", `{}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("raw-source simulate: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSessionSimulateOneSnapshot: a session simulate reads the session
+// once, so set-param edits that commit while its 100 runs execute
+// change neither the artifacts the later runs use nor the summary that
+// describes them: every run's total_bound is compile.total_bound.
+func TestSessionSimulateOneSnapshot(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	id := createSession(t, ts.URL, `{"usecase":"polka","platform":"xentium4"}`).Session
+
+	// The edit loop alternates between values that move the bound; the
+	// session's result memo serves revisits, so edits commit quickly.
+	stop, editing := make(chan struct{}), make(chan struct{})
+	signal := sync.OnceFunc(func() { close(editing) })
+	edits := 0
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer signal()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := argo.SessionEdit{Op: argo.SessionOpSetParam, Param: "shared.access_cycles", Value: float64(20 + 10*(edits%4))}
+			if _, err := srv.sessions.Apply(context.Background(), id, e, argo.SessionApplyOptions{}); err != nil {
+				t.Errorf("edit %d: %v", edits, err)
+				return
+			}
+			edits++
+			signal()
+		}
+	}()
+	<-editing
+	resp, data := post(t, ts.URL+"/v1/session/"+id+"/simulate", `{"runs":100}`)
+	close(stop)
+	wg.Wait()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d: %s", resp.StatusCode, data)
+	}
+	var sim SimulateResponse
+	if err := json.Unmarshal(data, &sim); err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.Runs) != 100 {
+		t.Fatalf("got %d runs, want 100", len(sim.Runs))
+	}
+	t.Logf("%d edits committed around the simulate", edits)
+	for _, run := range sim.Runs {
+		if run.TotalBound != sim.Compile.TotalBound {
+			t.Fatalf("seed %d ran against total_bound %d; the compile summary says %d",
+				run.Seed, run.TotalBound, sim.Compile.TotalBound)
+		}
+		if !run.WithinBound {
+			t.Fatalf("seed %d: %s", run.Seed, run.BoundError)
+		}
 	}
 }
 

@@ -137,22 +137,21 @@ func sessionSummary(id string, uc *argo.UseCase, res *argo.SessionEditResult) *S
 
 // SessionPassEvent is the payload of one SSE "pass" event of a
 // streaming edit: a pipeline pass just finished (or restored from the
-// session cache).
+// pass cache).
 type SessionPassEvent struct {
 	Pass   string `json:"pass"`
 	WallNS int64  `json:"wall_ns"`
-	// Cache is "hit" (restored, skipped), "miss" (ran, stored), or
-	// omitted for uncacheable passes.
+	// Cache is "hit" (restored, skipped), "miss" (ran; stored if its
+	// key was sighted before), or omitted for uncacheable passes.
 	Cache string `json:"cache,omitempty"`
 }
 
 // SessionInfoJSON is one row of GET /v1/session.
 type SessionInfoJSON struct {
-	ID           string `json:"id"`
-	Edits        int    `json:"edits"`
-	IdleMS       int64  `json:"idle_ms"`
-	AgeMS        int64  `json:"age_ms"`
-	CacheEntries int    `json:"cache_entries"`
+	ID     string `json:"id"`
+	Edits  int    `json:"edits"`
+	IdleMS int64  `json:"idle_ms"`
+	AgeMS  int64  `json:"age_ms"`
 }
 
 // SessionGetResponse is the body of GET /v1/session/{id}: the session's

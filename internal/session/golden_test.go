@@ -59,8 +59,10 @@ func readGolden(t *testing.T, path string) map[string]string {
 }
 
 // TestResultFingerprintsGolden compiles every base configuration cache
-// free, then twice on a private pass cache — the second compile restores
-// every cacheable pass — and checks all three against the golden table.
+// free, then three times on a private pass cache — the first compile
+// sights every key, the second stores its snapshot and the third
+// restores every cacheable pass — and checks the cache-free and the
+// restoring compile against the golden table.
 func TestResultFingerprintsGolden(t *testing.T) {
 	want := readGolden(t, goldenFingerprints)
 	ctx := context.Background()
@@ -87,7 +89,7 @@ func TestResultFingerprintsGolden(t *testing.T) {
 
 				warm := opt
 				warm.Passes.Cache = pass.NewCache(0)
-				for round := 0; round < 2; round++ {
+				for round := 0; round < 3; round++ {
 					art, err = core.CompileSourceContext(ctx, uc.Source, warm)
 					if err != nil {
 						t.Fatalf("%s: cached compile %d: %v", key, round, err)
@@ -95,7 +97,7 @@ func TestResultFingerprintsGolden(t *testing.T) {
 				}
 				for _, ag := range art.PassTrace.Aggregate() {
 					if ag.CacheMisses != 0 {
-						t.Errorf("%s: second compile missed the cache on pass %q", key, ag.Pass)
+						t.Errorf("%s: third compile missed the cache on pass %q", key, ag.Pass)
 					}
 				}
 				if warm := ResultFingerprint(art); warm != got {
@@ -141,10 +143,10 @@ func ladderCandidates(cores int) []core.Candidate {
 
 // TestLadderFingerprintsGolden compiles every ladder configuration
 // cache free and checks the result against the golden table. Each capped
-// rung (MaxTasks > 0) that compiles is also compiled twice on a private
-// pass cache: the second compile restores every cacheable pass, so the
-// coarsened graph travels through a snapshot, and must match the table
-// too.
+// rung (MaxTasks > 0) that compiles is also compiled three times on a
+// private pass cache: the second compile stores every cacheable pass and
+// the third restores them, so the coarsened graph travels through a
+// snapshot, and must match the table too.
 func TestLadderFingerprintsGolden(t *testing.T) {
 	want := readGolden(t, goldenLadder)
 	ctx := context.Background()
@@ -174,14 +176,14 @@ func TestLadderFingerprintsGolden(t *testing.T) {
 					continue
 				}
 				opt.Passes.NoCache, opt.Passes.Cache = false, pass.NewCache(0)
-				for round := 0; round < 2; round++ {
+				for round := 0; round < 3; round++ {
 					if art, err = core.CompileSourceContext(ctx, uc.Source, opt); err != nil {
 						t.Fatalf("%s: cached compile %d: %v", key, round, err)
 					}
 				}
 				for _, ag := range art.PassTrace.Aggregate() {
 					if ag.CacheMisses != 0 {
-						t.Errorf("%s: second compile missed the cache on pass %q", key, ag.Pass)
+						t.Errorf("%s: third compile missed the cache on pass %q", key, ag.Pass)
 					}
 				}
 				if warm := ResultFingerprint(art); warm != want[key] {

@@ -214,14 +214,15 @@ func (m *Manager) observe(res *EditResult) {
 
 // Info is one session's row in a listing.
 type Info struct {
-	ID       string
-	Edits    int
-	IdleFor  time.Duration
-	Age      time.Duration
-	CacheLen int
+	ID      string
+	Edits   int
+	IdleFor time.Duration
+	Age     time.Duration
 }
 
-// List snapshots the live sessions, most recently used first.
+// List snapshots the live sessions, most recently used first. It takes
+// no session's lock, so it never waits for an edit in flight; a session
+// mid-edit is listed with its committed edit count.
 func (m *Manager) List() []Info {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -229,13 +230,11 @@ func (m *Manager) List() []Info {
 	out := make([]Info, 0, m.lru.Len())
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*managerEntry)
-		_, _, _, edits := ent.s.Snapshot()
 		out = append(out, Info{
-			ID:       ent.s.ID,
-			Edits:    edits,
-			IdleFor:  now.Sub(ent.lastUsed),
-			Age:      now.Sub(ent.created),
-			CacheLen: ent.s.CacheStats().Entries,
+			ID:      ent.s.ID,
+			Edits:   int(ent.s.edits.Load()),
+			IdleFor: now.Sub(ent.lastUsed),
+			Age:     now.Sub(ent.created),
 		})
 	}
 	return out

@@ -7,10 +7,10 @@
 // The paper's tool flow (§II, Figure 1) is explicitly iterative:
 // developers tune the model, the mapping, and the platform until the
 // WCET bound meets the deadline. A session keeps the machinery of that
-// loop warm across requests: every re-analysis runs on a session-private
-// content-addressed pass cache (internal/pass), so passes whose input
-// fingerprints are unchanged restore their recorded snapshots instead
-// of re-running, and the system-level interference fixed point
+// loop warm across requests: every re-analysis runs on the process-wide
+// content-addressed pass cache (internal/pass.Global), so passes whose
+// input fingerprints are unchanged restore their recorded snapshots
+// instead of re-running, and the system-level interference fixed point
 // (internal/syswcet) re-converges incrementally over its dirty task
 // sets. On top of the pass cache sits a bounded result memo: revisiting
 // a configuration the session has already analyzed (A/B-ing two
@@ -44,9 +44,10 @@ import (
 )
 
 // Session is one interactive what-if session: the current source text
-// and options, the last analysis, and a private pass cache holding the
-// snapshots incremental re-analysis restores from. All methods are
-// safe for concurrent use; edits on one session are serialized.
+// and options, the last analysis and a memo of finished analyses.
+// Incremental re-analysis restores pass snapshots from pass.Global,
+// which every session and compile of the process shares. All methods
+// are safe for concurrent use; edits on one session are serialized.
 type Session struct {
 	// ID is the session handle (assigned by the Manager; empty for
 	// sessions created directly via New).
@@ -61,10 +62,11 @@ type Session struct {
 	source string
 	opt    core.Options // Platform is a session-private copy
 	faults fault.Spec
-	cache  *pass.Cache
 	art    *core.Artifacts
 	fp     string
-	edits  int
+	// edits counts committed edits. It is written under mu and read
+	// without it, so a listing never waits for an edit in flight.
+	edits atomic.Int64
 
 	// memo is the session's result memo: finished artifacts keyed by
 	// configuration fingerprint (source, platform, policy, disabled
@@ -95,8 +97,8 @@ type EditResult struct {
 	// bit-identical.
 	Fingerprint string
 	// PassesSkipped / PassesReran split the pipeline's passes into the
-	// clean set (restored from the session cache without running) and
-	// the dirty suffix that actually re-ran.
+	// clean set (restored from the pass cache or the result memo without
+	// running) and the dirty suffix that actually re-ran.
 	PassesSkipped, PassesReran int
 	// ChangedTasks lists the tasks whose analyzed window, bound, or
 	// interference the edit moved (all tasks for a creation or a
@@ -122,12 +124,6 @@ type ApplyOptions struct {
 	Verify bool
 }
 
-// sessionCacheEntries bounds each session's private pass cache. The
-// cache holds deep-frozen pass outputs (cloned IR programs, schedules),
-// so the bound is deliberately small; a busy session evicts its least
-// recently used what-if variants first.
-const sessionCacheEntries = 256
-
 // sessionMemoEntries bounds the per-session result memo. Each entry
 // pins one full artifact set, so the bound is small: it covers the
 // handful of configurations an interactive A/B comparison ping-pongs
@@ -151,17 +147,8 @@ func newSession(ctx context.Context, source string, opt core.Options, faults fau
 		source: source,
 		opt:    opt,
 		faults: faults,
-		cache:  pass.NewCache(sessionCacheEntries),
 		memo:   memo.New[string, memoEntry](sessionMemoEntries),
 	}
-	// Tier the private cache over the process-wide one: a snapshot the
-	// global tier holds (from argod compile requests, other sessions,
-	// prior compiles of the same cell) restores read-through, and one
-	// whose key the global tier has already sighted is stored there, not
-	// in the session's bounded private cache. Configurations that recur
-	// across sessions and compiles are shared; what only this session
-	// computes stays local.
-	s.cache.SetFallback(pass.Global)
 	s.opt.Platform = clonePlatform(opt.Platform)
 	res, err := s.analyzeLocked(ctx, s.source, s.opt, aopt)
 	if err != nil {
@@ -174,7 +161,7 @@ func newSession(ctx context.Context, source string, opt core.Options, faults fau
 
 // Apply performs one edit: it validates the op, applies it to copies of
 // the session state, re-analyzes (only the dirty pass suffix runs; the
-// clean set restores from the session cache), and commits the new state
+// clean set restores from the pass cache), and commits the new state
 // atomically on success. A failed edit leaves the session untouched.
 // Edits on one session are serialized; distinct sessions apply
 // concurrently.
@@ -216,7 +203,7 @@ func (s *Session) Apply(ctx context.Context, e Edit, aopt ApplyOptions) (*EditRe
 		// Fault-spec edits change future simulations, not the analysis:
 		// commit without touching the artifacts.
 		s.faults = faults
-		s.edits++
+		s.edits.Add(1)
 		return &EditResult{
 			Artifacts:   s.art,
 			Fingerprint: s.fp,
@@ -231,11 +218,11 @@ func (s *Session) Apply(ctx context.Context, e Edit, aopt ApplyOptions) (*EditRe
 	res.BoundDelta = res.Artifacts.Bound() - s.art.Bound()
 	s.source, s.opt, s.faults = source, opt, faults
 	s.art, s.fp = res.Artifacts, res.Fingerprint
-	s.edits++
+	s.edits.Add(1)
 	return res, nil
 }
 
-// analyzeLocked runs the pipeline on the session's private pass cache
+// analyzeLocked runs the pipeline through the process-wide pass cache
 // and, when requested, the differential cold compile. A configuration
 // the session has already analyzed is restored whole from the result
 // memo (every pass skipped, nothing re-runs). Caller holds s.mu (or
@@ -256,7 +243,6 @@ func (s *Session) analyzeLocked(ctx context.Context, source string, opt core.Opt
 			}
 		}
 	} else {
-		opt.Passes.Cache = s.cache
 		opt.Passes.NoCache = false
 		opt.Passes.OnTiming = aopt.OnTiming
 		art, err := core.CompileSourceContext(ctx, source, opt)
@@ -352,7 +338,7 @@ func (s *Session) Simulate(ctx context.Context, inputs [][]float64, seed int64) 
 func (s *Session) Snapshot() (source string, art *core.Artifacts, faults fault.Spec, edits int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.source, s.art, s.faults, s.edits
+	return s.source, s.art, s.faults, int(s.edits.Load())
 }
 
 // Source returns the session's current canonical source text. A cold
@@ -378,9 +364,6 @@ func (s *Session) Options() core.Options {
 	defer s.mu.Unlock()
 	return s.opt
 }
-
-// CacheStats reports the session-private pass cache's size counters.
-func (s *Session) CacheStats() pass.CacheStats { return s.cache.Stats() }
 
 // close marks the session evicted; subsequent Apply calls fail. An
 // in-flight edit finishes normally (its client still gets the result;

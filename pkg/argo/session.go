@@ -10,8 +10,9 @@ import (
 
 // Interactive what-if sessions (internal/session): a persistent store of
 // compiled artifacts with a typed edit API, where each edit re-runs only
-// the dirty pass suffix on a session-private pass cache and the result
-// is guaranteed bit-identical to a cold compile of the edited source.
+// the dirty pass suffix, restoring the rest from the pass cache every
+// compile and session of the process shares, and the result is
+// guaranteed bit-identical to a cold compile of the edited source.
 type (
 	// Session is one interactive what-if session.
 	Session = session.Session
